@@ -89,10 +89,7 @@ class ExperimentConfig:
         if not snrs:
             raise ValueError("snr_db_list must not be empty")
         for s in snrs:
-            if math.isnan(s) or s == -math.inf:
-                raise ValueError(
-                    "snr values must be finite or +inf (the noiseless sentinel)"
-                )
+            _check_snr(s)
         self.snr_db_list = snrs
 
 
@@ -156,11 +153,32 @@ def _mse_per_dim_db(mse: float, n: int) -> float:
     return 10.0 * math.log10(mse / n)
 
 
+def _snr_gain(snr_db: float) -> float:
+    """The power ratio 10^(snr_db / 10) of a finite SNR.
+
+    Raises ValueError where the ratio overflows or underflows to zero.
+    """
+    try:
+        gain = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        gain = math.inf
+    if not 0.0 < gain < math.inf:
+        raise ValueError(f"snr {snr_db!r} dB is outside the floating-point range")
+    return gain
+
+
+def _check_snr(snr_db: float) -> None:
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError("snr values must be finite or +inf (the noiseless sentinel)")
+    if math.isfinite(snr_db):
+        _snr_gain(snr_db)
+
+
 def _sigma_for(snr_db: float, power: float, m_count: int) -> float:
     """Noise level realizing the target reduced SNR for given signal power."""
     if math.isinf(snr_db):
         return 0.0
-    return math.sqrt(power / (m_count * 10.0 ** (snr_db / 10.0)))
+    return math.sqrt(power / (m_count * _snr_gain(snr_db)))
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
@@ -244,6 +262,12 @@ def cmd_zeros(
     rows: list[dict[str, object]] = []
     for which, sig in (("x1", x1), ("x2", x2), ("product", convolve(x1, x2))):
         zs = roots(sig).zeros
+        if len(zs) < sig.size - 1:
+            raise ValueError(
+                f"{which} has {len(zs)} resolvable zeros instead of "
+                f"{sig.size - 1}: an end coefficient is negligible next to "
+                "the largest"
+            )
         if not zs:
             continue
         threshold = cluster_tol * max(abs(z) for z in zs)
@@ -322,7 +346,10 @@ def _parse_signal(text: str) -> Signal:
     tokens = [t for t in text.split(",") if t.strip()]
     if not tokens:
         raise ValueError("signal literal must contain at least one entry")
-    return np.array([_parse_complex(t) for t in tokens], dtype=np.complex128)
+    sig = np.array([_parse_complex(t) for t in tokens], dtype=np.complex128)
+    if not np.all(np.isfinite(sig)):
+        raise ValueError(f"signal entries must be finite: {text!r}")
+    return sig
 
 
 def _parse_snr_list(text: str) -> tuple[float, ...]:
@@ -416,10 +443,7 @@ def _run_recover(args: argparse.Namespace) -> int:
         snrs = _parse_snr_list(args.snr_db)
         if len(snrs) != 1:
             raise ValueError("recover accepts a single --snr-db value")
-        if math.isnan(snrs[0]) or snrs[0] == -math.inf:
-            raise ValueError(
-                "snr values must be finite or +inf (the noiseless sentinel)"
-            )
+        _check_snr(snrs[0])
         stacked = clean.stacked
         sigma = _sigma_for(
             snrs[0], float(np.linalg.norm(stacked) ** 2), stacked.size
@@ -447,6 +471,7 @@ def _run_recover(args: argparse.Namespace) -> int:
     print(f"non_unique={_fmt_bool(diag.non_unique)}")
     print(f"x1_est={_fmt_complex_vec(est1)}")
     print(f"x2_est={_fmt_complex_vec(est2)}")
+    print(f"margin={diag.margin!r}")
     return 0
 
 

@@ -6,6 +6,14 @@ and ``b`` the observed correlations.  The minimizer is the lifted outer
 product ``x x*`` exactly when the planted pair has coprime z-transforms, so
 the top eigenpair of the solution yields the signal estimate up to a global
 phase.
+
+The solve starts at the spectral estimate of the dual certificate: the
+certificate W = S^H S is a linear function of the correlations
+(`sylvester.certificate_multipliers`), annihilates the stacked pair, and
+for a coprime pair has exactly span(x) as its null space.  Its bottom
+eigenvector, scaled to the energy a11[l1-1] + a22[l2-1] = ||x||^2, is the
+pair itself (up to phase) on noiseless coprime data, so the iteration only
+refines it under noise or a shared factor.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import numpy as np
 from .linalg import herm_eig
 from .poly import Signal, as_signal
 from .sensing import Measurements, SensingSet, adjoint, build_sensing, forward_stacked
+from .sylvester import certificate_multipliers
 
 # A solution whose second eigenvalue exceeds this fraction of the first is
 # not meaningfully rank-1; recovery then reflects a non-unique program.
@@ -57,12 +66,15 @@ class SolverResult:
     `residual` is ||A(X) - b|| / ||b||; `rank1_gap` is the ratio of the
     second to the first eigenvalue of the solution matrix (0 for the zero
     matrix), small exactly when the solution is numerically rank-1.
+    `margin` is the identifiability margin lam2(W) / lam_max(W) of the
+    data-only certificate W: about 0 when the pair shares a factor.
     """
 
     x_mat: np.ndarray
     iters: int
     residual: float
     rank1_gap: float
+    margin: float = 0.0
 
 
 @dataclass
@@ -74,6 +86,7 @@ class RecoveryDiagnostics:
     rank1_gap: float
     degenerate: bool
     non_unique: bool
+    margin: float = 0.0
 
 
 def _psd_fast(a: np.ndarray) -> np.ndarray:
@@ -89,46 +102,38 @@ def _psd_fast(a: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.conj().T)
 
 
-def _lipschitz(s: SensingSet, m_count: int, iters: int = 100) -> float:
-    """Largest eigenvalue of X -> adjoint(conj(forward(X))) by power iteration.
+def _spectral_start(s: SensingSet, b: Measurements) -> tuple[np.ndarray, float]:
+    """The start c v v* and the identifiability margin lam2(W) / lam_max(W).
 
-    The map is self-adjoint and positive semidefinite in the real Frobenius
-    pairing on Hermitian matrices, so the Rayleigh quotient converges to the
-    gradient's Lipschitz constant from below; the solver's step_safety
-    absorbs the residual underestimate.
+    W = adjoint(certificate_multipliers(b)) is the dual certificate built
+    from the data, v its eigenvector for the smallest eigenvalue and
+    c = a11[l1-1] + a22[l2-1] (clipped at 0) the energy ||x||^2.
     """
-    rng = np.random.default_rng(0)
-    g = rng.standard_normal((s.n, s.n)) + 1j * rng.standard_normal((s.n, s.n))
-    h = g + g.conj().T
-    lam = np.zeros(4 * s.n - 4, dtype=complex)
-    est = 0.0
-    for _ in range(iters):
-        h = h / np.linalg.norm(h)
-        lam[:m_count] = np.conj(forward_stacked(s, h)[:m_count])
-        th = adjoint(s, lam)
-        est = float(np.real(np.vdot(h, th)))
-        h = th
-    if not (est > 0.0):
-        raise RuntimeError("failed to estimate a positive gradient bound")
-    return est
+    w, v = np.linalg.eigh(adjoint(s, certificate_multipliers(b)))
+    margin = float(w[1] / w[-1]) if w[-1] > 0.0 else 0.0
+    energy = max(float(b.a11[s.l1 - 1].real + b.a22[s.l2 - 1].real), 0.0)
+    return energy * np.outer(v[:, 0], v[:, 0].conj()), margin
 
 
 def solve(s: SensingSet, b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
     """Minimize ||A(X) - b||^2 over PSD X by momentum projected gradient.
 
-    Starts from X = 0 with momentum restarts whenever the objective would
-    increase (the restart redoes the step without momentum from the last
-    accepted iterate, so accepted objectives are non-increasing whenever the
-    step bound holds).  Terminates once the relative measurement residual
-    drops below `rel_tol` or after `max_iters` iterations.  Ten consecutive
-    objective increases after restarts raise RuntimeError with the recent
-    objective trace.
+    Starts from the spectral estimate of `_spectral_start` and takes the
+    step step_safety / L with L = 2 max(l1, l2).  Momentum restarts
+    whenever the objective would increase (the restart redoes the step
+    without momentum from the last accepted iterate, so accepted objectives
+    are non-increasing whenever the step bound holds).  Terminates once the
+    relative measurement residual drops below `rel_tol` or after
+    `max_iters` iterations.  Ten consecutive objective increases after
+    restarts raise RuntimeError with the recent objective trace.
     """
     opts = SolverOptions() if opts is None else opts
     if (b.l1, b.l2) != (s.l1, s.l2):
         raise ValueError("measurement segment lengths do not match the sensing set")
     b_vec = b.stacked
     m_count = b_vec.size
+    if not np.all(np.isfinite(b_vec)):
+        raise ValueError("measurements must be finite")
     n = s.n
     norm_b = float(np.linalg.norm(b_vec))
     if norm_b == 0.0:
@@ -144,13 +149,15 @@ def solve(s: SensingSet, b: Measurements, opts: SolverOptions | None = None) -> 
         lam[:m_count] = np.conj(v - b_vec)
         return adjoint(s, lam)
 
-    step = opts.step_safety / _lipschitz(s, m_count)
+    # The gradient's exact Lipschitz constant: the bands tile X, and the
+    # largest gain, 2 max(l1, l2), is on the longest band (the main diagonal
+    # of the larger autocorrelation block).
+    step = opts.step_safety / (2.0 * max(s.l1, s.l2))
 
-    x_prev = np.zeros((n, n), dtype=complex)
-    v_prev = np.zeros(m_count, dtype=complex)
-    x = x_prev
-    v_x = v_prev
-    obj_prev = norm_b * norm_b
+    x, margin = _spectral_start(s, b)
+    v_x = forward_stacked(s, x)[:m_count]
+    x_prev, v_prev = x, v_x
+    obj_prev = float(np.linalg.norm(v_x - b_vec) ** 2)
     t = 1.0
     beta = 0.0
     bad_streak = 0
@@ -205,12 +212,14 @@ def solve(s: SensingSet, b: Measurements, opts: SolverOptions | None = None) -> 
             iters_done = k
             break
 
-    eig = herm_eig(x)
-    lam1 = float(eig.eigenvalues[-1])
-    lam2 = float(eig.eigenvalues[-2])
+    eigenvalues = np.linalg.eigvalsh(x)
+    lam1 = float(eigenvalues[-1])
+    lam2 = float(eigenvalues[-2])
     gap = 0.0 if lam1 <= 0.0 else max(lam2, 0.0) / lam1
     residual = float(np.linalg.norm(v_x - b_vec)) / norm_b
-    return SolverResult(x_mat=x, iters=iters_done, residual=residual, rank1_gap=gap)
+    return SolverResult(
+        x_mat=x, iters=iters_done, residual=residual, rank1_gap=gap, margin=margin
+    )
 
 
 def extract_rank1(result: SolverResult) -> np.ndarray:
@@ -286,5 +295,6 @@ def recover(
         rank1_gap=result.rank1_gap,
         degenerate=not bool(np.any(x_est != 0)),
         non_unique=result.rank1_gap > NONUNIQUE_GAP_TOL,
+        margin=result.margin,
     )
     return x_est[:x1_len], x_est[x1_len:], diag

@@ -16,7 +16,8 @@ plain-reversed (zero-extended) correlation window,
     lam11_k = +a22[N-2-k]/2     lam22_k = +a11[N-2-k]/2
     lam12_k = -a21[N-2-k]/2     lam21_k = -a12[N-2-k]/2
 
-which `lambda_decomposition` builds and verifies entrywise.
+which `certificate_multipliers` builds from the data alone and
+`lambda_decomposition` verifies entrywise against S^H S.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .linalg import DEFAULT_RANK_TOL, numeric_rank
 from .poly import Signal, as_signal, require_c00
-from .sensing import SensingSet, adjoint, build_sensing, forward_stacked, measure
+from .sensing import Measurements, adjoint, build_sensing, forward_stacked, measure
 
 
 def build(a: Signal, b: Signal) -> np.ndarray:
@@ -107,31 +108,37 @@ def _reversed_window(seg: np.ndarray, out_len: int, n: int) -> np.ndarray:
     return out
 
 
-def lambda_decomposition(x1: Signal, x2: Signal, tol: float = 1e-10) -> np.ndarray:
-    """Multiplier vector lam with adjoint(lam) = S^H S, verified entrywise.
+def certificate_multipliers(m: Measurements) -> np.ndarray:
+    """Multiplier vector lam of the certificate W = S^H S, from the data alone.
 
     Every segment of lam is half a plain-reversed correlation window: the
     diagonal segments draw on the *other* signal's autocorrelation (zero
     padded where the window overhangs), the cross segments on the mirrored
-    cross-correlations with a sign flip.  Raises if the reproduction error
-    exceeds `tol` relative to the largest entry of W.
+    cross-correlations with a sign flip.  No signal is needed, so
+    adjoint(lam) is the certificate of whatever pair produced `m`.
     """
-    x1 = require_c00(x1)
-    x2 = require_c00(x2)
-    l1, l2 = x1.size, x2.size
-    n = l1 + l2
-    m = measure(x1, x2)
-    lam = np.concatenate(
+    n = m.l1 + m.l2
+    return np.concatenate(
         [
-            0.5 * _reversed_window(m.a22, 2 * l1 - 1, n),
-            0.5 * _reversed_window(m.a11, 2 * l2 - 1, n),
+            0.5 * _reversed_window(m.a22, 2 * m.l1 - 1, n),
+            0.5 * _reversed_window(m.a11, 2 * m.l2 - 1, n),
             -0.5 * m.a21[::-1],
             -0.5 * m.a12[::-1],
         ]
     )
-    s_mat = build_padded(x1, x2)
-    w = s_mat.conj().T @ s_mat
-    sensing = build_sensing(l1, l2)
+
+
+def lambda_decomposition(x1: Signal, x2: Signal, tol: float = 1e-10) -> np.ndarray:
+    """Multiplier vector lam with adjoint(lam) = S^H S, verified entrywise.
+
+    lam is `certificate_multipliers` of the pair's correlations.  Raises if
+    the reproduction error exceeds `tol` relative to the largest entry of W.
+    """
+    x1 = require_c00(x1)
+    x2 = require_c00(x2)
+    lam = certificate_multipliers(measure(x1, x2))
+    w = dual_certificate(x1, x2)
+    sensing = build_sensing(x1.size, x2.size)
     dev = float(np.abs(adjoint(sensing, lam) - w).max())
     scale = float(np.abs(w).max())
     if dev > tol * scale:

@@ -15,6 +15,7 @@ from corrlift.cli import (
     TrialRecord,
     _parse_complex,
     _parse_signal,
+    _sigma_for,
     cmd_ambiguities,
     cmd_certify,
     cmd_zeros,
@@ -152,7 +153,7 @@ def test_run_sweep_records_failures(monkeypatch):
 
 
 def test_write_records_header_and_rows():
-    records = run_sweep(_config(trials=1))
+    records = run_sweep(_config(snr_db_list=(math.inf, 30.0), trials=1))
     buf = io.StringIO()
     write_records(records, buf)
     text = buf.getvalue()
@@ -164,13 +165,17 @@ def test_write_records_header_and_rows():
         "rank1_gap,seed,failed"
     )
     parsed = list(csv.DictReader(io.StringIO(text)))
-    assert len(parsed) == 1
-    row = parsed[0]
-    assert row["failed"] == "false"
-    assert float(row["mse"]) == records[0].mse
+    assert len(parsed) == 2
+    for row, record in zip(parsed, records):
+        assert row["failed"] == "false"
+        assert float(row["mse"]) == record.mse
+    # the noiseless solve is exact, and an exact recovery reads -inf dB
+    assert records[0].mse == 0.0
+    assert float(parsed[0]["mse_per_dim_db"]) == -math.inf
     # mse_per_dim_db = 10 log10(mse / n) with n = l1 + l2
-    expect = 10.0 * math.log10(records[0].mse / 4)
-    assert abs(float(row["mse_per_dim_db"]) - expect) <= 1e-12
+    assert records[1].mse > 0.0
+    expect = 10.0 * math.log10(records[1].mse / 4)
+    assert abs(float(parsed[1]["mse_per_dim_db"]) - expect) <= 1e-12
 
 
 def test_cmd_zeros_rows():
@@ -299,6 +304,48 @@ def test_main_config_error_exit_code(capsys):
     assert main(["recover", "--snr-db", "10,20"]) == 2
     assert main(["certify", "--signal", "1,2"]) == 2  # needs two signals
     assert main(["zeros", "--signal", "1,2", "--signal", "0,1"]) == 2  # C00
+
+
+def test_parse_signal_rejects_non_finite(capsys):
+    for text in ("1,nan", "nan+1j,2", "1,1e400"):
+        with pytest.raises(ValueError, match="finite"):
+            _parse_signal(text)
+    assert main(["recover", "--signal", "1,nan", "--signal", "1,2"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_main_rejects_snr_outside_float_range(capsys):
+    for command in ("recover", "sweep"):
+        for snr in ("1e6", "-1e6"):
+            assert main([command, "--l1", "1", "--l2", "1", f"--snr-db={snr}"]) == 2
+            assert "outside the floating-point range" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        _config(snr_db_list=(30.0, 1e6))
+
+
+def test_sigma_for_matches_closed_form():
+    # noisy sweeps are drawn with this sigma: it must not move by a bit
+    for snr in (-300.0, -10.0, 0.0, 10.0, 20.0, 30.0, 40.0, 123.4, 3000.0):
+        expect = math.sqrt(7.5 / (12 * 10.0 ** (snr / 10.0)))
+        assert _sigma_for(snr, 7.5, 12) == expect
+    assert _sigma_for(math.inf, 7.5, 12) == 0.0
+
+
+def test_cmd_zeros_rejects_unresolvable_zeros(capsys):
+    # 1e-300 is a nonzero end coefficient, but negligible next to 1, so the
+    # root finder trims it and x1's zero is lost
+    with pytest.raises(ValueError, match="x1 has 0 resolvable zeros instead of 1"):
+        cmd_zeros([1, 1e-300], [1, 2])
+    assert main(["zeros", "--signal", "1,1e-300", "--signal", "1,2"]) == 2
+    assert "resolvable zeros" in capsys.readouterr().err
+
+
+def test_main_recover_prints_margin_last(capsys):
+    assert main(["recover", "--l1", "2", "--l2", "3", "--seed", "7"]) == 0
+    last = capsys.readouterr().out.strip().split("\n")[-1]
+    key, value = last.split("=", 1)
+    assert key == "margin"
+    assert 0.0 < float(value) <= 1.0
 
 
 def test_main_unknown_command_exits_nonzero():

@@ -243,6 +243,33 @@ def test_recover_common_factor_flags_non_uniqueness():
     assert diag.rank1_gap > 1e-3
 
 
+def test_noiseless_coprime_recovery_needs_one_iteration():
+    # the spectral start is already the pair; one step confirms it
+    rng = np.random.default_rng(96)
+    for l1, l2 in [(1, 1), (2, 2), (3, 4), (5, 2)]:
+        x1 = random_signal(rng, l1)
+        x2 = random_signal(rng, l2)
+        e1, e2, diag = recover(l1, l2, measure(x1, x2))
+        assert diag.iters == 1
+        mse, _ = aligned_mse(np.concatenate([x1, x2]), np.concatenate([e1, e2]))
+        assert mse <= 1e-14
+
+
+def test_margin_separates_coprime_from_common_factor():
+    from corrlift.poly import convolve
+
+    rng = np.random.default_rng(97)
+    a1, a2 = random_signal(rng, 2), random_signal(rng, 2)
+    _, _, coprime = recover(2, 2, measure(a1, a2))
+    common = np.array([1.0, -2.0], dtype=complex)
+    _, _, shared = recover(3, 3, measure(convolve(common, a1), convolve(common, a2)))
+    assert coprime.margin > 1e-4
+    assert abs(shared.margin) <= 1e-12
+    zeros3 = np.zeros(3)
+    b0 = Measurements(a11=zeros3, a22=zeros3, a12=zeros3, a21=zeros3)
+    assert solve(build_sensing(2, 2), b0).margin == 0.0
+
+
 def test_recover_reduced_matches_full():
     rng = np.random.default_rng(93)
     x1 = random_signal(rng, 2)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from corrlift.poly import convolve, poly_gcd, random_self_reciprocal
-from corrlift.sensing import adjoint, build_sensing, downshift
+from corrlift.sensing import adjoint, build_sensing, downshift, measure
 from corrlift.sylvester import (
     build,
     build_padded,
+    certificate_multipliers,
     certificate_report,
     dual_certificate,
     gcd_degree,
@@ -173,6 +174,19 @@ def test_lambda_decomposition_reproduces_certificate():
         w = s.conj().T @ s
         dev = np.abs(adjoint(build_sensing(l1, l2), lam) - w).max()
         assert dev <= 1e-10 * np.abs(w).max()
+
+
+def test_certificate_multipliers_from_data_alone():
+    rng = np.random.default_rng(67)
+    for l1, l2 in [(1, 1), (2, 3), (4, 2)]:
+        x1, x2 = random_coprime_pair(rng, l1, l2)
+        lam = certificate_multipliers(measure(x1, x2))
+        assert np.array_equal(lam, lambda_decomposition(x1, x2))
+        # reduced data still carry a21, so the certificate is the same
+        assert np.array_equal(lam, certificate_multipliers(measure(x1, x2, reduced=True)))
+        w = adjoint(build_sensing(l1, l2), lam)
+        x = np.concatenate([x1, x2])
+        assert np.linalg.norm(w @ x) <= 1e-12 * np.linalg.norm(w) * np.linalg.norm(x)
 
 
 def test_lambda_segment_lengths():
