@@ -8,7 +8,7 @@ self-reciprocal divisors, and Sylvester-matrix certificates of uniqueness.
 
 Modules
 -------
-linalg     dense Hermitian eigen-toolbox (projection, rank, power iteration)
+linalg     dense Hermitian eigen-toolbox (eigendecomposition, projection, rank)
 poly       signal/polynomial algebra: convolution, roots, GCD, GSD
 ambiguity  enumeration of convolution and autocorrelation ambiguity classes
 sensing    correlation sensing operators, measurements, noise

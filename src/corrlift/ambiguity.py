@@ -5,7 +5,7 @@ Y(z) together with one overall unit; every admissible split of those zeros
 between the two factors is an equally valid factorization.  Likewise an
 autocorrelation only determines zeros up to swaps across reflections at the
 unit circle.  This module enumerates canonical representatives of both
-ambiguity families and decides scaling equivalence of factor pairs.
+ambiguity families.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .poly import (
     correlate,
     from_roots,
     require_c00,
+    resolved_zeros,
     roots,
 )
 
@@ -35,31 +36,6 @@ MAX_CONVOLUTION_ZEROS = 16
 MAX_AUTOCORR_ZEROS = 12
 
 _RECONVOLVE_TOL = 1e-7
-
-
-@dataclass(frozen=True)
-class PartitionSpec:
-    """An assignment of product zeros to the left factor.
-
-    `assigned` indexes into the canonical clustered root list flattened with
-    multiplicities; `d` is the total zero count and `l1`, `l2` the factor
-    lengths, which bound the subset size to d-l2+1 <= |P| <= l1-1.
-    """
-
-    assigned: tuple
-    d: int
-    l1: int
-    l2: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "assigned", tuple(sorted(int(i) for i in self.assigned)))
-        if len(set(self.assigned)) != len(self.assigned):
-            raise ValueError("assigned indices must be distinct")
-        if self.assigned and not (0 <= self.assigned[0] and self.assigned[-1] < self.d):
-            raise ValueError("assigned indices out of range")
-        size = len(self.assigned)
-        if not (max(self.d - self.l2 + 1, 0) <= size <= self.l1 - 1):
-            raise ValueError("assigned subset size violates the factor-length constraint")
 
 
 @dataclass(frozen=True)
@@ -152,7 +128,7 @@ def enumerate_convolution_ambiguities(
     r1 = roots(x1)
     r2 = roots(x2)
     unit = r1.unit * r2.unit
-    all_zeros = list(r1.zeros) + list(r2.zeros)
+    all_zeros = list(resolved_zeros(r1, l1, "x1")) + list(resolved_zeros(r2, l2, "x2"))
     conv = convolve(x1, x2)
     conv_norm = float(np.linalg.norm(conv))
 
@@ -179,8 +155,7 @@ def enumerate_convolution_ambiguities(
     candidates.sort(key=lambda t: t[0])
 
     classes = []
-    for assigned, counts in candidates:
-        spec = PartitionSpec(assigned=assigned, d=d, l1=l1, l2=l2)
+    for _, counts in candidates:
         left = [z for (z, _), c in zip(clusters, counts) for _ in range(c)]
         right = [z for (z, m), c in zip(clusters, counts) for _ in range(m - c)]
         x1_rep = from_roots(RootSet(unit=unit, zeros=left))
@@ -191,7 +166,6 @@ def enumerate_convolution_ambiguities(
                 "clustered zeros fail to reproduce the convolution within "
                 f"{_RECONVOLVE_TOL:g} relative; decrease cluster_tol"
             )
-        del spec  # construction above validates the subset-size constraint
         classes.append(AmbiguityClass(x1_rep=x1_rep, x2_rep=x2_rep))
     return classes
 
@@ -219,7 +193,7 @@ def enumerate_autocorr_ambiguities(
     if n == 1:
         return [np.array([math.sqrt(acf_norm)], dtype=complex)]
 
-    zeros = roots(x).zeros
+    zeros = resolved_zeros(roots(x), n, "x")
     scale = max(abs(z) for z in zeros)
     threshold = cluster_tol * max(scale, 1.0)
 
@@ -267,21 +241,3 @@ def _check_circle_parity(choice_sets, threshold: float) -> None:
             )
             return
 
-
-def are_equivalent(p, q, tol: float = 1e-8) -> bool:
-    """Whether two factor pairs differ only by the scaling (lam, 1/lam).
-
-    The scale is estimated at the dominant coefficient of the first factor
-    and then verified globally on both factors within `tol` relative.
-    """
-    p1, p2 = as_signal(p[0]), as_signal(p[1])
-    q1, q2 = as_signal(q[0]), as_signal(q[1])
-    if p1.size != q1.size or p2.size != q2.size:
-        raise ValueError("pairs must have matching factor lengths")
-    idx = int(np.argmax(np.abs(p1)))
-    if p1[idx] == 0 or q1[idx] == 0:
-        return False
-    lam = q1[idx] / p1[idx]
-    ok1 = np.linalg.norm(q1 - lam * p1) <= tol * max(np.linalg.norm(q1), 1e-300)
-    ok2 = np.linalg.norm(q2 - p2 / lam) <= tol * max(np.linalg.norm(q2), 1e-300)
-    return bool(ok1 and ok2)

@@ -35,7 +35,7 @@ from .ambiguity import (
     count_bounds,
     enumerate_convolution_ambiguities,
 )
-from .poly import Signal, as_signal, convolve, require_c00, roots
+from .poly import Signal, as_signal, convolve, require_c00, resolved_zeros, roots
 from .sensing import NoiseModel, add_noise, measure
 from .solver import SolverOptions, aligned_mse, recover
 from .sylvester import certificate_report, tangent_injectivity
@@ -261,13 +261,7 @@ def cmd_zeros(
     x2 = require_c00(x2)
     rows: list[dict[str, object]] = []
     for which, sig in (("x1", x1), ("x2", x2), ("product", convolve(x1, x2))):
-        zs = roots(sig).zeros
-        if len(zs) < sig.size - 1:
-            raise ValueError(
-                f"{which} has {len(zs)} resolvable zeros instead of "
-                f"{sig.size - 1}: an end coefficient is negligible next to "
-                "the largest"
-            )
+        zs = resolved_zeros(roots(sig), sig.size, which)
         if not zs:
             continue
         threshold = cluster_tol * max(abs(z) for z in zs)

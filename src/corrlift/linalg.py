@@ -2,13 +2,11 @@
 
 Contents
 --------
-- hermitian_part / require_hermitian : symmetrization and validation helpers
-- EigDecomposition, herm_eig         : full Hermitian eigendecomposition with a
-                                       deterministic ordering and phase convention
-- psd_project                        : Frobenius-nearest PSD matrix
-- top_eigpair                        : power iteration for the dominant eigenpair
-- numeric_rank                       : eigenvalue-threshold rank of a dense matrix
-- operator_norm                      : power iteration on a matrix-free operator
+- hermitian_part             : symmetrization (A + A^H) / 2
+- EigDecomposition, herm_eig : full Hermitian eigendecomposition with a
+                               deterministic ordering and phase convention
+- psd_project                : Frobenius-nearest PSD matrix
+- numeric_rank               : eigenvalue-threshold rank of a dense matrix
 
 All routines operate on dense ndarrays; matrices here stay small (N of order
 tens), so no sparsity or blocking is attempted.
@@ -17,7 +15,6 @@ tens), so no sparsity or blocking is attempted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -31,23 +28,6 @@ def hermitian_part(a: ComplexMatrix) -> HermitianMatrix:
     """Return (A + A^H) / 2."""
     a = np.asarray(a, dtype=complex)
     return 0.5 * (a + a.conj().T)
-
-
-def require_hermitian(a: ComplexMatrix, tol: float = 1e-12) -> HermitianMatrix:
-    """Validate that ``a`` is square and Hermitian, returning its exact
-    Hermitian part.
-
-    The deviation ``max|A - A^H|`` must not exceed ``tol`` relative to the
-    largest entry magnitude (with a floor of 1 so the zero matrix passes).
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    dev = float(np.abs(a - a.conj().T).max(initial=0.0))
-    if dev > tol * scale:
-        raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")
-    return hermitian_part(a)
 
 
 @dataclass
@@ -117,47 +97,6 @@ def psd_project(a: HermitianMatrix) -> HermitianMatrix:
     return hermitian_part((v * clipped) @ v.conj().T)
 
 
-def top_eigpair(
-    a: HermitianMatrix, tol: float = 1e-10, max_iter: int = 1000
-) -> tuple[float, np.ndarray]:
-    """Dominant (largest-magnitude) eigenpair of a Hermitian matrix.
-
-    Subspace iteration with a 2-column block driven by A^2 (so a
-    sign-balanced spectrum with lam_max close to -lam_min still converges),
-    refined each step by a Rayleigh-Ritz solve of the projected 2x2 problem.
-    Stops once ||A v - lam v|| <= tol * ||A||_F; raises if that never
-    happens within ``max_iter`` steps.
-    """
-    a = hermitian_part(a)
-    n = a.shape[0]
-    fro = float(np.linalg.norm(a))
-    if fro == 0.0:
-        e0 = np.zeros(n, dtype=complex)
-        e0[0] = 1.0
-        return 0.0, e0
-    rng = np.random.default_rng(7)
-    block = min(2, n)
-    v = rng.standard_normal((n, block)) + 1j * rng.standard_normal((n, block))
-    v, _ = np.linalg.qr(v)
-    lam, vec, res = 0.0, v[:, 0], np.inf
-    for _ in range(max_iter):
-        # Ritz step on the current subspace picks the dominant-magnitude pair.
-        av = a @ v
-        small = v.conj().T @ av
-        sw, sv = np.linalg.eigh(hermitian_part(small))
-        pick = int(np.argmax(np.abs(sw)))
-        lam = float(sw[pick])
-        vec = _canonical_column(v @ sv[:, pick])
-        res = float(np.linalg.norm(a @ vec - lam * vec))
-        if res <= tol * fro:
-            return lam, vec
-        v, _ = np.linalg.qr(a @ av)  # advance the block by A^2
-    raise RuntimeError(
-        f"top_eigpair did not converge in {max_iter} iterations "
-        f"(last residual {res:.3e}, bound {tol * fro:.3e})"
-    )
-
-
 def numeric_rank(a: ComplexMatrix, tol: float = DEFAULT_RANK_TOL) -> int:
     """Rank of a dense matrix by eigenvalue thresholding of A^H A.
 
@@ -176,27 +115,3 @@ def numeric_rank(a: ComplexMatrix, tol: float = DEFAULT_RANK_TOL) -> int:
         return 0
     return int(np.count_nonzero(sing**2 > (tol * tol) * top))
 
-
-def operator_norm(
-    apply_fn: Callable[[np.ndarray], np.ndarray], dim: int, iters: int = 100
-) -> float:
-    """Largest eigenvalue of a Hermitian PSD operator given matrix-free.
-
-    ``apply_fn`` maps a complex vector of length ``dim`` to another; power
-    iteration runs from a fixed seeded start for ``iters`` steps and returns
-    the final Rayleigh quotient.
-    """
-    if dim <= 0:
-        raise ValueError("operator dimension must be positive")
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = np.asarray(apply_fn(v))
-        lam = float(np.real(np.vdot(v, w)))
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-    return lam

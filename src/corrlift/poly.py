@@ -9,7 +9,7 @@ zeta_k of X are the reciprocals of the roots of the w-polynomial.
 Contents
 --------
 - convolve, conj_time_reverse, correlate, involution : ring operations
-- RootSet, roots, from_roots                         : root-domain codec
+- RootSet, roots, from_roots, resolved_zeros         : root-domain codec
 - poly_gcd                                           : numeric Euclid GCD
 - is_self_reciprocal, is_self_inversive              : symmetry tests
 - gsd                                                : greatest self-reciprocal divisor
@@ -160,6 +160,20 @@ def roots(x: Signal, tol: float = _TRIM_TOL) -> RootSet:
     core = x[first : last + 1]
     w_roots = _aberth(core)
     return RootSet(unit=core[0], zeros=tuple(1.0 / w_roots), origin_power=first)
+
+
+def resolved_zeros(rs: RootSet, length: int, name: str) -> tuple:
+    """The zeros of `rs`, checked to be all length-1 zeros of its signal.
+
+    `roots` drops an end coefficient that is negligible next to the
+    largest, and with it a zero; raises ValueError naming the signal then.
+    """
+    if len(rs.zeros) < length - 1:
+        raise ValueError(
+            f"{name} has {len(rs.zeros)} resolvable zeros instead of "
+            f"{length - 1}: an end coefficient is negligible next to the largest"
+        )
+    return rs.zeros
 
 
 def from_roots(rs: RootSet) -> Signal:

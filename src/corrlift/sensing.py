@@ -1,8 +1,8 @@
-"""Correlation sensing operators: matrices, forward/adjoint maps, noise.
+"""Correlation sensing operators: the band label, forward/adjoint maps, noise.
 
 The lifted variable is X = x x* for the stacked pair x = (x1, x2) of length
-n = l1 + l2.  Each correlation sample is a trace tr(A_{i,j,k} X) against a
-0/1 matrix supported on one antidiagonal band of one block of X:
+n = l1 + l2.  Each correlation sample is a trace tr(A_m X) against a 0/1
+matrix supported on one antidiagonal band of one block of X:
 
     a11_k = tr(A_{1,1,k} X)   band k of the top-left     l1 x l1 block
     a22_k = tr(A_{2,2,k} X)   band k of the bottom-right l2 x l2 block
@@ -13,10 +13,11 @@ n = l1 + l2.  Each correlation sample is a trace tr(A_{i,j,k} X) against a
 pairs A against X transposed).  Stacking (a11, a22, a12, a21) gives the
 4n-4 measurements; the reduced mode drops the mirrored a21 block for 3n-3.
 
-The bands of each block tile it exactly, so the forward map is a single
-gather of the n^2 entries of X plus segmented sums, and the adjoint is a
-scatter — both O(n^2).  A dense trace reference (`forward_dense`) is kept
-for tests.
+The bands tile the n x n matrix, so the whole family is one integer label
+per entry: entry (r, c) of the sensing matrices belongs to A_m with m an
+affine function of c - r in each block (`build_sensing`).  The forward map is
+a gather of the n^2 entries of X in label order plus segmented sums, and
+the adjoint is lam[label] plus its conjugate transpose; both are O(n^2).
 """
 
 from __future__ import annotations
@@ -26,35 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ComplexMatrix, HermitianMatrix, hermitian_part
+from .linalg import ComplexMatrix, HermitianMatrix
 from .poly import Signal, as_signal, conj_time_reverse, correlate
-
-
-def downshift(n: int) -> ComplexMatrix:
-    """n x n matrix with ones on the first subdiagonal."""
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    return np.eye(n, k=-1, dtype=complex)
-
-
-def embedding(n: int, l: int) -> ComplexMatrix:
-    """n x l embedding: identity block atop zeros.  Requires l <= n."""
-    if l > n:
-        raise ValueError(f"cannot embed length {l} into dimension {n}")
-    if l < 1 or n < 1:
-        raise ValueError("dimensions must be at least 1")
-    return np.eye(n, l, dtype=complex)
-
-
-def rect_shift(lj: int, li: int, k: int) -> ComplexMatrix:
-    """The lj x li band matrix with ones where (column - row) = k - lj + 1.
-
-    k runs over [0, li+lj-2]; each k selects one antidiagonal band, and the
-    sweep over k tiles the whole rectangle.
-    """
-    if not 0 <= k <= li + lj - 2:
-        raise ValueError(f"band index {k} outside [0, {li + lj - 2}]")
-    return np.eye(lj, li, k=k - lj + 1, dtype=complex)
 
 
 @dataclass
@@ -111,77 +85,54 @@ class NoiseModel:
             raise ValueError("sigma must be finite and nonnegative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SensingSet:
-    """The indexed family A_{i,j,k} for a pair of lengths (l1, l2).
+    """The indexed family A_m for a pair of lengths (l1, l2).
 
-    `matrices` holds the dense n x n sensing matrices in stacked order
-    (a11 bands, a22 bands, a12 bands, a21 bands).  Internal gather/scatter
-    index tables make the forward and adjoint maps O(n^2).
+    `label` holds, for each entry of an n x n sensing matrix in row-major
+    order, the stacked index m of the one A_m covering it (a11 bands, a22
+    bands, a12 bands, a21 bands).  `_tr_flat` lists the entries of X that
+    tr(A_m X) sums, grouped by m, and `_tr_bounds` where each group starts.
     """
 
     l1: int
     l2: int
     n: int
-    matrices: list = field(repr=False)
-    _tr_flat: np.ndarray = field(repr=False, default=None)
-    _tr_bounds: np.ndarray = field(repr=False, default=None)
-    _adj_flat: np.ndarray = field(repr=False, default=None)
-    _adj_lam: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self) -> None:
-        if self.n != self.l1 + self.l2:
-            raise ValueError("n must equal l1 + l2")
-        if len(self.matrices) != 4 * self.n - 4:
-            raise ValueError("sensing family must contain 4n-4 matrices")
-        gather, scatter, lam_of, bounds = [], [], [], []
-        offset = 0
-        for m, a in enumerate(self.matrices):
-            rows, cols = np.nonzero(a)
-            bounds.append(offset)
-            offset += rows.size
-            gather.append(cols * self.n + rows)  # tr(A X) sums X[col, row]
-            scatter.append(rows * self.n + cols)
-            lam_of.append(np.full(rows.size, m))
-        self._tr_flat = np.concatenate(gather)
-        self._tr_bounds = np.asarray(bounds)
-        self._adj_flat = np.concatenate(scatter)
-        self._adj_lam = np.concatenate(lam_of)
-
-    @property
-    def segment_lengths(self) -> tuple[int, int, int, int]:
-        return (2 * self.l1 - 1, 2 * self.l2 - 1, self.n - 1, self.n - 1)
+    label: np.ndarray = field(repr=False)
+    _tr_flat: np.ndarray = field(repr=False)
+    _tr_bounds: np.ndarray = field(repr=False)
 
 
 def build_sensing(l1: int, l2: int) -> SensingSet:
-    """Assemble all 4(l1+l2)-4 sensing matrices with their block placement."""
+    """The 4(l1+l2)-4 sensing matrices as one band label and its trace tables.
+
+    With d = c - r, each block's bands are consecutive in d, so the label m
+    of entry (r, c) is affine in d: the a11 bands start at 0, the a22 bands
+    at 2*l1-1, and the two cross blocks follow both autocorrelation blocks.
+    """
     if l1 < 1 or l2 < 1:
         raise ValueError("signal lengths must be at least 1")
     n = l1 + l2
-    mats: list[np.ndarray] = []
-    for k in range(2 * l1 - 1):  # a11: sensing block top-left
-        a = np.zeros((n, n), dtype=complex)
-        a[:l1, :l1] = rect_shift(l1, l1, k)
-        mats.append(a)
-    for k in range(2 * l2 - 1):  # a22: bottom-right
-        a = np.zeros((n, n), dtype=complex)
-        a[l1:, l1:] = rect_shift(l2, l2, k)
-        mats.append(a)
-    for k in range(n - 1):  # a12: sensing block bottom-left (pairs X's top-right)
-        a = np.zeros((n, n), dtype=complex)
-        a[l1:, :l1] = rect_shift(l2, l1, k)
-        mats.append(a)
-    for k in range(n - 1):  # a21: sensing block top-right
-        a = np.zeros((n, n), dtype=complex)
-        a[:l1, l1:] = rect_shift(l1, l2, k)
-        mats.append(a)
-    return SensingSet(l1=l1, l2=l2, n=n, matrices=mats)
-
-
-def lift(x1: Signal, x2: Signal) -> HermitianMatrix:
-    """Rank-one lifted matrix x x* of the stacked pair."""
-    x = np.concatenate([as_signal(x1), as_signal(x2)])
-    return np.outer(x, np.conj(x))
+    n11, n22 = 2 * l1 - 1, 2 * l2 - 1
+    r = np.arange(n)[:, None]
+    c = np.arange(n)[None, :]
+    d = c - r
+    left = c < l1
+    label = np.where(
+        r < l1,
+        np.where(left, d + l1 - 1, n11 + n22 + d + n - 2),  # a11 | a21
+        np.where(left, n11 + n22 + d + n - 1, n11 + d + l2 - 1),  # a12 | a22
+    ).ravel()
+    order = np.argsort(label, kind="stable")
+    counts = np.bincount(label)
+    return SensingSet(
+        l1=l1,
+        l2=l2,
+        n=n,
+        label=label,
+        _tr_flat=(order % n) * n + order // n,  # tr(A X) sums X[col, row]
+        _tr_bounds=np.concatenate([[0], np.cumsum(counts[:-1])]),
+    )
 
 
 def forward_stacked(s: SensingSet, x_mat: ComplexMatrix) -> np.ndarray:
@@ -190,24 +141,6 @@ def forward_stacked(s: SensingSet, x_mat: ComplexMatrix) -> np.ndarray:
     if x_mat.shape != (s.n, s.n):
         raise ValueError(f"expected a {s.n} x {s.n} matrix, got {x_mat.shape}")
     return np.add.reduceat(x_mat.ravel()[s._tr_flat], s._tr_bounds)
-
-
-def forward(s: SensingSet, x_mat: ComplexMatrix) -> Measurements:
-    """Apply the measurement map and label the segments."""
-    flat = forward_stacked(s, x_mat)
-    n11, n22, nc, _ = s.segment_lengths
-    return Measurements(
-        a11=flat[:n11],
-        a22=flat[n11 : n11 + n22],
-        a12=flat[n11 + n22 : n11 + n22 + nc],
-        a21=flat[n11 + n22 + nc :],
-    )
-
-
-def forward_dense(s: SensingSet, x_mat: ComplexMatrix) -> np.ndarray:
-    """Reference forward map by dense traces; used to validate the fast path."""
-    x_mat = np.asarray(x_mat, dtype=complex)
-    return np.array([np.trace(a @ x_mat) for a in s.matrices])
 
 
 def adjoint(s: SensingSet, lam) -> HermitianMatrix:
@@ -220,18 +153,8 @@ def adjoint(s: SensingSet, lam) -> HermitianMatrix:
     lam = np.asarray(lam, dtype=complex).ravel()
     if lam.size != 4 * s.n - 4:
         raise ValueError(f"expected {4 * s.n - 4} multipliers, got {lam.size}")
-    m = np.zeros(s.n * s.n, dtype=complex)
-    m[s._adj_flat] = lam[s._adj_lam]  # bands tile each block: pure scatter
-    m = m.reshape(s.n, s.n)
+    m = lam[s.label].reshape(s.n, s.n)  # the bands tile the matrix
     return m + m.conj().T
-
-
-def hermitian_split(s: SensingSet) -> list:
-    """Pairs (A_R, A_I) with tr(A_R X) = Re b_m and tr(A_I X) = Im b_m."""
-    out = []
-    for a in s.matrices:
-        out.append((hermitian_part(a), (a - a.conj().T) / 2j))
-    return out
 
 
 def measure(x1: Signal, x2: Signal, reduced: bool = False) -> Measurements:

@@ -38,6 +38,9 @@ NONUNIQUE_GAP_TOL = 1e-6
 # solution matrix is treated as degenerate (tie between eigenvalues).
 RANK1_TIE_TOL = 1e-12
 
+# Fraction of the exact step 1/L taken each iteration.
+STEP_SAFETY = 0.95
+
 
 @dataclass
 class SolverOptions:
@@ -45,18 +48,12 @@ class SolverOptions:
 
     max_iters: int = 20000
     rel_tol: float = 1e-10
-    step_safety: float = 0.95
-    restart_every: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_iters <= 0:
             raise ValueError("max_iters must be positive")
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError("rel_tol must lie in (0, 1)")
-        if not (0.0 < self.step_safety <= 1.0):
-            raise ValueError("step_safety must lie in (0, 1]")
-        if self.restart_every is not None and self.restart_every <= 0:
-            raise ValueError("restart_every must be positive when set")
 
 
 @dataclass
@@ -119,7 +116,7 @@ def solve(s: SensingSet, b: Measurements, opts: SolverOptions | None = None) -> 
     """Minimize ||A(X) - b||^2 over PSD X by momentum projected gradient.
 
     Starts from the spectral estimate of `_spectral_start` and takes the
-    step step_safety / L with L = 2 max(l1, l2).  Momentum restarts
+    step STEP_SAFETY / L with L = 2 max(l1, l2).  Momentum restarts
     whenever the objective would increase (the restart redoes the step
     without momentum from the last accepted iterate, so accepted objectives
     are non-increasing whenever the step bound holds).  Terminates once the
@@ -152,7 +149,7 @@ def solve(s: SensingSet, b: Measurements, opts: SolverOptions | None = None) -> 
     # The gradient's exact Lipschitz constant: the bands tile X, and the
     # largest gain, 2 max(l1, l2), is on the longest band (the main diagonal
     # of the larger autocorrelation block).
-    step = opts.step_safety / (2.0 * max(s.l1, s.l2))
+    step = STEP_SAFETY / (2.0 * max(s.l1, s.l2))
 
     x, margin = _spectral_start(s, b)
     v_x = forward_stacked(s, x)[:m_count]
@@ -161,7 +158,6 @@ def solve(s: SensingSet, b: Measurements, opts: SolverOptions | None = None) -> 
     t = 1.0
     beta = 0.0
     bad_streak = 0
-    since_restart = 0
     trace: deque = deque(maxlen=12)
     iters_done = opts.max_iters
 
@@ -178,7 +174,6 @@ def solve(s: SensingSet, b: Measurements, opts: SolverOptions | None = None) -> 
             # Adaptive restart: drop momentum and redo as a plain projected
             # gradient step from the last accepted iterate.
             t = 1.0
-            since_restart = 0
             x_new = _psd_fast(x - step * gradient(v_x))
             v_new = forward_stacked(s, x_new)[:m_count]
             obj = float(np.linalg.norm(v_new - b_vec) ** 2)
@@ -198,11 +193,6 @@ def solve(s: SensingSet, b: Measurements, opts: SolverOptions | None = None) -> 
         x, v_x = x_new, v_new
         obj_prev = obj
         trace.append(obj)
-
-        since_restart += 1
-        if opts.restart_every is not None and since_restart >= opts.restart_every:
-            t = 1.0
-            since_restart = 0
 
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next

@@ -166,10 +166,17 @@ def certificate_report(x1: Signal, x2: Signal, tol: float = DEFAULT_RANK_TOL) ->
     Builds W = dual_certificate(x1, x2), measures how well the stacked pair
     annihilates it, its smallest eigenvalue and numeric rank, and whether W
     lies in the adjoint's range via the closed-form multiplier vector.
+    Raises ValueError when W overflows.
     """
     x1 = require_c00(x1)
     x2 = require_c00(x2)
-    w = dual_certificate(x1, x2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = dual_certificate(x1, x2)
+    if not np.all(np.isfinite(w)):
+        raise ValueError(
+            "the certificate W = S^H S overflows the floating-point range "
+            "for these coefficient magnitudes"
+        )
     x = np.concatenate([x1, x2])
     w_fro = float(np.linalg.norm(w))
     denom = w_fro * float(np.linalg.norm(x))

@@ -340,6 +340,25 @@ def test_cmd_zeros_rejects_unresolvable_zeros(capsys):
     assert "resolvable zeros" in capsys.readouterr().err
 
 
+def test_main_ambiguities_rejects_unresolvable_zeros(capsys):
+    # x1's zero is lost to trimming, which used to surface as a NumPy
+    # broadcasting error between the product and the split factors
+    with pytest.raises(ValueError, match="x1 has 0 resolvable zeros instead of 1"):
+        cmd_ambiguities([1, 1e-12], [1, 1])
+    assert main(["ambiguities", "--signal", "1,1e-12", "--signal", "1,1"]) == 2
+    assert "resolvable zeros" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_main_certify_rejects_overflowing_certificate(capsys):
+    # W = S^H S holds 1e400-sized entries, which used to end in overflow
+    # warnings and "Eigenvalues did not converge"
+    with pytest.raises(ValueError, match="overflows"):
+        cmd_certify([1e200, 1], [1, 1])
+    assert main(["certify", "--signal", "1e200,1", "--signal", "1,1"]) == 2
+    assert "overflows" in capsys.readouterr().err
+
+
 def test_main_recover_prints_margin_last(capsys):
     assert main(["recover", "--l1", "2", "--l2", "3", "--seed", "7"]) == 0
     last = capsys.readouterr().out.strip().split("\n")[-1]

@@ -3,35 +3,18 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from corrlift.linalg import (
     herm_eig,
     hermitian_part,
     numeric_rank,
-    operator_norm,
     psd_project,
-    require_hermitian,
-    top_eigpair,
 )
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return hermitian_part(a)
-
-
-def test_require_hermitian_accepts_and_symmetrizes():
-    a = np.array([[2.0, 1 + 1j], [1 - 1j, 3.0]])
-    out = require_hermitian(a)
-    assert np.array_equal(out, hermitian_part(a))
-
-
-def test_require_hermitian_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        require_hermitian(np.zeros((2, 3)))
 
 
 def test_herm_eig_diagonal_example():
@@ -121,29 +104,6 @@ def test_psd_project_nonexpansive():
         assert lhs <= np.linalg.norm(a - b) + 1e-12
 
 
-def test_top_eigpair_residual_and_dominance():
-    rng = np.random.default_rng(21)
-    for _ in range(10):
-        a = random_hermitian(rng, 8)
-        lam, v = top_eigpair(a)
-        fro = np.linalg.norm(a)
-        assert np.linalg.norm(a @ v - lam * v) <= 1e-10 * fro
-        w = np.linalg.eigvalsh(a)
-        assert abs(abs(lam) - np.abs(w).max()) <= 1e-8 * fro
-
-
-def test_top_eigpair_negative_dominant():
-    lam, v = top_eigpair(np.diag([-5.0, 1.0, 2.0]).astype(complex))
-    assert abs(lam + 5.0) < 1e-8
-    assert abs(abs(v[0]) - 1.0) < 1e-6
-
-
-def test_top_eigpair_zero_matrix():
-    lam, v = top_eigpair(np.zeros((4, 4)))
-    assert lam == 0.0
-    assert np.linalg.norm(v) == 1.0
-
-
 def test_numeric_rank_planted():
     rng = np.random.default_rng(31)
     for r in range(0, 5):
@@ -162,21 +122,3 @@ def test_numeric_rank_matches_gram_rank():
         c = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
         s = b @ c
         assert numeric_rank(s) == numeric_rank(s.conj().T @ s)
-
-
-def test_operator_norm_matches_dense_top_eigenvalue():
-    rng = np.random.default_rng(41)
-    for _ in range(8):
-        n = int(rng.integers(3, 20))
-        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        g = b @ b.conj().T
-        est = operator_norm(lambda v: g @ v, n)
-        true = np.linalg.eigvalsh(g)[-1]
-        assert abs(est - true) <= 0.05 * true
-
-
-def test_operator_norm_deterministic():
-    g = np.diag([4.0, 1.0]).astype(complex)
-    a = operator_norm(lambda v: g @ v, 2)
-    b = operator_norm(lambda v: g @ v, 2)
-    assert a == b

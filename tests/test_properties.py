@@ -1,4 +1,4 @@
-"""Property tests for the solver's closed forms: exact step and spectral start.
+"""Property tests for the measurement map and the solver's closed forms.
 
 Each property is checked over signals and shapes drawn by `hypothesis`; the
 draws are derandomized so the suite stays deterministic.
@@ -9,7 +9,10 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from corrlift.linalg import hermitian_part
+from corrlift.poly import conj_time_reverse
 from corrlift.sensing import (
     Measurements,
     NoiseModel,
@@ -35,6 +38,10 @@ def signals(max_len: int):
     return st.lists(entries, min_size=1, max_size=max_len).map(
         lambda v: np.array(v, dtype=complex)
     )
+
+
+def hermitian_matrices(n: int):
+    return arrays(complex, (n, n), elements=entries).map(hermitian_part)
 
 
 def hermitian_basis(n: int) -> np.ndarray:
@@ -88,6 +95,38 @@ def simple_bottom(s: SensingSet, b: Measurements) -> bool:
     # the start is unique when W's smallest eigenvalue is well separated
     w = np.linalg.eigvalsh(adjoint(s, certificate_multipliers(b)))
     return w[1] - w[0] > 1e-4 * w[-1]
+
+
+@PROPERTY_SETTINGS
+@given(l1=lengths, l2=lengths, data=st.data())
+def test_adjoint_pairing(l1, l2, data):
+    # tr(adjoint(lam) X) = 2 Re sum_m lam_m A(X)_m for Hermitian X
+    s = build_sensing(l1, l2)
+    x = data.draw(hermitian_matrices(s.n))
+    lam = data.draw(arrays(complex, 4 * s.n - 4, elements=entries))
+    lhs = np.trace(adjoint(s, lam) @ x)
+    rhs = 2.0 * np.real(np.sum(lam * forward_stacked(s, x)))
+    scale = np.abs(lam).sum() * s.n * np.abs(x).max()
+    assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@PROPERTY_SETTINGS
+@given(l1=lengths, l2=lengths, data=st.data())
+def test_measurement_symmetry(l1, l2, data):
+    # the a21 samples of a Hermitian X are the conjugate time reversal of a12
+    s = build_sensing(l1, l2)
+    flat = forward_stacked(s, data.draw(hermitian_matrices(s.n)))
+    a12, a21 = np.split(flat[2 * l1 - 1 + 2 * l2 - 1 :], 2)
+    assert np.array_equal(a21, conj_time_reverse(a12))
+
+
+@PROPERTY_SETTINGS
+@given(x1=signals(8), x2=signals(8))
+def test_forward_of_lift_is_measure(x1, x2):
+    x = np.concatenate([x1, x2])
+    lifted = forward_stacked(build_sensing(x1.size, x2.size), np.outer(x, x.conj()))
+    direct = measure(x1, x2).stacked
+    assert np.abs(lifted - direct).max() <= 1e-12 * np.linalg.norm(x) ** 2
 
 
 @PROPERTY_SETTINGS

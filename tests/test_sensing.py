@@ -15,15 +15,8 @@ from corrlift.sensing import (
     add_noise,
     adjoint,
     build_sensing,
-    downshift,
-    embedding,
-    forward,
-    forward_dense,
     forward_stacked,
-    hermitian_split,
-    lift,
     measure,
-    rect_shift,
     rsnr,
 )
 
@@ -34,32 +27,41 @@ def random_pair(rng, l1, l2):
     return x1, x2
 
 
-def test_downshift():
-    assert np.array_equal(downshift(2), np.array([[0, 0], [1, 0]], dtype=complex))
-    t = downshift(5)
-    e0 = np.zeros(5)
-    e0[0] = 1
-    out = t @ e0
-    assert out[1] == 1 and np.count_nonzero(out) == 1
-    assert np.count_nonzero(np.linalg.matrix_power(t, 5)) == 0
+def rect_shift(lj, li, k):
+    """The lj x li band matrix with ones where (column - row) = k - lj + 1."""
+    return np.eye(lj, li, k=k - lj + 1, dtype=complex)
 
 
-def test_embedding():
-    assert np.array_equal(embedding(3, 2), np.array([[1, 0], [0, 1], [0, 0]], dtype=complex))
-    pi = embedding(6, 4)
-    assert np.array_equal(pi.T @ pi, np.eye(4))
-    x = np.arange(1, 5)
-    assert np.array_equal(pi @ x, np.concatenate([x, [0, 0]]))
-    with pytest.raises(ValueError):
-        embedding(2, 3)
+def dense_sensing(l1, l2):
+    """Dense oracle: the 4n-4 sensing matrices in stacked order.
+
+    Bands of the top-left, bottom-right, bottom-left and top-right blocks
+    give the a11, a22, a12 and a21 samples.
+    """
+    n = l1 + l2
+    top, bottom = slice(0, l1), slice(l1, n)
+    mats = []
+    for rows, cols, lj, li in (
+        (top, top, l1, l1),
+        (bottom, bottom, l2, l2),
+        (bottom, top, l2, l1),
+        (top, bottom, l1, l2),
+    ):
+        for k in range(li + lj - 1):
+            a = np.zeros((n, n), dtype=complex)
+            a[rows, cols] = rect_shift(lj, li, k)
+            mats.append(a)
+    return mats
 
 
-def test_rect_shift_basics():
-    assert np.array_equal(rect_shift(1, 1, 0), np.array([[1]], dtype=complex))
-    with pytest.raises(ValueError):
-        rect_shift(2, 3, 4)
-    with pytest.raises(ValueError):
-        rect_shift(2, 3, -1)
+def forward_dense(mats, x):
+    """Reference forward map by dense traces."""
+    return np.array([np.trace(a @ x) for a in mats])
+
+
+def lift(x1, x2):
+    x = np.concatenate([x1, x2])
+    return np.outer(x, np.conj(x))
 
 
 def test_rect_shift_band_tiling():
@@ -81,33 +83,42 @@ def test_rect_shift_trace_oracle():
 
 
 def test_rect_shift_embedding_identity():
-    # (T^(k))^T = Pi_{N,li}^T T_N^(k-lj+1) Pi_{N,lj}, with negative powers
-    # read as transposed positive ones.
+    # (T^(k))^T = Pi_{N,li}^T T_N^(k-lj+1) Pi_{N,lj}, with T_N the down-shift,
+    # Pi_{N,l} the embedding and negative powers read as transposed positive ones.
     for lj, li in [(2, 3), (3, 2), (3, 3)]:
         n = li + lj
-        t_n = downshift(n)
+        t_n = np.eye(n, k=-1)
         for k in range(li + lj - 1):
             power = k - lj + 1
             if power >= 0:
                 tp = np.linalg.matrix_power(t_n, power)
             else:
                 tp = np.linalg.matrix_power(t_n, -power).T
-            rhs = embedding(n, li).T @ tp @ embedding(n, lj)
+            rhs = np.eye(n, li).T @ tp @ np.eye(n, lj)
             assert np.array_equal(rect_shift(lj, li, k).T, rhs)
 
 
-def test_build_sensing_counts():
-    assert len(build_sensing(2, 2).matrices) == 12
+def test_band_label_matches_dense_oracle():
     for l1 in range(1, 9):
         for l2 in range(1, 9):
             s = build_sensing(l1, l2)
-            assert len(s.matrices) == 4 * (l1 + l2) - 4
+            labelled = sum(m * a for m, a in enumerate(dense_sensing(l1, l2)))
+            assert np.array_equal(s.label.reshape(s.n, s.n), labelled.real)
+
+
+def test_build_sensing_counts():
+    assert np.unique(build_sensing(2, 2).label).size == 12
+    for l1 in range(1, 9):
+        for l2 in range(1, 9):
+            s = build_sensing(l1, l2)
+            assert np.unique(s.label).size == 4 * (l1 + l2) - 4
 
 
 def test_build_sensing_block_sparsity():
     s = build_sensing(2, 3)
-    n11, n22, nc, _ = s.segment_lengths
-    for m, a in enumerate(s.matrices):
+    n11, n22, nc = 3, 5, 4
+    label = s.label.reshape(5, 5)
+    for m in range(4 * 5 - 4):
         mask = np.zeros((5, 5), dtype=bool)
         if m < n11:
             mask[:2, :2] = True
@@ -117,19 +128,20 @@ def test_build_sensing_block_sparsity():
             mask[2:, :2] = True
         else:
             mask[:2, 2:] = True
-        assert np.all(a[~mask] == 0)
-        assert np.count_nonzero(a) >= 1
+        assert np.all(label[~mask] != m)
+        assert np.count_nonzero(label == m) >= 1
 
 
 def test_build_sensing_transpose_identity():
     for l1, l2 in [(2, 2), (2, 3), (3, 2), (3, 4)]:
         s = build_sensing(l1, l2)
         n = l1 + l2
-        n11, n22, nc, _ = s.segment_lengths
-        a12 = s.matrices[n11 + n22 : n11 + n22 + nc]
-        a21 = s.matrices[n11 + n22 + nc :]
+        label = s.label.reshape(n, n)
+        cross = 2 * l1 - 1 + 2 * l2 - 1
         for k in range(n - 1):
-            assert np.array_equal(a21[k].T, a12[n - 2 - k])
+            a12 = label == cross + n - 2 - k
+            a21 = label == cross + n - 1 + k
+            assert np.array_equal(a21.T, a12)
 
 
 def test_forward_matches_correlations():
@@ -137,11 +149,12 @@ def test_forward_matches_correlations():
     for l1, l2 in [(2, 2), (2, 4), (3, 3), (4, 2)]:
         x1, x2 = random_pair(rng, l1, l2)
         s = build_sensing(l1, l2)
-        out = forward(s, lift(x1, x2))
-        assert np.allclose(out.a11, correlate(x1, x1), atol=1e-12)
-        assert np.allclose(out.a22, correlate(x2, x2), atol=1e-12)
-        assert np.allclose(out.a12, correlate(x1, x2), atol=1e-12)
-        assert np.allclose(out.a21, correlate(x2, x1), atol=1e-12)
+        flat = forward_stacked(s, lift(x1, x2))
+        a11, a22, a12, a21 = np.split(flat, np.cumsum([2 * l1 - 1, 2 * l2 - 1, l1 + l2 - 1]))
+        assert np.allclose(a11, correlate(x1, x1), atol=1e-12)
+        assert np.allclose(a22, correlate(x2, x2), atol=1e-12)
+        assert np.allclose(a12, correlate(x1, x2), atol=1e-12)
+        assert np.allclose(a21, correlate(x2, x1), atol=1e-12)
 
 
 def test_forward_zero_and_linearity():
@@ -159,10 +172,11 @@ def test_forward_fast_path_matches_dense_reference():
     rng = np.random.default_rng(53)
     for l1, l2 in [(2, 2), (3, 4), (5, 2)]:
         s = build_sensing(l1, l2)
+        mats = dense_sensing(l1, l2)
         n = l1 + l2
         for _ in range(5):
             x = hermitian_part(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-            assert np.allclose(forward_stacked(s, x), forward_dense(s, x), atol=1e-12)
+            assert np.allclose(forward_stacked(s, x), forward_dense(mats, x), atol=1e-12)
 
 
 def test_forward_dimension_mismatch():
@@ -171,13 +185,15 @@ def test_forward_dimension_mismatch():
 
 
 def test_adjoint_one_hot_and_zero():
+    for l1, l2 in [(1, 1), (2, 3), (4, 2), (3, 5)]:
+        s = build_sensing(l1, l2)
+        m_count = 4 * s.n - 4
+        for m, a in enumerate(dense_sensing(l1, l2)):
+            lam = np.zeros(m_count)
+            lam[m] = 1.0
+            assert np.array_equal(adjoint(s, lam), a + a.conj().T)
     s = build_sensing(2, 3)
     m_count = 4 * 5 - 4
-    for m in [0, 3, 7, m_count - 1]:
-        lam = np.zeros(m_count)
-        lam[m] = 1.0
-        a = s.matrices[m]
-        assert np.array_equal(adjoint(s, lam), a + a.conj().T)
     assert np.count_nonzero(adjoint(s, np.zeros(m_count))) == 0
     with pytest.raises(ValueError):
         adjoint(s, np.zeros(m_count - 1))
@@ -196,24 +212,6 @@ def test_adjoint_pairing_identity():
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
-def test_hermitian_split():
-    rng = np.random.default_rng(55)
-    s = build_sensing(2, 3)
-    pairs = hermitian_split(s)
-    assert len(pairs) == len(s.matrices)
-    x1, x2 = random_pair(rng, 2, 3)
-    x = lift(x1, x2)
-    b = forward_stacked(s, x)
-    for m, (ar, ai) in enumerate(pairs):
-        assert np.linalg.norm(ar - ar.conj().T) <= 1e-14
-        assert np.linalg.norm(ai - ai.conj().T) <= 1e-14
-        assert abs(np.trace(ar @ x) - b[m].real) <= 1e-12
-        assert abs(np.trace(ai @ x) - b[m].imag) <= 1e-12
-    # the middle a11 band matrix is symmetric real, hence already Hermitian
-    mid = s.l1 - 1
-    assert np.count_nonzero(pairs[mid][1]) == 0
-
-
 def test_measure_hand_example():
     out = measure([1, 1], [1, -1])
     assert np.allclose(out.a11, [1, 2, 1])
@@ -228,8 +226,8 @@ def test_measure_matches_forward_on_lift():
         x1, x2 = random_pair(rng, l1, l2)
         s = build_sensing(l1, l2)
         direct = measure(x1, x2)
-        lifted = forward(s, lift(x1, x2))
-        assert np.linalg.norm(direct.stacked - lifted.stacked) <= 1e-12 * np.linalg.norm(
+        lifted = forward_stacked(s, lift(x1, x2))
+        assert np.linalg.norm(direct.stacked - lifted) <= 1e-12 * np.linalg.norm(
             direct.stacked
         )
 

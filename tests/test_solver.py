@@ -38,13 +38,6 @@ def test_options_validation():
         SolverOptions(rel_tol=0.0)
     with pytest.raises(ValueError):
         SolverOptions(rel_tol=1.0)
-    with pytest.raises(ValueError):
-        SolverOptions(step_safety=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(step_safety=1.5)
-    with pytest.raises(ValueError):
-        SolverOptions(restart_every=0)
-    assert SolverOptions(restart_every=50).restart_every == 50
 
 
 def test_psd_fast_matches_public_projection():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from corrlift.poly import convolve, poly_gcd, random_self_reciprocal
-from corrlift.sensing import adjoint, build_sensing, downshift, measure
+from corrlift.sensing import adjoint, build_sensing, measure
 from corrlift.sylvester import (
     build,
     build_padded,
@@ -81,7 +81,7 @@ def test_build_padded_shift_column_structure():
     x1, x2 = random_coprime_pair(rng, l1, l2)
     s = build_padded(x1, x2)
     n = l1 + l2
-    t = downshift(n)
+    t = np.eye(n, k=-1)
     a = np.concatenate([-x1, np.zeros(l2)])
     b = np.concatenate([x2, np.zeros(l1)])
     for j in range(l1):
