@@ -253,9 +253,7 @@ def write_records(records: Sequence[TrialRecord], stream: IO[str]) -> None:
         writer.writerow(record.as_row())
 
 
-def cmd_zeros(
-    x1: Signal, x2: Signal, cluster_tol: float = DEFAULT_CLUSTER_TOL
-) -> list[dict[str, object]]:
+def cmd_zeros(x1: Signal, x2: Signal) -> list[dict[str, object]]:
     """Tabulate clustered zeros of ``x1``, ``x2``, and their convolution."""
     x1 = require_c00(x1)
     x2 = require_c00(x2)
@@ -264,7 +262,7 @@ def cmd_zeros(
         zs = resolved_zeros(roots(sig), sig.size, which)
         if not zs:
             continue
-        threshold = cluster_tol * max(abs(z) for z in zs)
+        threshold = DEFAULT_CLUSTER_TOL * max(abs(z) for z in zs)
         for centroid, mult in cluster_zeros(list(zs), threshold):
             rows.append(
                 {
@@ -308,14 +306,12 @@ def cmd_certify(x1: Signal, x2: Signal) -> list[str]:
     ]
 
 
-def cmd_ambiguities(
-    x1: Signal, x2: Signal, cluster_tol: float = DEFAULT_CLUSTER_TOL
-) -> list[str]:
+def cmd_ambiguities(x1: Signal, x2: Signal) -> list[str]:
     """Count bounds and verified ambiguity classes as ``key=value`` lines."""
     x1 = as_signal(x1)
     x2 = as_signal(x2)
     lower, upper = count_bounds(x1, x2)
-    classes = enumerate_convolution_ambiguities(x1, x2, cluster_tol=cluster_tol)
+    classes = enumerate_convolution_ambiguities(x1, x2)
     lines = [
         f"lower_bound={lower}",
         f"upper_bound={upper}",

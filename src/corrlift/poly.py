@@ -8,13 +8,13 @@ zeta_k of X are the reciprocals of the roots of the w-polynomial.
 
 Contents
 --------
-- convolve, conj_time_reverse, correlate, involution : ring operations
-- RootSet, roots, from_roots, resolved_zeros         : root-domain codec
-- poly_gcd                                           : numeric Euclid GCD
-- is_self_reciprocal, is_self_inversive              : symmetry tests
-- gsd                                                : greatest self-reciprocal divisor
-- anti_solution                                      : solutions of X H* + X* H = 0
-- random_self_reciprocal                             : test-signal generator
+- convolve, conj_time_reverse, correlate     : ring operations
+- RootSet, roots, from_roots, resolved_zeros : root-domain codec
+- poly_gcd                                   : numeric Euclid GCD
+- is_self_reciprocal, is_self_inversive      : symmetry tests
+- gsd                                        : greatest self-reciprocal divisor
+- anti_solution                              : solutions of X H* + X* H = 0
+- random_self_reciprocal                     : test-signal generator
 """
 
 from __future__ import annotations
@@ -54,11 +54,6 @@ def convolve(x1: Signal, x2: Signal) -> Signal:
 def conj_time_reverse(x: Signal) -> Signal:
     """Entries conj(x_{L-1-k}); the involution X* at ambient length L."""
     return np.conj(as_signal(x)[::-1])
-
-
-def involution(x: Signal) -> Signal:
-    """z-domain name for `conj_time_reverse` (X* at the vector's own length)."""
-    return conj_time_reverse(x)
 
 
 def correlate(x1: Signal, x2: Signal) -> Signal:
@@ -276,7 +271,7 @@ def gsd(x: Signal, tol: float = DEFAULT_GCD_TOL) -> tuple[Signal, Signal]:
     middle coefficient.  Verifies convolve(g, r) = x within tol relative.
     """
     x = require_c00(x)
-    g0 = poly_gcd(x, involution(x), tol)
+    g0 = poly_gcd(x, conj_time_reverse(x), tol)
     flag, alpha = is_self_inversive(g0, max(tol, 1e-10))
     if not flag:
         raise RuntimeError("gcd with the involution is unexpectedly not self-inversive")

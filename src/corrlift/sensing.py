@@ -196,14 +196,3 @@ def add_noise(m: Measurements, model: NoiseModel) -> Measurements:
         reduced=m.reduced,
     )
 
-
-def rsnr(y: Measurements, model: NoiseModel) -> float:
-    """Received SNR ||y||^2 / (M_b sigma^2) over the stacked components.
-
-    M_b counts the noise-bearing entries of the stacked vector (4n-4, or
-    3n-3 in reduced mode).  A zero sigma returns infinity.
-    """
-    if model.sigma == 0.0:
-        return math.inf
-    b = y.stacked
-    return float(np.linalg.norm(b) ** 2 / (b.size * model.sigma**2))

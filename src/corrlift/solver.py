@@ -14,6 +14,10 @@ for a coprime pair has exactly span(x) as its null space.  Its bottom
 eigenvector, scaled to the energy a11[l1-1] + a22[l2-1] = ||x||^2, is the
 pair itself (up to phase) on noiseless coprime data, so the iteration only
 refines it under noise or a shared factor.
+
+Each iteration projects onto the PSD cone with `linalg.psd_project`, and
+`extract_rank1` reads the estimate from `linalg.herm_eig`; the solver keeps
+no eigen routine of its own.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import herm_eig
+from .linalg import herm_eig, psd_project
 from .poly import Signal, as_signal
 from .sensing import Measurements, SensingSet, adjoint, build_sensing, forward_stacked
 from .sylvester import certificate_multipliers
@@ -84,19 +88,6 @@ class RecoveryDiagnostics:
     degenerate: bool
     non_unique: bool
     margin: float = 0.0
-
-
-def _psd_fast(a: np.ndarray) -> np.ndarray:
-    # Same projection as linalg.psd_project (the reconstruction is invariant
-    # to eigenvector phase/order) without the canonicalization overhead,
-    # since this runs once per solver iteration.
-    a = 0.5 * (a + a.conj().T)
-    w, v = np.linalg.eigh(a)
-    if w[0] >= 0.0:
-        return a
-    np.clip(w, 0.0, None, out=w)
-    out = (v * w) @ v.conj().T
-    return 0.5 * (out + out.conj().T)
 
 
 def _spectral_start(s: SensingSet, b: Measurements) -> tuple[np.ndarray, float]:
@@ -166,7 +157,7 @@ def solve(s: SensingSet, b: Measurements, opts: SolverOptions | None = None) -> 
         # same combination of the stored images (saves one transform).
         v_y = v_x + beta * (v_x - v_prev)
         y = x + beta * (x - x_prev)
-        x_new = _psd_fast(y - step * gradient(v_y))
+        x_new = psd_project(y - step * gradient(v_y))
         v_new = forward_stacked(s, x_new)[:m_count]
         obj = float(np.linalg.norm(v_new - b_vec) ** 2)
 
@@ -174,7 +165,7 @@ def solve(s: SensingSet, b: Measurements, opts: SolverOptions | None = None) -> 
             # Adaptive restart: drop momentum and redo as a plain projected
             # gradient step from the last accepted iterate.
             t = 1.0
-            x_new = _psd_fast(x - step * gradient(v_x))
+            x_new = psd_project(x - step * gradient(v_x))
             v_new = forward_stacked(s, x_new)[:m_count]
             obj = float(np.linalg.norm(v_new - b_vec) ** 2)
             if obj > obj_prev:

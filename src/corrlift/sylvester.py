@@ -26,28 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_RANK_TOL, numeric_rank
+from .linalg import numeric_rank
 from .poly import Signal, as_signal, require_c00
 from .sensing import Measurements, adjoint, build_sensing, forward_stacked, measure
 
-
-def build(a: Signal, b: Signal) -> np.ndarray:
-    """Classical Sylvester matrix of two exact-degree coefficient vectors.
-
-    Size (da+db) x (da+db): the first da columns hold down-shifted copies of
-    b, the last db columns down-shifted copies of a.  Its determinant is the
-    resultant, and its rank deficiency the GCD degree.
-    """
-    a = as_signal(a)
-    b = as_signal(b)
-    da, db = a.size - 1, b.size - 1
-    n = da + db
-    s = np.zeros((n, n), dtype=complex)
-    for j in range(da):
-        s[j : j + db + 1, j] = b
-    for j in range(db):
-        s[j : j + da + 1, da + j] = a
-    return s
+# Largest entrywise deviation of adjoint(lam) from W = S^H S, relative to the
+# largest entry of W, that `lambda_decomposition` accepts.
+MULTIPLIER_TOL = 1e-10
 
 
 def build_padded(x1: Signal, x2: Signal) -> np.ndarray:
@@ -72,14 +57,14 @@ def build_padded(x1: Signal, x2: Signal) -> np.ndarray:
     return s
 
 
-def gcd_degree(x1: Signal, x2: Signal, tol: float = DEFAULT_RANK_TOL) -> int:
+def gcd_degree(x1: Signal, x2: Signal) -> int:
     """Rank deficiency of the padded Sylvester matrix.
 
     Equals 1 + deg gcd(X1, X2): the minimum value 1 certifies a coprime
     pair (only the stacked pair itself spans the null space).
     """
     s = build_padded(x1, x2)
-    return s.shape[0] - numeric_rank(s, tol)
+    return s.shape[0] - numeric_rank(s)
 
 
 @dataclass
@@ -128,11 +113,12 @@ def certificate_multipliers(m: Measurements) -> np.ndarray:
     )
 
 
-def lambda_decomposition(x1: Signal, x2: Signal, tol: float = 1e-10) -> np.ndarray:
+def lambda_decomposition(x1: Signal, x2: Signal) -> np.ndarray:
     """Multiplier vector lam with adjoint(lam) = S^H S, verified entrywise.
 
     lam is `certificate_multipliers` of the pair's correlations.  Raises if
-    the reproduction error exceeds `tol` relative to the largest entry of W.
+    the reproduction error exceeds MULTIPLIER_TOL relative to the largest
+    entry of W.
     """
     x1 = require_c00(x1)
     x2 = require_c00(x2)
@@ -141,7 +127,7 @@ def lambda_decomposition(x1: Signal, x2: Signal, tol: float = 1e-10) -> np.ndarr
     sensing = build_sensing(x1.size, x2.size)
     dev = float(np.abs(adjoint(sensing, lam) - w).max())
     scale = float(np.abs(w).max())
-    if dev > tol * scale:
+    if dev > MULTIPLIER_TOL * scale:
         raise RuntimeError(
             f"multiplier vector fails to reproduce the certificate: "
             f"max entry deviation {dev:.3e} (scale {scale:.3e})"
@@ -160,7 +146,15 @@ def dual_certificate(x1: Signal, x2: Signal) -> np.ndarray:
     return s_mat.conj().T @ s_mat
 
 
-def certificate_report(x1: Signal, x2: Signal, tol: float = DEFAULT_RANK_TOL) -> CertificateReport:
+def _pow2_normalized(a: np.ndarray) -> np.ndarray:
+    # `a` times the power of two that brings its largest magnitude into
+    # [0.5, 1) (or as near as 2**1023, the largest finite power, gets a
+    # subnormal `a`); the product is exact unless an entry falls subnormal.
+    _, exponent = np.frexp(np.abs(a).max())
+    return a * np.ldexp(1.0, min(-int(exponent), 1023))
+
+
+def certificate_report(x1: Signal, x2: Signal) -> CertificateReport:
     """Evaluate the certificate conditions for a pair.
 
     Builds W = dual_certificate(x1, x2), measures how well the stacked pair
@@ -177,12 +171,14 @@ def certificate_report(x1: Signal, x2: Signal, tol: float = DEFAULT_RANK_TOL) ->
             "the certificate W = S^H S overflows the floating-point range "
             "for these coefficient magnitudes"
         )
-    x = np.concatenate([x1, x2])
-    w_fro = float(np.linalg.norm(w))
-    denom = w_fro * float(np.linalg.norm(x))
-    null_residual = float(np.linalg.norm(w @ x)) / denom if denom > 0 else 0.0
+    # The residual is a ratio of norms, so it is computed on copies rescaled
+    # by powers of two (exact), where neither W x nor a norm can overflow.
+    w_unit = _pow2_normalized(w)
+    x_unit = _pow2_normalized(np.concatenate([x1, x2]))
+    denom = float(np.linalg.norm(w_unit)) * float(np.linalg.norm(x_unit))
+    null_residual = float(np.linalg.norm(w_unit @ x_unit)) / denom if denom > 0 else 0.0
     min_eig = float(np.linalg.eigvalsh(w)[0])
-    rank = numeric_rank(w, tol)
+    rank = numeric_rank(w)
     try:
         lam = lambda_decomposition(x1, x2)
         in_range = True
@@ -194,9 +190,7 @@ def certificate_report(x1: Signal, x2: Signal, tol: float = DEFAULT_RANK_TOL) ->
     )
 
 
-def tangent_injectivity(
-    x1: Signal, x2: Signal, tol: float = DEFAULT_RANK_TOL
-) -> tuple[int, bool]:
+def tangent_injectivity(x1: Signal, x2: Signal) -> tuple[int, bool]:
     """Real rank of h -> A(x h* + h x*) on the lifted tangent space at x.
 
     Probes the real-linear map with the 2N directions e_j and i e_j,
@@ -224,5 +218,5 @@ def tangent_injectivity(
             v = forward_stacked(s, t)
             cols.append(np.concatenate([v.real, v.imag]))
     mat = np.column_stack(cols)
-    rank = numeric_rank(mat, tol)
+    rank = numeric_rank(mat)
     return rank, rank == 2 * n - 1

@@ -25,6 +25,7 @@ from corrlift.cli import (
     write_records,
 )
 from corrlift.poly import convolve
+from corrlift.sensing import measure
 from corrlift.solver import SolverOptions
 
 
@@ -329,6 +330,13 @@ def test_sigma_for_matches_closed_form():
         expect = math.sqrt(7.5 / (12 * 10.0 ** (snr / 10.0)))
         assert _sigma_for(snr, 7.5, 12) == expect
     assert _sigma_for(math.inf, 7.5, 12) == 0.0
+    # the SNR it realizes is ||clean||^2 / (M sigma^2) over the stacked entries
+    clean = measure([1.0, 2.0, -1.0], [0.5, 1.5, 1.0]).stacked
+    power = float(np.linalg.norm(clean) ** 2)
+    for snr in (-300.0, -10.0, 0.0, 30.0, 3000.0):
+        sigma = _sigma_for(snr, power, clean.size)
+        ratio = power / (clean.size * sigma**2)
+        assert ratio == pytest.approx(10.0 ** (snr / 10.0), rel=1e-12)
 
 
 def test_cmd_zeros_rejects_unresolvable_zeros(capsys):
@@ -357,6 +365,18 @@ def test_main_certify_rejects_overflowing_certificate(capsys):
         cmd_certify([1e200, 1], [1, 1])
     assert main(["certify", "--signal", "1e200,1", "--signal", "1,1"]) == 2
     assert "overflows" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_main_certify_huge_coprime_pair(capsys):
+    # W holds entries near 1e300: W x and the squared singular values used
+    # to overflow, printing rank=0 for a coprime pair
+    args = ["certify", "--signal", "1e150,2e150", "--signal", "1e150,-1e150,5e149"]
+    assert main(args) == 0
+    kv = dict(line.split("=", 1) for line in capsys.readouterr().out.strip().split("\n"))
+    assert kv["rank"] == "4"
+    assert kv["injective"] == "true"
+    assert float(kv["null_residual"]) <= 1e-15
 
 
 def test_main_recover_prints_margin_last(capsys):

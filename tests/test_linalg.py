@@ -17,6 +17,22 @@ def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     return hermitian_part(a)
 
 
+def herm_eig_oracle(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column reference for `herm_eig`: rotate, then sort by tuples."""
+    w, v = np.linalg.eigh(hermitian_part(a))
+    cols = []
+    for i in range(w.size):
+        col = v[:, i]
+        pivot = col[int(np.argmax(np.abs(col)))]
+        cols.append(col * (np.conj(pivot) / abs(pivot)))
+
+    def sort_key(i):
+        return (w[i],) + tuple(p for c in cols[i] for p in (c.real, c.imag))
+
+    order = sorted(range(w.size), key=sort_key)
+    return np.array([w[i] for i in order]), np.column_stack([cols[i] for i in order])
+
+
 def test_herm_eig_diagonal_example():
     dec = herm_eig(np.diag([3.0, 1.0]).astype(complex))
     assert np.allclose(dec.eigenvalues, [1.0, 3.0])
@@ -41,7 +57,7 @@ def test_herm_eig_reconstruction_and_orthonormality():
         dec = herm_eig(a)
         v = dec.eigenvectors
         assert np.linalg.norm(v.conj().T @ v - np.eye(n)) <= 1e-10
-        err = np.linalg.norm(dec.reconstruct() - a)
+        err = np.linalg.norm((v * dec.eigenvalues) @ v.conj().T - a)
         assert err <= 1e-9 * max(np.linalg.norm(a), 1e-30)
 
 
@@ -51,6 +67,22 @@ def test_herm_eig_deterministic_on_degenerate_spectrum():
     d2 = herm_eig(a.copy())
     assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
     assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
+
+
+def test_herm_eig_matches_per_column_oracle_bitwise():
+    rng = np.random.default_rng(103)
+    mats = []
+    for n in range(2, 13):
+        mats += [random_hermitian(rng, n) for _ in range(10)]
+        mats.append(np.eye(n, dtype=complex))
+        mats.append(np.diag(rng.integers(-1, 2, n)).astype(complex))
+        mats.append(np.diag(np.repeat([2.0, -1.0], [n // 2, n - n // 2])).astype(complex))
+        mats.append(np.eye(n, dtype=complex)[rng.permutation(n)])
+    for a in mats:
+        dec = herm_eig(a)
+        w, v = herm_eig_oracle(a)
+        assert dec.eigenvalues.tobytes() == w.tobytes()
+        assert dec.eigenvectors.tobytes() == v.tobytes()
 
 
 def test_herm_eig_phase_convention():

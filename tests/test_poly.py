@@ -13,7 +13,6 @@ from corrlift.poly import (
     correlate,
     from_roots,
     gsd,
-    involution,
     is_self_inversive,
     is_self_reciprocal,
     poly_gcd,
@@ -64,7 +63,7 @@ def test_correlate_flip_symmetry():
 def test_autocorrelation_is_involution_product():
     rng = np.random.default_rng(3)
     x = random_signal(rng, 5)
-    assert np.allclose(correlate(x, x), convolve(x, involution(x)))
+    assert np.allclose(correlate(x, x), convolve(x, conj_time_reverse(x)))
 
 
 def test_roots_examples():

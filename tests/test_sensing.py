@@ -2,22 +2,18 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
 from corrlift.linalg import hermitian_part
 from corrlift.poly import conj_time_reverse, correlate
 from corrlift.sensing import (
-    Measurements,
     NoiseModel,
     add_noise,
     adjoint,
     build_sensing,
     forward_stacked,
     measure,
-    rsnr,
 )
 
 
@@ -270,14 +266,3 @@ def test_add_noise_empirical_variance_and_rsnr():
     est = total / (draws * informative)
     assert abs(est - sigma**2) <= 0.05 * sigma**2
 
-
-def test_rsnr_formula_and_sentinel():
-    m = measure([1, 1], [1, -1])
-    model = NoiseModel(sigma=0.5, seed=0)
-    base = rsnr(m, model)
-    expected = np.linalg.norm(m.stacked) ** 2 / (m.stacked.size * 0.25)
-    assert abs(base - expected) <= 1e-12 * expected
-    assert rsnr(m, NoiseModel(sigma=1.0, seed=0)) == pytest.approx(base / 4)
-    doubled = Measurements(2 * m.a11, 2 * m.a22, 2 * m.a12, 2 * m.a21)
-    assert rsnr(doubled, model) == pytest.approx(4 * base)
-    assert math.isinf(rsnr(m, NoiseModel(sigma=0.0, seed=0)))

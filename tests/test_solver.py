@@ -5,13 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from corrlift.linalg import psd_project
 from corrlift.sensing import Measurements, adjoint, build_sensing, forward_stacked, measure
 from corrlift.solver import (
     RecoveryDiagnostics,
     SolverOptions,
     SolverResult,
-    _psd_fast,
     aligned_mse,
     extract_rank1,
     recover,
@@ -38,13 +36,6 @@ def test_options_validation():
         SolverOptions(rel_tol=0.0)
     with pytest.raises(ValueError):
         SolverOptions(rel_tol=1.0)
-
-
-def test_psd_fast_matches_public_projection():
-    rng = np.random.default_rng(80)
-    for _ in range(10):
-        a = random_hermitian(rng, 5)
-        assert np.allclose(_psd_fast(a), psd_project(a), atol=1e-12)
 
 
 def test_zero_measurements_give_zero_solution():

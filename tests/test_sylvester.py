@@ -8,7 +8,6 @@ import pytest
 from corrlift.poly import convolve, poly_gcd, random_self_reciprocal
 from corrlift.sensing import adjoint, build_sensing, measure
 from corrlift.sylvester import (
-    build,
     build_padded,
     certificate_multipliers,
     certificate_report,
@@ -29,25 +28,6 @@ def random_signal(rng, n):
 def random_coprime_pair(rng, l1, l2):
     # random coefficients give coprime polynomials with probability one
     return random_signal(rng, l1), random_signal(rng, l2)
-
-
-def test_build_example():
-    s = build([1, 2], [3, 4])
-    assert np.array_equal(s, np.array([[3, 1], [4, 2]], dtype=complex))
-
-
-def test_build_determinant_is_resultant():
-    rng = np.random.default_rng(60)
-    for da, db in [(1, 1), (2, 1), (1, 3), (2, 2), (3, 2)]:
-        a = random_signal(rng, da + 1)
-        b = random_signal(rng, db + 1)
-        det = np.linalg.det(build(a, b))
-        alpha = np.roots(a[::-1])
-        beta = np.roots(b[::-1])
-        res = a[-1] ** db * b[-1] ** da * np.prod(
-            [ai - bj for ai in alpha for bj in beta]
-        )
-        assert abs(det - res) <= 1e-9 * abs(res)
 
 
 def test_build_padded_null_vector_and_bottom_row():
@@ -153,6 +133,39 @@ def test_certificate_report_common_factor_drops_rank():
     rep = certificate_report(x1, x2)
     assert rep.rank < (len(x1) + len(x2)) - 1
     assert rep.null_residual <= 1e-10
+
+
+def scale_test_pairs():
+    rng = np.random.default_rng(67)
+    pairs = [
+        (np.array([1.0, 2.0]), np.array([1.0, -1.0, 0.5])),
+        (convolve([1, -1], [1, 2]), convolve([1, -1], [1, -3])),
+    ]
+    pairs += [random_coprime_pair(rng, l1, l2) for l1, l2 in [(2, 3), (3, 3), (4, 2)]]
+    return pairs
+
+
+@pytest.mark.filterwarnings("error")
+def test_certificate_report_invariant_under_power_of_two_scaling():
+    # W = S^H S reaches 2^1000 scale: its products and norms must not overflow
+    for x1, x2 in scale_test_pairs():
+        ref = certificate_report(x1, x2)
+        deg = gcd_degree(x1, x2)
+        for exponent in (500, -500):
+            c = 2.0**exponent
+            rep = certificate_report(c * x1, c * x2)
+            assert gcd_degree(c * x1, c * x2) == deg
+            assert rep.rank == ref.rank
+            assert rep.in_range == ref.in_range
+            assert rep.null_residual == ref.null_residual
+
+
+@pytest.mark.filterwarnings("error")
+def test_gcd_degree_beyond_squared_overflow():
+    # singular values near 2^530 overflow once squared
+    c = 2.0**530
+    for x1, x2 in scale_test_pairs():
+        assert gcd_degree(c * x1, c * x2) == gcd_degree(x1, x2)
 
 
 def test_lambda_decomposition_reproduces_certificate():
