@@ -84,7 +84,7 @@ def _warn_if_near_merge(clusters, threshold: float) -> None:
             if threshold < gap <= 2.0 * threshold:
                 warnings.warn(
                     "two zero clusters are within a factor two of merging; "
-                    "the class enumeration is sensitive to cluster_tol",
+                    "the class enumeration is sensitive to the clustering tolerance",
                     RuntimeWarning,
                     stacklevel=3,
                 )
@@ -105,13 +105,11 @@ def count_bounds(x1: Signal, x2: Signal) -> tuple[int, int]:
     return min(d + 1, x1.size, x2.size), 2**d
 
 
-def enumerate_convolution_ambiguities(
-    x1: Signal, x2: Signal, cluster_tol: float = DEFAULT_CLUSTER_TOL
-) -> list:
+def enumerate_convolution_ambiguities(x1: Signal, x2: Signal) -> list:
     """All factorization classes of convolve(x1, x2) with the given lengths.
 
     Zeros of the product (union of the factors' zeros) are clustered at
-    `cluster_tol` relative to the largest magnitude, then every multiset
+    DEFAULT_CLUSTER_TOL relative to the largest magnitude, then every multiset
     split whose sizes fit the factor lengths yields one representative,
     with the combined unit placed on the left factor.  Classes are ordered
     lexicographically by the assigned index subset and each is verified to
@@ -136,7 +134,7 @@ def enumerate_convolution_ambiguities(
         return [AmbiguityClass(x1_rep=np.array([unit]), x2_rep=np.array([1.0 + 0.0j]))]
 
     scale = max(abs(z) for z in all_zeros)
-    threshold = cluster_tol * scale
+    threshold = DEFAULT_CLUSTER_TOL * scale
     clusters = cluster_zeros(all_zeros, threshold)
     _warn_if_near_merge(clusters, threshold)
 
@@ -164,15 +162,14 @@ def enumerate_convolution_ambiguities(
         if np.linalg.norm(recon - conv) > _RECONVOLVE_TOL * conv_norm:
             raise RuntimeError(
                 "clustered zeros fail to reproduce the convolution within "
-                f"{_RECONVOLVE_TOL:g} relative; decrease cluster_tol"
+                f"{_RECONVOLVE_TOL:g} relative; distinct zeros were merged at "
+                f"the clustering tolerance {DEFAULT_CLUSTER_TOL:g}"
             )
         classes.append(AmbiguityClass(x1_rep=x1_rep, x2_rep=x2_rep))
     return classes
 
 
-def enumerate_autocorr_ambiguities(
-    x: Signal, cluster_tol: float = DEFAULT_CLUSTER_TOL
-) -> list:
+def enumerate_autocorr_ambiguities(x: Signal) -> list:
     """All signals sharing correlate(x, x), one per conjugate-inverse choice.
 
     Every zero zeta of x pairs with 1/conj(zeta) in the autocorrelation's
@@ -195,7 +192,7 @@ def enumerate_autocorr_ambiguities(
 
     zeros = resolved_zeros(roots(x), n, "x")
     scale = max(abs(z) for z in zeros)
-    threshold = cluster_tol * max(scale, 1.0)
+    threshold = DEFAULT_CLUSTER_TOL * max(scale, 1.0)
 
     choice_sets = []
     for z in zeros:
@@ -217,7 +214,8 @@ def enumerate_autocorr_ambiguities(
         if np.linalg.norm(correlate(y, y) - acf) > _RECONVOLVE_TOL * acf_norm:
             raise RuntimeError(
                 "zero-swap candidate fails to reproduce the autocorrelation; "
-                "decrease cluster_tol"
+                "distinct zeros were merged at the clustering tolerance "
+                f"{DEFAULT_CLUSTER_TOL:g}"
             )
         if not any(np.abs(y - prev).max() <= 1e-7 * np.abs(prev).max() for prev in outputs):
             outputs.append(y)

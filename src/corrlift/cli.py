@@ -21,6 +21,7 @@ with the same configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
@@ -361,9 +362,9 @@ def _signal_pair(args: argparse.Namespace) -> tuple[Signal, Signal]:
     return _parse_signal(args.signal[0]), _parse_signal(args.signal[1])
 
 
-def _open_out(path: str | None) -> IO[str]:
+def _open_out(path: str | None) -> contextlib.AbstractContextManager[IO[str]]:
     if path is None:
-        return sys.stdout
+        return contextlib.nullcontext(sys.stdout)
     return open(path, "w", encoding="utf-8", newline="")
 
 
@@ -378,12 +379,11 @@ def _run_sweep(args: argparse.Namespace) -> int:
         solver=_solver_options(args),
         out_path=args.out,
     )
-    records = run_sweep(cfg)
-    if cfg.out_path is None:
-        write_records(records, sys.stdout)
-    else:
-        with _open_out(cfg.out_path) as stream:
-            write_records(records, stream)
+    # Opened before the first trial, so an unwritable path fails at once.
+    with _open_out(cfg.out_path) as stream:
+        records = run_sweep(cfg)
+        write_records(records, stream)
+    if cfg.out_path is not None:
         failed = sum(r.failed for r in records)
         print(f"rows={len(records)} failed={failed} out={cfg.out_path}")
     return 0
@@ -392,16 +392,12 @@ def _run_sweep(args: argparse.Namespace) -> int:
 def _run_zeros(args: argparse.Namespace) -> int:
     x1, x2 = _signal_pair(args)
     rows = cmd_zeros(x1, x2)
-    stream = _open_out(args.out)
-    try:
+    with _open_out(args.out) as stream:
         writer = csv.DictWriter(
             stream, fieldnames=list(ZEROS_FIELDS), lineterminator="\n"
         )
         writer.writeheader()
         writer.writerows(rows)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return 0
 
 
@@ -567,7 +563,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

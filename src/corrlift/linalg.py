@@ -78,13 +78,14 @@ def psd_project(a: HermitianMatrix) -> HermitianMatrix:
     return 0.5 * (out + out.conj().T)
 
 
-def numeric_rank(a: ComplexMatrix, tol: float = DEFAULT_RANK_TOL) -> int:
+def numeric_rank(a: ComplexMatrix) -> int:
     """Rank of a dense matrix by singular-value thresholding.
 
-    Counts singular values exceeding ``tol`` times the largest, that is the
-    eigenvalues of A^H A exceeding ``tol**2`` times its largest; the zero
-    matrix has rank 0.  The singular values are compared unsquared, so
-    neither a huge nor a tiny scale overflows or underflows the test.
+    Counts singular values exceeding DEFAULT_RANK_TOL times the largest,
+    that is the eigenvalues of A^H A exceeding DEFAULT_RANK_TOL**2 times the
+    largest; the zero matrix has rank 0.  The singular values are compared
+    unsquared, so neither a huge nor a tiny scale overflows or underflows
+    the test.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
@@ -93,4 +94,4 @@ def numeric_rank(a: ComplexMatrix, tol: float = DEFAULT_RANK_TOL) -> int:
     top = float(sing[0]) if sing.size else 0.0
     if top <= 0.0:
         return 0
-    return int(np.count_nonzero(sing > tol * top))
+    return int(np.count_nonzero(sing > DEFAULT_RANK_TOL * top))

@@ -14,7 +14,6 @@ Contents
 - is_self_reciprocal, is_self_inversive      : symmetry tests
 - gsd                                        : greatest self-reciprocal divisor
 - anti_solution                              : solutions of X H* + X* H = 0
-- random_self_reciprocal                     : test-signal generator
 """
 
 from __future__ import annotations
@@ -142,16 +141,17 @@ def _aberth(coeffs: np.ndarray, max_iter: int = 200, update_tol: float = 1e-13) 
     return z
 
 
-def roots(x: Signal, tol: float = _TRIM_TOL) -> RootSet:
+def roots(x: Signal) -> RootSet:
     """Root-domain representation of a signal.
 
-    Coefficients within `tol` (relative to the largest magnitude) of zero at
-    either end are treated as exact zeros: leading ones become origin_power,
-    trailing ones reduce the degree.  The returned zeros are the reciprocals
-    of the roots of the trimmed w-polynomial, counted with multiplicity.
+    Coefficients within _TRIM_TOL = 1e-12 (relative to the largest
+    magnitude) of zero at either end are treated as exact zeros: leading
+    ones become origin_power, trailing ones reduce the degree.  The returned
+    zeros are the reciprocals of the roots of the trimmed w-polynomial,
+    counted with multiplicity.
     """
     x = as_signal(x)
-    first, last = _trim_bounds(x, tol)
+    first, last = _trim_bounds(x, _TRIM_TOL)
     core = x[first : last + 1]
     w_roots = _aberth(core)
     return RootSet(unit=core[0], zeros=tuple(1.0 / w_roots), origin_power=first)
@@ -319,27 +319,3 @@ def anti_solution(x: Signal, s: Signal, tol: float = DEFAULT_GCD_TOL) -> Signal:
         raise RuntimeError("constructed vector does not solve the anti-symmetry equation")
     return h
 
-
-def random_self_reciprocal(degree: int, rng: np.random.Generator) -> Signal:
-    """Random self-reciprocal coefficients of exact degree `degree`.
-
-    Free complex draws in the lower half are mirrored conjugately into the
-    upper half; an even degree gets a real middle coefficient.  The first
-    coefficient is redrawn until it is safely nonzero so the degree is exact.
-    """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    n = degree + 1
-    out = np.zeros(n, dtype=complex)
-    for k in range(n // 2):
-        out[k] = rng.standard_normal() + 1j * rng.standard_normal()
-        out[degree - k] = np.conj(out[k])
-    if n % 2:
-        out[degree // 2] = rng.standard_normal()
-    while abs(out[0]) < 0.1:
-        if degree == 0:
-            out[0] = rng.standard_normal()
-        else:
-            out[0] = rng.standard_normal() + 1j * rng.standard_normal()
-            out[degree] = np.conj(out[0])
-    return out

@@ -17,7 +17,7 @@ plain-reversed (zero-extended) correlation window,
     lam12_k = -a21[N-2-k]/2     lam21_k = -a12[N-2-k]/2
 
 which `certificate_multipliers` builds from the data alone and
-`lambda_decomposition` verifies entrywise against S^H S.
+`certificate_report` checks entrywise against S^H S.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ import numpy as np
 
 from .linalg import numeric_rank
 from .poly import Signal, as_signal, require_c00
-from .sensing import Measurements, adjoint, build_sensing, forward_stacked, measure
+from .sensing import Measurements, adjoint, build_sensing, measure
 
 # Largest entrywise deviation of adjoint(lam) from W = S^H S, relative to the
-# largest entry of W, that `lambda_decomposition` accepts.
+# largest entry of W, that `certificate_report` accepts as in range.
 MULTIPLIER_TOL = 1e-10
 
 
@@ -72,8 +72,10 @@ class CertificateReport:
     """Numeric summary of the dual certificate W = S^H S for one pair.
 
     null_residual is ||W x|| / (||W||_F ||x||); min_eig the smallest
-    eigenvalue of W; rank its numeric rank; in_range whether the multiplier
-    vector `lam` reproduces W through the measurement adjoint.
+    eigenvalue of W; rank the numeric rank of S (that of W in exact
+    arithmetic), so N - rank is `gcd_degree`; lam the closed-form multiplier
+    vector `certificate_multipliers` of the pair's correlations; in_range
+    whether adjoint(lam) reproduces W within MULTIPLIER_TOL.
     """
 
     null_residual: float
@@ -113,39 +115,6 @@ def certificate_multipliers(m: Measurements) -> np.ndarray:
     )
 
 
-def lambda_decomposition(x1: Signal, x2: Signal) -> np.ndarray:
-    """Multiplier vector lam with adjoint(lam) = S^H S, verified entrywise.
-
-    lam is `certificate_multipliers` of the pair's correlations.  Raises if
-    the reproduction error exceeds MULTIPLIER_TOL relative to the largest
-    entry of W.
-    """
-    x1 = require_c00(x1)
-    x2 = require_c00(x2)
-    lam = certificate_multipliers(measure(x1, x2))
-    w = dual_certificate(x1, x2)
-    sensing = build_sensing(x1.size, x2.size)
-    dev = float(np.abs(adjoint(sensing, lam) - w).max())
-    scale = float(np.abs(w).max())
-    if dev > MULTIPLIER_TOL * scale:
-        raise RuntimeError(
-            f"multiplier vector fails to reproduce the certificate: "
-            f"max entry deviation {dev:.3e} (scale {scale:.3e})"
-        )
-    return lam
-
-
-def dual_certificate(x1: Signal, x2: Signal) -> np.ndarray:
-    """The Gram certificate W = S^H S of the padded difference matrix.
-
-    W is Hermitian positive semidefinite by construction, annihilates the
-    stacked pair, and has rank N-1 exactly when the pair's z-transforms are
-    coprime.
-    """
-    s_mat = build_padded(x1, x2)
-    return s_mat.conj().T @ s_mat
-
-
 def _pow2_normalized(a: np.ndarray) -> np.ndarray:
     # `a` times the power of two that brings its largest magnitude into
     # [0.5, 1) (or as near as 2**1023, the largest finite power, gets a
@@ -157,15 +126,16 @@ def _pow2_normalized(a: np.ndarray) -> np.ndarray:
 def certificate_report(x1: Signal, x2: Signal) -> CertificateReport:
     """Evaluate the certificate conditions for a pair.
 
-    Builds W = dual_certificate(x1, x2), measures how well the stacked pair
-    annihilates it, its smallest eigenvalue and numeric rank, and whether W
-    lies in the adjoint's range via the closed-form multiplier vector.
-    Raises ValueError when W overflows.
+    Builds S once and W = S^H S from it, measures how well the stacked pair
+    annihilates W, its smallest eigenvalue, the numeric rank of S, and
+    whether W lies in the adjoint's range via the closed-form multiplier
+    vector.  Raises ValueError when W overflows.
     """
     x1 = require_c00(x1)
     x2 = require_c00(x2)
+    s = build_padded(x1, x2)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = dual_certificate(x1, x2)
+        w = s.conj().T @ s
     if not np.all(np.isfinite(w)):
         raise ValueError(
             "the certificate W = S^H S overflows the floating-point range "
@@ -177,27 +147,46 @@ def certificate_report(x1: Signal, x2: Signal) -> CertificateReport:
     x_unit = _pow2_normalized(np.concatenate([x1, x2]))
     denom = float(np.linalg.norm(w_unit)) * float(np.linalg.norm(x_unit))
     null_residual = float(np.linalg.norm(w_unit @ x_unit)) / denom if denom > 0 else 0.0
-    min_eig = float(np.linalg.eigvalsh(w)[0])
-    rank = numeric_rank(w)
-    try:
-        lam = lambda_decomposition(x1, x2)
-        in_range = True
-    except RuntimeError:
-        lam = np.zeros(4 * (x1.size + x2.size) - 4, dtype=complex)
-        in_range = False
+    lam = certificate_multipliers(measure(x1, x2))
+    dev = float(np.abs(adjoint(build_sensing(x1.size, x2.size), lam) - w).max())
     return CertificateReport(
-        null_residual=null_residual, min_eig=min_eig, rank=rank, in_range=in_range, lam=lam
+        null_residual=null_residual,
+        min_eig=float(np.linalg.eigvalsh(w)[0]),
+        rank=numeric_rank(s),
+        in_range=dev <= MULTIPLIER_TOL * float(np.abs(w).max()),
+        lam=lam,
     )
+
+
+def _tangent_jacobian(x1: Signal, x2: Signal) -> np.ndarray:
+    # Real matrix of h -> A(x h* + h x*): columns 2j and 2j+1 are the real
+    # and imaginary parts, stacked, of the images of h = e_j and h = i e_j.
+    # The trace against A_m reads x h* at its band entries (r, c) as
+    # x[c] conj(h[r]) and h x* as h[c] conj(x[r]), so with p and q below
+    # the image of e_j is p[:, j] + q[:, j] and that of i e_j is
+    # i (q[:, j] - p[:, j]).
+    x = np.concatenate([x1, x2])
+    n = x.size
+    lab = build_sensing(x1.size, x2.size).label.reshape(n, n)
+    r, c = np.indices((n, n))
+    p = np.zeros((4 * n - 4, n), dtype=complex)
+    q = np.zeros_like(p)
+    p[lab, r] = x[c]
+    q[lab, c] = np.conj(x[r])
+    jac = np.empty((4 * n - 4, 2 * n), dtype=complex)
+    jac[:, 0::2] = p + q
+    jac[:, 1::2] = 1j * (q - p)
+    return np.concatenate([jac.real, jac.imag])
 
 
 def tangent_injectivity(x1: Signal, x2: Signal) -> tuple[int, bool]:
     """Real rank of h -> A(x h* + h x*) on the lifted tangent space at x.
 
-    Probes the real-linear map with the 2N directions e_j and i e_j,
-    stacking real and imaginary parts of the measurements into a real
-    matrix.  The kernel always contains the phase direction i x, so the
-    rank is at most 2N-1; the pair is flagged injective exactly when that
-    bound is met.  Coprime pairs are always injective.  The rank drops
+    Builds the real-linear map's matrix on the 2N directions e_j and i e_j
+    in one pass from the band label, stacking real and imaginary parts of
+    the measurements.  The kernel always contains the phase direction i x,
+    so the rank is at most 2N-1; the pair is flagged injective exactly when
+    that bound is met.  Coprime pairs are always injective.  The rank drops
     below 2N-1 when the shared factor's zero set is closed under
     zeta -> 1/conj(zeta) (a self-inversive common factor, e.g. a common
     zero on the unit circle); a generic common factor leaves the map
@@ -206,17 +195,5 @@ def tangent_injectivity(x1: Signal, x2: Signal) -> tuple[int, bool]:
     """
     x1 = as_signal(x1)
     x2 = as_signal(x2)
-    x = np.concatenate([x1, x2])
-    n = x.size
-    s = build_sensing(x1.size, x2.size)
-    cols = []
-    for j in range(n):
-        for direction in (1.0, 1.0j):
-            h = np.zeros(n, dtype=complex)
-            h[j] = direction
-            t = np.outer(x, np.conj(h)) + np.outer(h, np.conj(x))
-            v = forward_stacked(s, t)
-            cols.append(np.concatenate([v.real, v.imag]))
-    mat = np.column_stack(cols)
-    rank = numeric_rank(mat)
-    return rank, rank == 2 * n - 1
+    rank = numeric_rank(_tangent_jacobian(x1, x2))
+    return rank, rank == 2 * (x1.size + x2.size) - 1

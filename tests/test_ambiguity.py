@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from corrlift.ambiguity import (
+    DEFAULT_CLUSTER_TOL,
     AmbiguityClass,
     count_bounds,
     enumerate_autocorr_ambiguities,
@@ -117,12 +118,12 @@ def test_count_bounds_examples():
 
 def test_cluster_instability_warns():
     # zeros at 2 and 2 + 1.5*tol*scale: separated, but within 2x of merging
-    tol = 1e-6
+    tol = DEFAULT_CLUSTER_TOL
     z_near = 2.0 * (1.0 + 1.5 * tol)
     x1 = np.array([1.0, -2.0])
     x2 = np.array([1.0, -z_near])
     with pytest.warns(RuntimeWarning):
-        classes = enumerate_convolution_ambiguities(x1, x2, cluster_tol=tol)
+        classes = enumerate_convolution_ambiguities(x1, x2)
     assert len(classes) == 2
 
 

@@ -465,3 +465,27 @@ def test_main_certify_stdout(capsys):
     out = capsys.readouterr().out.strip().split("\n")
     kv = dict(line.split("=", 1) for line in out)
     assert kv["injective"] == "true"
+
+
+def test_main_certify_rank_is_sylvester_rank(capsys):
+    # a coprime pair whose certificate W = S^H S spans eight decades
+    assert main(["certify", "--signal", "10000,1", "--signal", "1,1"]) == 0
+    kv = dict(line.split("=", 1) for line in capsys.readouterr().out.strip().split("\n"))
+    assert kv["rank"] == "3"
+
+
+@pytest.mark.parametrize(
+    "target", ["missing/x.csv", "."], ids=["missing-dir", "directory"]
+)
+def test_main_unwritable_out_exits_2(tmp_path, monkeypatch, capsys, target):
+    # a missing directory or a directory as the path: no traceback, and the
+    # sweep fails before its first trial
+    def no_trials(cfg):
+        raise AssertionError("run_sweep called before the output was opened")
+
+    monkeypatch.setattr("corrlift.cli.run_sweep", no_trials)
+    out = str(tmp_path / target)
+    assert main(["sweep", "--trials", "1", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["zeros", "--signal", "1,-1", "--signal", "1,2", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -16,9 +16,9 @@ from corrlift.poly import (
     is_self_inversive,
     is_self_reciprocal,
     poly_gcd,
-    random_self_reciprocal,
     roots,
 )
+from test_self_reciprocal import random_self_reciprocal
 
 
 def random_signal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -241,11 +241,3 @@ def test_anti_solution_rejections():
     with pytest.raises(ValueError):
         anti_solution([0, 1, 1], [1.0])  # not C00
 
-
-def test_random_self_reciprocal():
-    rng = np.random.default_rng(10)
-    for degree in [0, 1, 2, 5, 6]:
-        s = random_self_reciprocal(degree, rng)
-        assert s.shape == (degree + 1,)
-        assert abs(s[0]) >= 0.1
-        assert np.linalg.norm(s - conj_time_reverse(s)) <= 1e-12 * np.linalg.norm(s)

@@ -5,17 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from corrlift.poly import convolve, poly_gcd, random_self_reciprocal
-from corrlift.sensing import adjoint, build_sensing, measure
+from corrlift.poly import convolve, gsd, poly_gcd
+from corrlift.sensing import adjoint, build_sensing, forward_stacked, measure
 from corrlift.sylvester import (
+    _tangent_jacobian,
     build_padded,
     certificate_multipliers,
     certificate_report,
-    dual_certificate,
     gcd_degree,
-    lambda_decomposition,
     tangent_injectivity,
 )
+from test_self_reciprocal import random_self_reciprocal
 
 
 def random_signal(rng, n):
@@ -103,26 +103,17 @@ def test_gcd_degree_cross_oracle():
         assert got == want
 
 
-def test_dual_certificate_matrix():
-    rng = np.random.default_rng(64)
-    x1, x2 = random_coprime_pair(rng, 2, 3)
-    w = dual_certificate(x1, x2)
-    s = build_padded(x1, x2)
-    assert np.allclose(w, s.conj().T @ s)
-    assert np.allclose(w, w.conj().T)
-    assert np.linalg.eigvalsh(w)[0] >= -1e-12 * np.linalg.norm(w)
-
-
 def test_certificate_report_coprime():
     rng = np.random.default_rng(65)
     for l1, l2 in [(2, 2), (2, 3), (3, 3), (4, 2), (3, 5)]:
         x1, x2 = random_coprime_pair(rng, l1, l2)
         n = l1 + l2
         rep = certificate_report(x1, x2)
-        w_fro = np.linalg.norm(dual_certificate(x1, x2))
+        s = build_padded(x1, x2)
+        w_fro = np.linalg.norm(s.conj().T @ s)
         assert rep.null_residual <= 1e-10
         assert rep.min_eig >= -1e-10 * w_fro
-        assert rep.rank == n - 1
+        assert rep.rank == n - 1 == n - gcd_degree(x1, x2)
         assert rep.in_range
         assert rep.lam.shape == (4 * n - 4,)
 
@@ -132,7 +123,38 @@ def test_certificate_report_common_factor_drops_rank():
     x2 = convolve([1, -1], [1, -3])
     rep = certificate_report(x1, x2)
     assert rep.rank < (len(x1) + len(x2)) - 1
+    assert rep.rank == len(x1) + len(x2) - gcd_degree(x1, x2)
     assert rep.null_residual <= 1e-10
+
+
+def test_certificate_report_rank_is_sylvester_rank():
+    # W = S^H S squares S's singular values: judged on W, the coprime pair
+    # [1e4, 1], [1, 1] read rank 2 (a shared factor) instead of 3
+    for x1, x2, want in [([1e4, 1], [1, 1], 3), ([3e4, 1], [1, 2, 1], 4)]:
+        rep = certificate_report(x1, x2)
+        assert rep.rank == want == len(x1) + len(x2) - gcd_degree(x1, x2)
+    rng = np.random.default_rng(71)
+    for d in range(4):
+        common = random_signal(rng, d + 1)
+        x1 = convolve(common, random_signal(rng, 3))
+        x2 = convolve(common, random_signal(rng, 2))
+        n = len(x1) + len(x2)
+        assert certificate_report(x1, x2).rank == n - gcd_degree(x1, x2) == n - 1 - d
+
+
+def test_certificate_report_in_range_tolerance(monkeypatch):
+    # in_range compares adjoint(lam) with W at MULTIPLIER_TOL of W's largest
+    # entry; a perturbed multiplier vector above it is out of range
+    import corrlift.sylvester as syl
+
+    x1, x2 = np.array([1.0, 2.0]), np.array([1.0, -1.0, 0.5])
+    exact = syl.certificate_multipliers(measure(x1, x2))
+    scale = float(np.abs(exact).max())
+    for bump, in_range in [(1e-12, True), (1e-8, False)]:
+        monkeypatch.setattr(
+            syl, "certificate_multipliers", lambda m, b=bump: exact + b * scale
+        )
+        assert syl.certificate_report(x1, x2).in_range is in_range
 
 
 def scale_test_pairs():
@@ -173,7 +195,7 @@ def test_lambda_decomposition_reproduces_certificate():
     # same-length pairs reproduce essentially exactly
     for _ in range(5):
         x1, x2 = random_coprime_pair(rng, 2, 2)
-        lam = lambda_decomposition(x1, x2)
+        lam = certificate_multipliers(measure(x1, x2))
         s = build_padded(x1, x2)
         w = s.conj().T @ s
         dev = np.abs(adjoint(build_sensing(2, 2), lam) - w).max()
@@ -181,7 +203,7 @@ def test_lambda_decomposition_reproduces_certificate():
     # mixed lengths, both orientations
     for l1, l2 in [(2, 4), (4, 2), (3, 4), (5, 2), (1, 3)]:
         x1, x2 = random_coprime_pair(rng, l1, l2)
-        lam = lambda_decomposition(x1, x2)
+        lam = certificate_multipliers(measure(x1, x2))
         assert lam.shape == (4 * (l1 + l2) - 4,)
         s = build_padded(x1, x2)
         w = s.conj().T @ s
@@ -194,7 +216,6 @@ def test_certificate_multipliers_from_data_alone():
     for l1, l2 in [(1, 1), (2, 3), (4, 2)]:
         x1, x2 = random_coprime_pair(rng, l1, l2)
         lam = certificate_multipliers(measure(x1, x2))
-        assert np.array_equal(lam, lambda_decomposition(x1, x2))
         # reduced data still carry a21, so the certificate is the same
         assert np.array_equal(lam, certificate_multipliers(measure(x1, x2, reduced=True)))
         w = adjoint(build_sensing(l1, l2), lam)
@@ -205,7 +226,7 @@ def test_certificate_multipliers_from_data_alone():
 def test_lambda_segment_lengths():
     x1 = np.array([1.0, 2.0])
     x2 = np.array([1.0, -1.0, 0.5])
-    lam = lambda_decomposition(x1, x2)
+    lam = certificate_multipliers(measure(x1, x2))
     l1, l2 = 2, 3
     n = 5
     sizes = (2 * l1 - 1, 2 * l2 - 1, n - 1, n - 1)
@@ -274,3 +295,51 @@ def test_tangent_injectivity_matches_gcd_degree():
             x2 = convolve(common, random_signal(rng, 2))
         _, injective = tangent_injectivity(x1, x2)
         assert injective == (gcd_degree(x1, x2) == 1)
+
+
+def probe_tangent_jacobian(x1, x2):
+    # Reference: the image of each direction e_j, i e_j by one outer product
+    # and one forward map, real and imaginary parts stacked.
+    x = np.concatenate([x1, x2])
+    n = x.size
+    s = build_sensing(len(x1), len(x2))
+    cols = []
+    for j in range(n):
+        for direction in (1.0, 1.0j):
+            h = np.zeros(n, dtype=complex)
+            h[j] = direction
+            v = forward_stacked(s, np.outer(x, np.conj(h)) + np.outer(h, np.conj(x)))
+            cols.append(np.concatenate([v.real, v.imag]))
+    return np.column_stack(cols)
+
+
+def test_tangent_jacobian_matches_probe_oracle():
+    rng = np.random.default_rng(72)
+    for l1 in range(1, 7):
+        for l2 in range(1, 7):
+            x1, x2 = random_coprime_pair(rng, l1, l2)
+            common = random_self_reciprocal(1, rng)
+            for pair in [(x1, x2), (convolve(common, x1), convolve(common, x2))]:
+                got = _tangent_jacobian(*pair)
+                want = probe_tangent_jacobian(*pair)
+                assert got.shape == want.shape
+                assert np.all(got == want)
+
+
+def test_tangent_deficiency_is_self_reciprocal_gcd_degree():
+    # 2N-1-rank counts the self-reciprocal part of the common factor: planted
+    # self-reciprocal factors of degree 2-3, alone and times a generic factor
+    rng = np.random.default_rng(73)
+    plants = [(2, 0), (3, 0), (1, 1), (2, 1), (1, 2)]  # (self-reciprocal, generic) degrees
+    for sr_degree, generic_degree in plants:
+        for _ in range(3):
+            common = convolve(
+                random_self_reciprocal(sr_degree, rng), random_signal(rng, generic_degree + 1)
+            )
+            x1 = convolve(common, random_signal(rng, 2))
+            x2 = convolve(common, random_signal(rng, 3))
+            n = len(x1) + len(x2)
+            rank, injective = tangent_injectivity(x1, x2)
+            g, _ = gsd(poly_gcd(x1, x2))
+            assert 2 * n - 1 - rank == g.size - 1 == sr_degree
+            assert not injective
