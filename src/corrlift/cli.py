@@ -50,6 +50,8 @@ CSV_FIELDS = (
     "mse",
     "mse_per_dim_db",
     "iters",
+    "stop_reason",
+    "restarts",
     "residual",
     "rank1_gap",
     "seed",
@@ -99,7 +101,7 @@ class TrialRecord:
     """One row of sweep output; ``failed`` marks solver non-convergence.
 
     Metric fields of a failed trial are NaN and are exempt from the
-    nonnegativity check.
+    nonnegativity check; its ``stop_reason`` reads ``diverged``.
     """
 
     trial: int
@@ -114,6 +116,8 @@ class TrialRecord:
     rank1_gap: float
     seed: int
     failed: bool = False
+    stop_reason: str = "converged"
+    restarts: int = 0
 
     def __post_init__(self) -> None:
         if not self.failed and not self.mse >= 0.0:
@@ -224,6 +228,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
                         residual=math.nan,
                         rank1_gap=math.nan,
                         failed=True,
+                        stop_reason="diverged",
                         **base,
                     )
                 )
@@ -238,6 +243,8 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
                     iters=diag.iters,
                     residual=diag.residual,
                     rank1_gap=diag.rank1_gap,
+                    stop_reason=diag.stop_reason,
+                    restarts=diag.restarts,
                     **base,
                 )
             )
@@ -452,6 +459,8 @@ def _run_recover(args: argparse.Namespace) -> int:
     print("failed=false")
     print(f"mse={mse!r}")
     print(f"iters={diag.iters}")
+    print(f"stop_reason={diag.stop_reason}")
+    print(f"restarts={diag.restarts}")
     print(f"residual={diag.residual!r}")
     print(f"rank1_gap={diag.rank1_gap!r}")
     print(f"non_unique={_fmt_bool(diag.non_unique)}")
@@ -468,7 +477,13 @@ def _add_shape_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--max-iters", type=int, default=20000, help="solver iteration cap"
+        "--max-iters",
+        type=int,
+        default=20000,
+        help=(
+            "solver iteration cap; noisy solves normally stop well below it, "
+            "once the objective stalls"
+        ),
     )
     parser.add_argument(
         "--tol",

@@ -18,6 +18,12 @@ refines it under noise or a shared factor.
 Each iteration projects onto the PSD cone with `linalg.psd_project`, and
 `extract_rank1` reads the estimate from `linalg.herm_eig`; the solver keeps
 no eigen routine of its own.
+
+Every solve ends for a stated reason (`SolverResult.stop_reason`): the
+relative residual reaches `rel_tol` ("converged", as noiseless data do), the
+objective falls by no more than STALL_RTOL of itself over STALL_WINDOW
+iterations ("stalled", as noisy data do, whose least-squares fit keeps a
+positive residual), or the `max_iters` cap is spent ("max_iters").
 """
 
 from __future__ import annotations
@@ -45,6 +51,12 @@ RANK1_TIE_TOL = 1e-12
 # Fraction of the exact step 1/L taken each iteration.
 STEP_SAFETY = 0.95
 
+# Stall stop: the solve ends once the accepted objective has fallen by no
+# more than STALL_RTOL of its current value over the last STALL_WINDOW
+# iterations.  The rule is relative, so it is invariant under scaling b.
+STALL_WINDOW = 100
+STALL_RTOL = 1e-9
+
 
 @dataclass
 class SolverOptions:
@@ -69,6 +81,8 @@ class SolverResult:
     matrix), small exactly when the solution is numerically rank-1.
     `margin` is the identifiability margin lam2(W) / lam_max(W) of the
     data-only certificate W: about 0 when the pair shares a factor.
+    `stop_reason` is "converged", "stalled" or "max_iters" (see the module
+    docstring); `restarts` counts the momentum restarts.
     """
 
     x_mat: np.ndarray
@@ -76,6 +90,8 @@ class SolverResult:
     residual: float
     rank1_gap: float
     margin: float = 0.0
+    stop_reason: str = "converged"
+    restarts: int = 0
 
 
 @dataclass
@@ -88,6 +104,8 @@ class RecoveryDiagnostics:
     degenerate: bool
     non_unique: bool
     margin: float = 0.0
+    stop_reason: str = "converged"
+    restarts: int = 0
 
 
 def _spectral_start(s: SensingSet, b: Measurements) -> tuple[np.ndarray, float]:
@@ -111,9 +129,11 @@ def solve(s: SensingSet, b: Measurements, opts: SolverOptions | None = None) -> 
     whenever the objective would increase (the restart redoes the step
     without momentum from the last accepted iterate, so accepted objectives
     are non-increasing whenever the step bound holds).  Terminates once the
-    relative measurement residual drops below `rel_tol` or after
-    `max_iters` iterations.  Ten consecutive objective increases after
-    restarts raise RuntimeError with the recent objective trace.
+    relative measurement residual drops below `rel_tol` ("converged"), once
+    the objective has fallen by at most STALL_RTOL of itself over the last
+    STALL_WINDOW iterations ("stalled"), or after `max_iters` iterations
+    ("max_iters").  Ten consecutive objective increases after restarts
+    raise RuntimeError with the recent objective trace.
     """
     opts = SolverOptions() if opts is None else opts
     if (b.l1, b.l2) != (s.l1, s.l2):
@@ -149,8 +169,11 @@ def solve(s: SensingSet, b: Measurements, opts: SolverOptions | None = None) -> 
     t = 1.0
     beta = 0.0
     bad_streak = 0
-    trace: deque = deque(maxlen=12)
+    restarts = 0
+    # The last STALL_WINDOW + 1 accepted objectives, oldest first.
+    recent: deque = deque(maxlen=STALL_WINDOW + 1)
     iters_done = opts.max_iters
+    stop_reason = "max_iters"
 
     for k in range(1, opts.max_iters + 1):
         # A is linear, so the forward image of the momentum point is the
@@ -163,34 +186,38 @@ def solve(s: SensingSet, b: Measurements, opts: SolverOptions | None = None) -> 
 
         if obj > obj_prev:
             # Adaptive restart: drop momentum and redo as a plain projected
-            # gradient step from the last accepted iterate.
+            # gradient step from the last accepted iterate.  A step taken
+            # with beta = 0 already is that plain step: it is not redone.
             t = 1.0
-            x_new = psd_project(x - step * gradient(v_x))
-            v_new = forward_stacked(s, x_new)[:m_count]
-            obj = float(np.linalg.norm(v_new - b_vec) ** 2)
-            if obj > obj_prev:
-                bad_streak += 1
-                if bad_streak >= 10:
-                    raise RuntimeError(
-                        "solver diverged: objective rose on 10 consecutive "
-                        f"post-restart iterations; recent objectives {list(trace)}"
-                    )
-            else:
-                bad_streak = 0
+            if beta > 0.0:
+                restarts += 1
+                x_new = psd_project(x - step * gradient(v_x))
+                v_new = forward_stacked(s, x_new)[:m_count]
+                obj = float(np.linalg.norm(v_new - b_vec) ** 2)
+        if obj > obj_prev:
+            bad_streak += 1
+            if bad_streak >= 10:
+                raise RuntimeError(
+                    "solver diverged: objective rose on 10 consecutive "
+                    f"post-restart iterations; recent objectives {list(recent)[-12:]}"
+                )
         else:
             bad_streak = 0
 
         x_prev, v_prev = x, v_x
         x, v_x = x_new, v_new
         obj_prev = obj
-        trace.append(obj)
+        recent.append(obj)
 
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
         t = t_next
 
         if math.sqrt(obj) <= opts.rel_tol * norm_b:
-            iters_done = k
+            iters_done, stop_reason = k, "converged"
+            break
+        if len(recent) > STALL_WINDOW and recent[0] - obj <= STALL_RTOL * obj:
+            iters_done, stop_reason = k, "stalled"
             break
 
     eigenvalues = np.linalg.eigvalsh(x)
@@ -199,7 +226,13 @@ def solve(s: SensingSet, b: Measurements, opts: SolverOptions | None = None) -> 
     gap = 0.0 if lam1 <= 0.0 else max(lam2, 0.0) / lam1
     residual = float(np.linalg.norm(v_x - b_vec)) / norm_b
     return SolverResult(
-        x_mat=x, iters=iters_done, residual=residual, rank1_gap=gap, margin=margin
+        x_mat=x,
+        iters=iters_done,
+        residual=residual,
+        rank1_gap=gap,
+        margin=margin,
+        stop_reason=stop_reason,
+        restarts=restarts,
     )
 
 
@@ -277,5 +310,7 @@ def recover(
         degenerate=not bool(np.any(x_est != 0)),
         non_unique=result.rank1_gap > NONUNIQUE_GAP_TOL,
         margin=result.margin,
+        stop_reason=result.stop_reason,
+        restarts=result.restarts,
     )
     return x_est[:x1_len], x_est[x1_len:], diag

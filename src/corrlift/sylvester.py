@@ -61,10 +61,13 @@ def gcd_degree(x1: Signal, x2: Signal) -> int:
     """Rank deficiency of the padded Sylvester matrix.
 
     Equals 1 + deg gcd(X1, X2): the minimum value 1 certifies a coprime
-    pair (only the stacked pair itself spans the null space).
+    pair (only the stacked pair itself spans the null space).  The rank is
+    `_balanced_rank`'s, so the verdict does not depend on the relative
+    scale of x1 and x2.
     """
-    s = build_padded(x1, x2)
-    return s.shape[0] - numeric_rank(s)
+    x1 = require_c00(x1)
+    x2 = require_c00(x2)
+    return x1.size + x2.size - _balanced_rank(x1, x2)
 
 
 @dataclass
@@ -73,7 +76,8 @@ class CertificateReport:
 
     null_residual is ||W x|| / (||W||_F ||x||); min_eig the smallest
     eigenvalue of W; rank the numeric rank of S (that of W in exact
-    arithmetic), so N - rank is `gcd_degree`; lam the closed-form multiplier
+    arithmetic) with x1 and x2 each rescaled by a power of two, so
+    N - rank is `gcd_degree`; lam the closed-form multiplier
     vector `certificate_multipliers` of the pair's correlations; in_range
     whether adjoint(lam) reproduces W within MULTIPLIER_TOL.
     """
@@ -123,10 +127,19 @@ def _pow2_normalized(a: np.ndarray) -> np.ndarray:
     return a * np.ldexp(1.0, min(-int(exponent), 1023))
 
 
+def _balanced_rank(x1: np.ndarray, x2: np.ndarray) -> int:
+    # Numeric rank of S for the pair with each signal rescaled by a power of
+    # two to unit-order magnitude.  Scaling x1 or x2 scales a block of S's
+    # columns, which cannot change the exact rank, and the rescaling is
+    # exact and cannot overflow; the tolerance relative to the largest
+    # singular value then no longer tracks the ratio of the two scales.
+    return numeric_rank(build_padded(_pow2_normalized(x1), _pow2_normalized(x2)))
+
+
 def certificate_report(x1: Signal, x2: Signal) -> CertificateReport:
     """Evaluate the certificate conditions for a pair.
 
-    Builds S once and W = S^H S from it, measures how well the stacked pair
+    Builds S and W = S^H S from it, measures how well the stacked pair
     annihilates W, its smallest eigenvalue, the numeric rank of S, and
     whether W lies in the adjoint's range via the closed-form multiplier
     vector.  Raises ValueError when W overflows.
@@ -152,7 +165,7 @@ def certificate_report(x1: Signal, x2: Signal) -> CertificateReport:
     return CertificateReport(
         null_residual=null_residual,
         min_eig=float(np.linalg.eigvalsh(w)[0]),
-        rank=numeric_rank(s),
+        rank=_balanced_rank(x1, x2),
         in_range=dev <= MULTIPLIER_TOL * float(np.abs(w).max()),
         lam=lam,
     )

@@ -151,6 +151,7 @@ def test_run_sweep_records_failures(monkeypatch):
         assert r.failed
         assert math.isnan(r.mse)
         assert r.iters == 0
+        assert (r.stop_reason, r.restarts) == ("diverged", 0)
 
 
 def test_write_records_header_and_rows():
@@ -162,8 +163,8 @@ def test_write_records_header_and_rows():
     assert lines[0] == ",".join(CSV_FIELDS)
     assert (
         lines[0]
-        == "trial,l1,l2,rsnr_db,sigma,mse,mse_per_dim_db,iters,residual,"
-        "rank1_gap,seed,failed"
+        == "trial,l1,l2,rsnr_db,sigma,mse,mse_per_dim_db,iters,stop_reason,"
+        "restarts,residual,rank1_gap,seed,failed"
     )
     parsed = list(csv.DictReader(io.StringIO(text)))
     assert len(parsed) == 2
@@ -377,6 +378,20 @@ def test_main_certify_huge_coprime_pair(capsys):
     assert kv["rank"] == "4"
     assert kv["injective"] == "true"
     assert float(kv["null_residual"]) <= 1e-15
+
+
+def test_main_recover_prints_stop_reason_and_restarts(capsys):
+    # noiseless data stop on the residual, noisy data on the stalled objective
+    for extra, reason in (([], "converged"), (["--snr-db", "20"], "stalled")):
+        assert main(["recover", "--l1", "3", "--l2", "3", "--seed", "5", *extra]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        keys = [line.split("=", 1)[0] for line in lines]
+        at = keys.index("iters")
+        assert keys[at + 1 : at + 3] == ["stop_reason", "restarts"]
+        kv = dict(line.split("=", 1) for line in lines)
+        assert kv["stop_reason"] == reason
+        assert int(kv["iters"]) < 2000
+        assert int(kv["restarts"]) >= 0
 
 
 def test_main_recover_prints_margin_last(capsys):

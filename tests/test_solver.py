@@ -5,8 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from corrlift.sensing import Measurements, adjoint, build_sensing, forward_stacked, measure
+from corrlift.sensing import (
+    Measurements,
+    NoiseModel,
+    add_noise,
+    adjoint,
+    build_sensing,
+    forward_stacked,
+    measure,
+)
 from corrlift.solver import (
+    STALL_RTOL,
+    STALL_WINDOW,
     RecoveryDiagnostics,
     SolverOptions,
     SolverResult,
@@ -22,6 +32,16 @@ def random_signal(rng, n):
     while abs(x[0]) < 0.1 or abs(x[-1]) < 0.1:
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return x
+
+
+def noisy_pair(rng, l1, l2, snr_db):
+    """A random pair, its clean correlations and a noisy copy at `snr_db`."""
+    x1 = random_signal(rng, l1)
+    x2 = random_signal(rng, l2)
+    clean = measure(x1, x2)
+    power = float(np.linalg.norm(clean.stacked) ** 2)
+    sigma = np.sqrt(power / (clean.stacked.size * 10.0 ** (snr_db / 10.0)))
+    return clean, add_noise(clean, NoiseModel(sigma=sigma, seed=int(rng.integers(2**31))))
 
 
 def random_hermitian(rng, n):
@@ -46,6 +66,7 @@ def test_zero_measurements_give_zero_solution():
     assert result.iters == 0
     assert result.residual == 0.0
     assert result.rank1_gap == 0.0
+    assert (result.stop_reason, result.restarts) == ("converged", 0)
     assert np.array_equal(result.x_mat, np.zeros((4, 4), dtype=complex))
 
 
@@ -78,6 +99,12 @@ def test_homogeneity_under_measurement_scaling():
     assert r4.iters == r1.iters
     scale = np.abs(4.0 * r1.x_mat).max()
     assert np.abs(r4.x_mat - 4.0 * r1.x_mat).max() <= 1e-12 * scale
+    # the stall rule is relative, so a noisy solve stops at the same place
+    _, noisy = noisy_pair(rng, 2, 3, 20.0)
+    r1 = solve(s, noisy)
+    r4 = solve(s, Measurements(*(4.0 * seg for seg in (noisy.a11, noisy.a22, noisy.a12, noisy.a21))))
+    assert r1.stop_reason == r4.stop_reason == "stalled"
+    assert abs(r4.iters - r1.iters) <= 1
 
 
 def test_objective_monotone_along_iteration_ladder():
@@ -235,8 +262,57 @@ def test_noiseless_coprime_recovery_needs_one_iteration():
         x2 = random_signal(rng, l2)
         e1, e2, diag = recover(l1, l2, measure(x1, x2))
         assert diag.iters == 1
+        assert (diag.stop_reason, diag.restarts) == ("converged", 0)
         mse, _ = aligned_mse(np.concatenate([x1, x2]), np.concatenate([e1, e2]))
         assert mse <= 1e-14
+
+
+def test_noisy_solve_stops_when_the_objective_stalls():
+    rng = np.random.default_rng(98)
+    s = build_sensing(3, 3)
+    for snr_db in (10.0, 40.0):
+        clean, noisy = noisy_pair(rng, 3, 3, snr_db)
+        result = solve(s, noisy)
+        assert result.stop_reason == "stalled"
+        assert result.iters < 2000
+        # the planted lift is feasible, so the fit cannot be worse than its misfit
+        norm_b = np.linalg.norm(noisy.stacked)
+        assert result.residual * norm_b <= np.linalg.norm(noisy.stacked - clean.stacked)
+
+
+def test_stall_stop_fires_at_the_first_iteration_the_rule_allows():
+    # Capped solves replay the same iterates, so the objective after j
+    # iterations is (residual * ||b||)^2 of the solve capped at j.
+    rng = np.random.default_rng(99)
+    s = build_sensing(3, 3)
+    _, noisy = noisy_pair(rng, 3, 3, 30.0)
+    k = solve(s, noisy).iters
+    norm_b = np.linalg.norm(noisy.stacked)
+
+    def obj(j):
+        return (solve(s, noisy, SolverOptions(max_iters=j)).residual * norm_b) ** 2
+
+    assert obj(k - STALL_WINDOW) - obj(k) <= STALL_RTOL * obj(k)
+    assert obj(k - 1 - STALL_WINDOW) - obj(k - 1) > STALL_RTOL * obj(k - 1)
+    assert solve(s, noisy, SolverOptions(max_iters=k - 1)).stop_reason == "max_iters"
+
+
+def test_max_iters_stop_and_restart_count(monkeypatch):
+    rng = np.random.default_rng(100)
+    _, noisy = noisy_pair(rng, 3, 3, 20.0)
+    result = solve(build_sensing(3, 3), noisy, SolverOptions(max_iters=5))
+    assert (result.stop_reason, result.iters) == ("max_iters", 5)
+    # one forward transform for the start, one per iteration, one per restart
+    calls = []
+
+    def counting(s, x):
+        calls.append(1)
+        return forward_stacked(s, x)
+
+    monkeypatch.setattr("corrlift.solver.forward_stacked", counting)
+    result = solve(build_sensing(3, 3), noisy)
+    assert result.restarts > 0
+    assert len(calls) == 1 + result.iters + result.restarts
 
 
 def test_margin_separates_coprime_from_common_factor():

@@ -142,6 +142,17 @@ def test_certificate_report_rank_is_sylvester_rank():
         assert certificate_report(x1, x2).rank == n - gcd_degree(x1, x2) == n - 1 - d
 
 
+def test_coprimality_verdict_ignores_relative_scale():
+    # scaling x1 alone cannot create a shared zero; with the rank taken
+    # relative to S's largest singular value, c >= 1e8 read a common factor
+    x2 = [1.0, -1.0, 0.5]
+    for c in (1e-8, 1.0, 1e4, 1e8, 1e9):
+        x1 = [c, 2.0 * c]
+        assert gcd_degree(x1, x2) == 1
+        rank = certificate_report(x1, x2).rank
+        assert rank == 4 == 5 - gcd_degree(x1, x2)
+
+
 def test_certificate_report_in_range_tolerance(monkeypatch):
     # in_range compares adjoint(lam) with W at MULTIPLIER_TOL of W's largest
     # entry; a perturbed multiplier vector above it is out of range
