@@ -10,7 +10,8 @@ benchmark command it names (``perfbench/run.py``) runs on both trees once
 per pair, with seeds ``--seed``, ``--seed`` + 1, ..., and the tree that runs
 first alternates from pair to pair.  These untraced runs give the end-to-end
 metrics.  One traced run per tree and workload (``--trace 1``, first seed)
-gives the per-layer metrics.  Every run uses the same run length.
+gives the per-layer metrics.  Every run takes the run length that
+``BENCHMARK.json`` sets.
 
 The output file holds, per workload, each end-to-end metric's runs, median
 and quartiles on both sides, the change's median relative to the base's, the
@@ -45,9 +46,6 @@ def parse_args(argv):
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument("--pairs", type=int, default=10, help="runs per tree and workload")
     parser.add_argument("--seed", type=int, default=101, help="seed of the first pair")
-    parser.add_argument(
-        "--seconds", type=float, default=None, help="run length (default: BENCHMARK.json)"
-    )
     parser.add_argument(
         "--workload", action="append", default=None, help="workload to run (default: all)"
     )
@@ -162,7 +160,7 @@ def bench_workload(trees, command, name, metric_specs, args, seconds):
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else float(spec["run_seconds"])
+    seconds = float(spec["run_seconds"])
     names = args.workload or [w["name"] for w in spec["workloads"]]
     base_commit = git("rev-parse", args.base)
     report = {
