@@ -67,7 +67,7 @@ def gcd_degree(x1: Signal, x2: Signal) -> int:
     """
     x1 = require_c00(x1)
     x2 = require_c00(x2)
-    return x1.size + x2.size - _balanced_rank(x1, x2)
+    return x1.size + x2.size - _balanced_rank(build_padded(x1, x2), x1, x2)
 
 
 @dataclass
@@ -119,21 +119,31 @@ def certificate_multipliers(m: Measurements) -> np.ndarray:
     )
 
 
-def _pow2_normalized(a: np.ndarray) -> np.ndarray:
-    # `a` times the power of two that brings its largest magnitude into
+def _pow2_scale(a: np.ndarray) -> float:
+    # The power of two that brings the largest magnitude of `a` into
     # [0.5, 1) (or as near as 2**1023, the largest finite power, gets a
-    # subnormal `a`); the product is exact unless an entry falls subnormal.
+    # subnormal `a`); multiplying by it is exact unless an entry falls
+    # subnormal.
     _, exponent = np.frexp(np.abs(a).max())
-    return a * np.ldexp(1.0, min(-int(exponent), 1023))
+    return float(np.ldexp(1.0, min(-int(exponent), 1023)))
 
 
-def _balanced_rank(x1: np.ndarray, x2: np.ndarray) -> int:
-    # Numeric rank of S for the pair with each signal rescaled by a power of
-    # two to unit-order magnitude.  Scaling x1 or x2 scales a block of S's
-    # columns, which cannot change the exact rank, and the rescaling is
-    # exact and cannot overflow; the tolerance relative to the largest
-    # singular value then no longer tracks the ratio of the two scales.
-    return numeric_rank(build_padded(_pow2_normalized(x1), _pow2_normalized(x2)))
+def _pow2_normalized(a: np.ndarray) -> np.ndarray:
+    return a * _pow2_scale(a)
+
+
+def _balanced_rank(s: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> int:
+    # Numeric rank of the pair's S (from `build_padded`) with its x2 columns
+    # and its x1 columns each rescaled by the power of two that brings that
+    # signal to unit-order magnitude.  Scaling a block of columns cannot
+    # change the exact rank, and the rescaling cannot overflow; the
+    # tolerance relative to the largest singular value then no longer
+    # tracks the ratio of the two scales.  An entry that underflows only
+    # becomes a zero of S.
+    scales = np.concatenate(
+        [np.full(x1.size, _pow2_scale(x2)), np.full(x2.size, _pow2_scale(x1))]
+    )
+    return numeric_rank(s * scales)
 
 
 def certificate_report(x1: Signal, x2: Signal) -> CertificateReport:
@@ -165,7 +175,7 @@ def certificate_report(x1: Signal, x2: Signal) -> CertificateReport:
     return CertificateReport(
         null_residual=null_residual,
         min_eig=float(np.linalg.eigvalsh(w)[0]),
-        rank=_balanced_rank(x1, x2),
+        rank=_balanced_rank(s, x1, x2),
         in_range=dev <= MULTIPLIER_TOL * float(np.abs(w).max()),
         lam=lam,
     )

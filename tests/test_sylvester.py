@@ -151,6 +151,9 @@ def test_coprimality_verdict_ignores_relative_scale():
         assert gcd_degree(x1, x2) == 1
         rank = certificate_report(x1, x2).rank
         assert rank == 4 == 5 - gcd_degree(x1, x2)
+    # a dynamic range past the floating-point range: the rescaled 1e-100
+    # underflows to a zero entry of S instead of failing the edge check
+    assert gcd_degree([1e300, 1e-100], x2) == 1
 
 
 def test_certificate_report_in_range_tolerance(monkeypatch):
