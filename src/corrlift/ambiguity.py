@@ -6,6 +6,11 @@ between the two factors is an equally valid factorization.  Likewise an
 autocorrelation only determines zeros up to swaps across reflections at the
 unit circle.  This module enumerates canonical representatives of both
 ambiguity families.
+
+Each family is built as one batch: the zero choices of all its members
+form the rows of one array, `poly.from_roots` expands every row in one pass,
+and one row-wise product checks every member against the source
+convolution or autocorrelation.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly import (
-    RootSet,
     Signal,
     as_signal,
     convolve,
@@ -45,10 +49,6 @@ class AmbiguityClass:
     x1_rep: np.ndarray
     x2_rep: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x1_rep", as_signal(self.x1_rep))
-        object.__setattr__(self, "x2_rep", as_signal(self.x2_rep))
-
 
 def cluster_zeros(zs, threshold: float) -> list:
     """Agglomerate zeros whose centroids fall within `threshold`.
@@ -57,21 +57,24 @@ def cluster_zeros(zs, threshold: float) -> list:
     deterministic downstream enumeration.
     """
     clusters = [[complex(z)] for z in zs]
+    # Centroids are always np.mean of a cluster's members (a singleton's
+    # mean can differ from the zero in the sign of a zero part); only a
+    # merge changes one, so it alone is recomputed then.
+    centroids = [complex(c) for c in np.mean(np.array(zs, dtype=complex)[:, None], axis=1)]
     merged = True
     while merged:
         merged = False
         for i in range(len(clusters)):
             for j in range(i + 1, len(clusters)):
-                ci = complex(np.mean(clusters[i]))
-                cj = complex(np.mean(clusters[j]))
-                if abs(ci - cj) <= threshold:
-                    clusters[i].extend(clusters[j])
-                    del clusters[j]
+                if abs(centroids[i] - centroids[j]) <= threshold:
+                    clusters[i].extend(clusters.pop(j))
+                    del centroids[j]
+                    centroids[i] = complex(np.mean(clusters[i]))
                     merged = True
                     break
             if merged:
                 break
-    out = [(complex(np.mean(c)), len(c)) for c in clusters]
+    out = [(c, len(members)) for c, members in zip(centroids, clusters)]
     out.sort(key=lambda t: (t[0].real, t[0].imag))
     return out
 
@@ -138,35 +141,29 @@ def enumerate_convolution_ambiguities(x1: Signal, x2: Signal) -> list:
     clusters = cluster_zeros(all_zeros, threshold)
     _warn_if_near_merge(clusters, threshold)
 
-    lo = max(d - l2 + 1, 0)
-    hi = l1 - 1
-    offsets = np.concatenate([[0], np.cumsum([m for _, m in clusters])])
-
-    candidates = []
-    for counts in itertools.product(*(range(m + 1) for _, m in clusters)):
-        if not (lo <= sum(counts) <= hi):
-            continue
-        assigned = tuple(
-            int(offsets[k] + i) for k, c in enumerate(counts) for i in range(c)
+    # Every class gives the left factor l1-1 of the d zeros.  Within a
+    # cluster of a repeated zero only the count matters, so a class is the
+    # index subset that takes a prefix of every cluster's block; the
+    # lexicographic order of `combinations` is the class order.
+    starts = np.zeros(d, dtype=bool)
+    starts[np.cumsum([0] + [m for _, m in clusters[:-1]])] = True
+    subsets = np.array(list(itertools.combinations(range(d), l1 - 1)), dtype=np.intp)
+    mask = np.zeros((len(subsets), d), dtype=bool)
+    mask[np.arange(len(subsets))[:, None], subsets] = True
+    rises = mask[:, 1:] & ~mask[:, :-1] & ~starts[1:]
+    mask = mask[~rises.any(axis=1)]
+    k = len(mask)
+    zs = np.broadcast_to(np.repeat([z for z, _ in clusters], [m for _, m in clusters]), mask.shape)
+    x1_reps = from_roots(unit, zs[mask].reshape(k, l1 - 1))
+    x2_reps = from_roots(1.0, zs[~mask].reshape(k, l2 - 1))
+    err = np.linalg.norm(_convolve_rows(x1_reps, x2_reps) - conv, axis=1)
+    if np.any(err > _RECONVOLVE_TOL * conv_norm):
+        raise RuntimeError(
+            "clustered zeros fail to reproduce the convolution within "
+            f"{_RECONVOLVE_TOL:g} relative; distinct zeros were merged at "
+            f"the clustering tolerance {DEFAULT_CLUSTER_TOL:g}"
         )
-        candidates.append((assigned, counts))
-    candidates.sort(key=lambda t: t[0])
-
-    classes = []
-    for _, counts in candidates:
-        left = [z for (z, _), c in zip(clusters, counts) for _ in range(c)]
-        right = [z for (z, m), c in zip(clusters, counts) for _ in range(m - c)]
-        x1_rep = from_roots(RootSet(unit=unit, zeros=left))
-        x2_rep = from_roots(RootSet(unit=1.0, zeros=right))
-        recon = convolve(x1_rep, x2_rep)
-        if np.linalg.norm(recon - conv) > _RECONVOLVE_TOL * conv_norm:
-            raise RuntimeError(
-                "clustered zeros fail to reproduce the convolution within "
-                f"{_RECONVOLVE_TOL:g} relative; distinct zeros were merged at "
-                f"the clustering tolerance {DEFAULT_CLUSTER_TOL:g}"
-            )
-        classes.append(AmbiguityClass(x1_rep=x1_rep, x2_rep=x2_rep))
-    return classes
+    return [AmbiguityClass(x1_rep=a, x2_rep=b) for a, b in zip(x1_reps, x2_reps)]
 
 
 def enumerate_autocorr_ambiguities(x: Signal) -> list:
@@ -205,21 +202,32 @@ def enumerate_autocorr_ambiguities(x: Signal) -> list:
 
     _check_circle_parity(choice_sets, threshold)
 
-    outputs: list = []
-    for combo in itertools.product(*choice_sets):
-        y0 = from_roots(RootSet(unit=1.0, zeros=combo))
-        auto0 = correlate(y0, y0)
-        s = math.sqrt(acf_norm / float(np.linalg.norm(auto0)))
-        y = s * y0
-        if np.linalg.norm(correlate(y, y) - acf) > _RECONVOLVE_TOL * acf_norm:
-            raise RuntimeError(
-                "zero-swap candidate fails to reproduce the autocorrelation; "
-                "distinct zeros were merged at the clustering tolerance "
-                f"{DEFAULT_CLUSTER_TOL:g}"
-            )
-        if not any(np.abs(y - prev).max() <= 1e-7 * np.abs(prev).max() for prev in outputs):
-            outputs.append(y)
-    return outputs
+    y0 = from_roots(1.0, list(itertools.product(*choice_sets)))
+    auto0 = _convolve_rows(y0, np.conj(y0[:, ::-1]))
+    y = np.sqrt(acf_norm / np.linalg.norm(auto0, axis=1))[:, None] * y0
+    err = np.linalg.norm(_convolve_rows(y, np.conj(y[:, ::-1])) - acf, axis=1)
+    if np.any(err > _RECONVOLVE_TOL * acf_norm):
+        raise RuntimeError(
+            "zero-swap candidate fails to reproduce the autocorrelation; "
+            "distinct zeros were merged at the clustering tolerance "
+            f"{DEFAULT_CLUSTER_TOL:g}"
+        )
+    # Keep a candidate unless an earlier kept one lies within 1e-7 of it,
+    # relative to that one's largest coefficient.
+    kept = []
+    peaks = np.abs(y).max(axis=1)
+    for i in range(len(y)):
+        if not np.any(np.abs(y[kept] - y[i]).max(axis=1) <= 1e-7 * peaks[kept]):
+            kept.append(i)
+    return list(y[kept])
+
+
+def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise full convolution of two (K, la) and (K, lb) arrays."""
+    out = np.zeros((a.shape[0], a.shape[1] + b.shape[1] - 1), dtype=complex)
+    for i in range(a.shape[1]):
+        out[:, i : i + b.shape[1]] += a[:, i : i + 1] * b
+    return out
 
 
 def _check_circle_parity(choice_sets, threshold: float) -> None:

@@ -171,16 +171,24 @@ def resolved_zeros(rs: RootSet, length: int, name: str) -> tuple:
     return rs.zeros
 
 
-def from_roots(rs: RootSet) -> Signal:
-    """Coefficients of unit * z^{-origin_power} * prod (1 - zeta_k z^{-1})."""
-    if any(z == 0 for z in rs.zeros):
+def from_roots(unit: complex, zeros) -> np.ndarray:
+    """Coefficients of unit * prod_j (1 - zeros[r, j] z^{-1}), one row per r.
+
+    `zeros` of shape (K, m) gives shape (K, m+1); a 1-D `zeros` of length m
+    gives one signal of length m+1.  The product is built in one pass over
+    the m columns, for all rows at once.  Origin zeros are carried by
+    `RootSet.origin_power`, not here: a caller pads with leading zeros.
+    """
+    zeros = np.asarray(zeros, dtype=complex)
+    if np.any(zeros == 0):
         raise ValueError("zeros at the origin are not representable; use origin_power")
-    out = np.array([rs.unit], dtype=complex)
-    for zeta in rs.zeros:
-        out = np.convolve(out, np.array([1.0, -zeta], dtype=complex))
-    if rs.origin_power:
-        out = np.concatenate([np.zeros(rs.origin_power, dtype=complex), out])
-    return out
+    rows = np.atleast_2d(zeros)
+    m = rows.shape[1]
+    out = np.zeros((rows.shape[0], m + 1), dtype=complex)
+    out[:, 0] = unit
+    for j in range(m):
+        out[:, 1 : j + 2] -= rows[:, j : j + 1] * out[:, : j + 1]
+    return out[0] if zeros.ndim == 1 else out
 
 
 def _polydiv(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from corrlift import ambiguity
 from corrlift.ambiguity import (
     DEFAULT_CLUSTER_TOL,
     AmbiguityClass,
+    cluster_zeros,
     count_bounds,
     enumerate_autocorr_ambiguities,
     enumerate_convolution_ambiguities,
 )
+from corrlift.cli import gen_signal
 from corrlift.poly import convolve, correlate, roots
 from corrlift.solver import aligned_mse
 
@@ -192,3 +196,121 @@ def test_ambiguity_class_is_frozen():
     cls = AmbiguityClass(x1_rep=np.array([1.0]), x2_rep=np.array([1.0, -1.0]))
     with pytest.raises(Exception):
         cls.x1_rep = np.array([2.0])
+
+
+# --- the per-class loop, kept as the oracle of the batched enumeration ------
+
+
+def _loop_from_roots(unit, zeros):
+    out = np.array([unit], dtype=complex)
+    for z in zeros:
+        out = np.convolve(out, np.array([1.0, -z], dtype=complex))
+    return out
+
+
+def _loop_convolution_classes(x1, x2):
+    """One class per cluster-count split, in the order of its index subset."""
+    l1 = len(x1)
+    r1, r2 = roots(x1), roots(x2)
+    unit = r1.unit * r2.unit
+    zs = list(r1.zeros) + list(r2.zeros)
+    if not zs:
+        return [(np.array([unit]), np.array([1.0 + 0.0j]))]
+    clusters = cluster_zeros(zs, DEFAULT_CLUSTER_TOL * max(abs(z) for z in zs))
+    offsets = np.concatenate([[0], np.cumsum([m for _, m in clusters])])
+    candidates = []
+    for counts in itertools.product(*(range(m + 1) for _, m in clusters)):
+        if sum(counts) != l1 - 1:
+            continue
+        assigned = tuple(int(offsets[k] + i) for k, c in enumerate(counts) for i in range(c))
+        candidates.append((assigned, counts))
+    candidates.sort(key=lambda t: t[0])
+    classes = []
+    for _, counts in candidates:
+        left = [z for (z, _), c in zip(clusters, counts) for _ in range(c)]
+        right = [z for (z, m), c in zip(clusters, counts) for _ in range(m - c)]
+        classes.append((_loop_from_roots(unit, left), _loop_from_roots(1.0, right)))
+    return classes
+
+
+def _loop_autocorr(x):
+    """One output per zero-or-mirror choice, dropping near-duplicates."""
+    acf = correlate(x, x)
+    acf_norm = float(np.linalg.norm(acf))
+    if len(x) == 1:
+        return [np.array([math.sqrt(acf_norm)], dtype=complex)]
+    zeros = roots(x).zeros
+    threshold = DEFAULT_CLUSTER_TOL * max(max(abs(z) for z in zeros), 1.0)
+    choice_sets = []
+    for z in zeros:
+        mirror = 1.0 / np.conj(z)
+        choice_sets.append((z,) if abs(z - mirror) <= threshold else (z, mirror))
+    outputs = []
+    for combo in itertools.product(*choice_sets):
+        y0 = _loop_from_roots(1.0, combo)
+        y = math.sqrt(acf_norm / float(np.linalg.norm(correlate(y0, y0)))) * y0
+        if not any(np.abs(y - prev).max() <= 1e-7 * np.abs(prev).max() for prev in outputs):
+            outputs.append(y)
+    return outputs
+
+
+def _assert_rows_match(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+def _assert_matches_loop(x1, x2):
+    classes = enumerate_convolution_ambiguities(x1, x2)
+    want = _loop_convolution_classes(x1, x2)
+    _assert_rows_match([c.x1_rep for c in classes], [w1 for w1, _ in want])
+    _assert_rows_match([c.x2_rep for c in classes], [w2 for _, w2 in want])
+    _assert_rows_match(enumerate_autocorr_ambiguities(x1), _loop_autocorr(x1))
+
+
+def _planted_pair(l1, l2, common, seed):
+    rng = np.random.default_rng(np.random.SeedSequence([seed, l1, l2, common]))
+    c = gen_signal(common + 1, rng)
+    return (
+        np.convolve(gen_signal(l1 - common, rng), c),
+        np.convolve(gen_signal(l2 - common, rng), c),
+    )
+
+
+@pytest.mark.parametrize("l1,l2", [(1, 1), (1, 3), (3, 1), (1, 6), (6, 1)])
+def test_batched_enumeration_matches_loop_one_sided(l1, l2):
+    _assert_matches_loop(*_planted_pair(l1, l2, 0, 11))
+
+
+@pytest.mark.parametrize(
+    "l1,l2",
+    [(3, 3), (3, 4), (4, 4), (4, 5), (5, 5), (5, 6), (6, 6), (6, 7), (7, 7), (7, 8), (8, 8), (8, 9)],
+)
+def test_batched_enumeration_matches_loop_certify_shapes(l1, l2):
+    for common in (0, 1, 2):
+        _assert_matches_loop(*_planted_pair(l1, l2, common, 12))
+
+
+def test_batched_enumeration_matches_loop_repeated_zeros():
+    # a triple zero at 2, two of it in x1: of the C(5, 3) = 10 subsets
+    # only 4 count splits remain
+    x1 = convolve(convolve([1.0, -2.0], [1.0, -2.0]), [1.0, 0.5j])
+    x2 = convolve([1.0, -2.0], [1.0, 3.0])
+    assert len(enumerate_convolution_ambiguities(x1, x2)) == 4
+    _assert_matches_loop(x1, x2)
+    _assert_matches_loop(x2, x1)
+    _assert_matches_loop(np.array([1.0, -1.0]), np.array([1.0, -1.0]))
+
+
+def test_batched_autocorr_matches_loop_on_reflection_cases():
+    for x in ([1.0, -2.5, 1.0], [1.0, 0.0, 1.0], convolve([1.0, 0.0, 1.0], [1.0, -3.0])):
+        x = np.array(x, dtype=complex)
+        _assert_rows_match(enumerate_autocorr_ambiguities(x), _loop_autocorr(x))
+
+
+def test_bad_merge_fails_reconvolution(monkeypatch):
+    # at this tolerance the zeros 1 and 1.3 merge into one double zero
+    monkeypatch.setattr(ambiguity, "DEFAULT_CLUSTER_TOL", 0.5)
+    with pytest.raises(RuntimeError, match="fail to reproduce the convolution"):
+        enumerate_convolution_ambiguities([1.0, -1.0], [1.0, -1.3])

@@ -257,6 +257,21 @@ def test_cmd_ambiguities_lines():
         assert err <= 1e-7 * np.linalg.norm(product)
 
 
+def test_main_ambiguities_stdout_is_pinned(capsys):
+    # the digits of the per-class np.convolve loop, which the batched
+    # construction reproduces on this real pair
+    assert main(["ambiguities", "--signal", "1,-3,2", "--signal", "1,-2"]) == 0
+    assert capsys.readouterr().out == (
+        "lower_bound=2\n"
+        "upper_bound=8\n"
+        "classes=2\n"
+        "class0_x1=(1+0j),(-3+0j),(1.9999999999999996+0j)\n"
+        "class0_x2=(1+0j),(-2+0j)\n"
+        "class1_x1=(1+0j),(-4+0j),(4+0j)\n"
+        "class1_x2=(1+0j),(-0.9999999999999998+0j)\n"
+    )
+
+
 def test_parse_complex():
     assert _parse_complex("1+2i") == 1 + 2j
     assert _parse_complex(" -0.5i ") == -0.5j

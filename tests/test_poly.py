@@ -99,13 +99,27 @@ def test_roots_matches_numpy_oracle():
 
 
 def test_from_roots_identity_and_single_zero():
-    assert np.array_equal(from_roots(RootSet(unit=1)), np.array([1.0 + 0j]))
-    assert np.allclose(from_roots(RootSet(unit=1, zeros=(2,))), [1, -2])
+    assert np.array_equal(from_roots(1, []), np.array([1.0 + 0j]))
+    assert np.allclose(from_roots(1, [2]), [1, -2])
+
+
+def test_from_roots_rows_match_single_calls():
+    rng = np.random.default_rng(6)
+    zeros = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    batch = from_roots(2 - 1j, zeros)
+    assert batch.shape == (5, 5)
+    for row, zs in zip(batch, zeros):
+        assert np.array_equal(row, from_roots(2 - 1j, zs))
+        assert np.allclose(row, (2 - 1j) * np.poly(zs))
+    # no zeros at all: every row is the unit alone
+    assert np.array_equal(from_roots(3, np.zeros((4, 0))), np.full((4, 1), 3 + 0j))
 
 
 def test_from_roots_rejects_origin_zero():
     with pytest.raises(ValueError):
         RootSet(unit=1, zeros=(0,))
+    with pytest.raises(ValueError, match="origin"):
+        from_roots(1, [[2, 0]])
 
 
 def test_root_round_trip():
@@ -113,13 +127,15 @@ def test_root_round_trip():
     for _ in range(20):
         n = int(rng.integers(2, 9))
         x = random_signal(rng, n)
-        back = from_roots(roots(x))
+        rs = roots(x)
+        back = from_roots(rs.unit, rs.zeros)
         assert np.linalg.norm(back - x) <= 1e-8 * np.linalg.norm(x)
 
 
 def test_root_round_trip_double_zero():
     x = np.array([1.0, -2.0, 1.0], dtype=complex)  # (1 - w)^2
-    back = from_roots(roots(x))
+    rs = roots(x)
+    back = from_roots(rs.unit, rs.zeros)
     assert np.linalg.norm(back - x) <= 1e-8 * np.linalg.norm(x)
 
 
@@ -127,7 +143,8 @@ def test_root_round_trip_with_origin_power():
     x = np.array([0, 0, 2.0, 1.0], dtype=complex)
     rs = roots(x)
     assert rs.origin_power == 2
-    assert np.linalg.norm(from_roots(rs) - x) <= 1e-8 * np.linalg.norm(x)
+    back = np.concatenate([np.zeros(rs.origin_power), from_roots(rs.unit, rs.zeros)])
+    assert np.linalg.norm(back - x) <= 1e-8 * np.linalg.norm(x)
 
 
 def test_poly_gcd_examples():
