@@ -42,7 +42,7 @@ MAX_AUTOCORR_ZEROS = 12
 _RECONVOLVE_TOL = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AmbiguityClass:
     """Left-scaled representative pair of one factorization class."""
 
@@ -147,17 +147,27 @@ def enumerate_convolution_ambiguities(x1: Signal, x2: Signal) -> list:
     # lexicographic order of `combinations` is the class order.
     starts = np.zeros(d, dtype=bool)
     starts[np.cumsum([0] + [m for _, m in clusters[:-1]])] = True
-    subsets = np.array(list(itertools.combinations(range(d), l1 - 1)), dtype=np.intp)
-    mask = np.zeros((len(subsets), d), dtype=bool)
-    mask[np.arange(len(subsets))[:, None], subsets] = True
+    # Straight into an array: K tuples of Python ints would raise the peak
+    # memory by about a megabyte at (8, 9).
+    count = math.comb(d, l1 - 1)
+    subsets = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(d), l1 - 1)),
+        dtype=np.intp,
+        count=count * (l1 - 1),
+    ).reshape(count, l1 - 1)
+    mask = np.zeros((count, d), dtype=bool)
+    mask[np.arange(count)[:, None], subsets] = True
     rises = mask[:, 1:] & ~mask[:, :-1] & ~starts[1:]
     mask = mask[~rises.any(axis=1)]
     k = len(mask)
     zs = np.broadcast_to(np.repeat([z for z, _ in clusters], [m for _, m in clusters]), mask.shape)
     x1_reps = from_roots(unit, zs[mask].reshape(k, l1 - 1))
     x2_reps = from_roots(1.0, zs[~mask].reshape(k, l2 - 1))
-    err = np.linalg.norm(_convolve_rows(x1_reps, x2_reps) - conv, axis=1)
-    if np.any(err > _RECONVOLVE_TOL * conv_norm):
+    # Each class's error norm in place, with no further K-row temporaries.
+    recon = _convolve_rows(x1_reps, x2_reps)
+    recon -= conv
+    parts = recon.view(float)
+    if np.any(np.sqrt(np.einsum("ij,ij->i", parts, parts)) > _RECONVOLVE_TOL * conv_norm):
         raise RuntimeError(
             "clustered zeros fail to reproduce the convolution within "
             f"{_RECONVOLVE_TOL:g} relative; distinct zeros were merged at "
