@@ -222,14 +222,33 @@ def enumerate_autocorr_ambiguities(x: Signal) -> list:
             "distinct zeros were merged at the clustering tolerance "
             f"{DEFAULT_CLUSTER_TOL:g}"
         )
-    # Keep a candidate unless an earlier kept one lies within 1e-7 of it,
-    # relative to that one's largest coefficient.
-    kept = []
+    return list(y[_first_distinct(y)])
+
+
+def _first_distinct(y: np.ndarray) -> np.ndarray:
+    """Mask of the rows of y kept by the dedup, scanning in row order.
+
+    A row is kept unless an earlier kept row lies within 1e-7 of it in
+    every coefficient, relative to that row's largest coefficient.  Such a
+    row is within 1e-7 * max(peak) of it in any one real part, so only the
+    kept rows whose real part in one fixed column (the one that spreads the
+    rows most) lies in a window of twice that width, found by bisection in
+    the sorted column, are compared.
+    """
     peaks = np.abs(y).max(axis=1)
+    column = np.ptp(y.real, axis=0).argmax()
+    key = y[:, column].real
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    width = 2e-7 * peaks.max()
+    lo = np.searchsorted(sorted_key, key - width, side="left")
+    hi = np.searchsorted(sorted_key, key + width, side="right")
+    kept = np.zeros(len(y), dtype=bool)
     for i in range(len(y)):
-        if not np.any(np.abs(y[kept] - y[i]).max(axis=1) <= 1e-7 * peaks[kept]):
-            kept.append(i)
-    return list(y[kept])
+        near = order[lo[i] : hi[i]]
+        near = near[kept[near]]
+        kept[i] = not np.any(np.abs(y[near] - y[i]).max(axis=1) <= 1e-7 * peaks[near])
+    return kept
 
 
 def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -49,15 +49,19 @@ def herm_eig(a: HermitianMatrix) -> EigDecomposition:
     deterministic even for degenerate spectra.
     """
     w, v = np.linalg.eigh(hermitian_part(a))
-    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(w.size)]
-    # Phase factors as NumPy scalars, one per column: the vectorized abs and
-    # complex division differ in the last bit, which would move the digits
-    # of every estimate read from these eigenvectors.
-    v = v * np.array([np.conj(p) / abs(p) for p in pivots])
+    v = _pin_phase(v)
     # lexsort's primary key is the last row: w, then Re v0, Im v0, Re v1, ...
     parts = np.stack([v.real, v.imag], axis=1).reshape(2 * w.size, w.size)
     order = np.lexsort(np.vstack([w, parts])[::-1])
     return EigDecomposition(eigenvalues=w[order], eigenvectors=v[:, order])
+
+
+def _pin_phase(v: np.ndarray) -> np.ndarray:
+    # `herm_eig`'s phase rule.  Phase factors as NumPy scalars, one per column:
+    # the vectorized abs and complex division differ in the last bit, which
+    # would move the digits of every estimate read from these eigenvectors.
+    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    return v * np.array([np.conj(p) / abs(p) for p in pivots])
 
 
 def psd_project(a: HermitianMatrix) -> HermitianMatrix:

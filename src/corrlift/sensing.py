@@ -22,6 +22,7 @@ the adjoint is lam[label] plus its conjugate transpose; both are O(n^2).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -103,12 +104,15 @@ class SensingSet:
     _tr_bounds: np.ndarray = field(repr=False)
 
 
+@functools.lru_cache(maxsize=32)
 def build_sensing(l1: int, l2: int) -> SensingSet:
     """The 4(l1+l2)-4 sensing matrices as one band label and its trace tables.
 
     With d = c - r, each block's bands are consecutive in d, so the label m
     of entry (r, c) is affine in d: the a11 bands start at 0, the a22 bands
     at 2*l1-1, and the two cross blocks follow both autocorrelation blocks.
+    Cached for the 32 most recent shapes: a repeated shape returns the same
+    object, whose three index arrays are read-only.
     """
     if l1 < 1 or l2 < 1:
         raise ValueError("signal lengths must be at least 1")
@@ -125,14 +129,11 @@ def build_sensing(l1: int, l2: int) -> SensingSet:
     ).ravel()
     order = np.argsort(label, kind="stable")
     counts = np.bincount(label)
-    return SensingSet(
-        l1=l1,
-        l2=l2,
-        n=n,
-        label=label,
-        _tr_flat=(order % n) * n + order // n,  # tr(A X) sums X[col, row]
-        _tr_bounds=np.concatenate([[0], np.cumsum(counts[:-1])]),
-    )
+    tr_flat = (order % n) * n + order // n  # tr(A X) sums X[col, row]
+    tr_bounds = np.concatenate([[0], np.cumsum(counts[:-1])])
+    for table in (label, tr_flat, tr_bounds):
+        table.flags.writeable = False
+    return SensingSet(l1=l1, l2=l2, n=n, label=label, _tr_flat=tr_flat, _tr_bounds=tr_bounds)
 
 
 def forward_stacked(s: SensingSet, x_mat: ComplexMatrix) -> np.ndarray:

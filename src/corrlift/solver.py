@@ -16,8 +16,8 @@ pair itself (up to phase) on noiseless coprime data, so the iteration only
 refines it under noise or a shared factor.
 
 Each iteration projects onto the PSD cone with `linalg.psd_project`, and
-`extract_rank1` reads the estimate from `linalg.herm_eig`; the solver keeps
-no eigen routine of its own.
+`extract_rank1` reads the estimate from one `eigh`, pinning the top column's
+phase by `linalg.herm_eig`'s rule; the solver keeps no eigen routine of its own.
 
 Every solve ends for a stated reason (`SolverResult.stop_reason`): the
 relative residual reaches `rel_tol` ("converged", as noiseless data do), the
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import herm_eig, psd_project
+from .linalg import _pin_phase, herm_eig, hermitian_part, psd_project
 from .poly import Signal, as_signal
 from .sensing import Measurements, SensingSet, adjoint, build_sensing, forward_stacked
 from .sylvester import certificate_multipliers
@@ -239,14 +239,16 @@ def solve(s: SensingSet, b: Measurements, opts: SolverOptions | None = None) -> 
 def extract_rank1(result: SolverResult) -> np.ndarray:
     """Best rank-1 signal estimate sqrt(lam1) * v1 from the solution matrix.
 
+    v1 is one `eigh`'s top column with `herm_eig`'s phase rule, bit for bit
+    `herm_eig`'s top column (an exactly tied top eigenvalue calls `herm_eig`).
     A nonpositive top eigenvalue yields the zero signal (with a warning when
     the matrix itself is nonzero); a relative spectral tie at the top means
     the estimate is not unique, which is also warned about while the
     deterministic first eigenvector is returned.
     """
     x_mat = np.asarray(result.x_mat, dtype=complex)
-    eig = herm_eig(x_mat)
-    lam1 = float(eig.eigenvalues[-1])
+    w, v = np.linalg.eigh(hermitian_part(x_mat))
+    lam1 = float(w[-1])
     if lam1 <= 0.0:
         if np.any(x_mat != 0):
             warnings.warn(
@@ -255,7 +257,7 @@ def extract_rank1(result: SolverResult) -> np.ndarray:
                 stacklevel=2,
             )
         return np.zeros(x_mat.shape[0], dtype=complex)
-    lam2 = float(eig.eigenvalues[-2])
+    lam2 = float(w[-2])
     if lam1 - lam2 <= RANK1_TIE_TOL * lam1:
         warnings.warn(
             "top eigenvalue is numerically degenerate; rank-1 estimate is "
@@ -263,7 +265,8 @@ def extract_rank1(result: SolverResult) -> np.ndarray:
             RuntimeWarning,
             stacklevel=2,
         )
-    return math.sqrt(lam1) * eig.eigenvectors[:, -1]
+    top = herm_eig(x_mat).eigenvectors[:, -1] if lam1 == lam2 else _pin_phase(v[:, -1:])[:, 0]
+    return math.sqrt(lam1) * top
 
 
 def aligned_mse(x_true: Signal, x_est: Signal) -> tuple[float, float]:

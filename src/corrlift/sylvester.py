@@ -22,6 +22,7 @@ which `certificate_multipliers` builds from the data alone and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,14 +90,21 @@ class CertificateReport:
     lam: np.ndarray = field(repr=False)
 
 
-def _reversed_window(seg: np.ndarray, out_len: int, n: int) -> np.ndarray:
-    # out[k] = seg[n-2-k], reading zero where the index leaves the segment.
-    out = np.zeros(out_len, dtype=complex)
-    k = np.arange(out_len)
-    j = n - 2 - k
-    ok = (j >= 0) & (j < seg.size)
-    out[ok] = seg[j[ok]]
-    return out
+@functools.lru_cache(maxsize=32)
+def _multiplier_gather(l1: int, l2: int) -> tuple[np.ndarray, np.ndarray]:
+    # The module docstring's windows and signs as one gather from the data
+    # stacked as (a11, a22, a12, a21, 0): an overhanging window reads the 0.
+    n = l1 + l2
+    sizes = (2 * l1 - 1, 2 * l2 - 1, n - 1, n - 1)
+    starts = np.cumsum((0,) + sizes[:3])
+    parts = []
+    for out_len, seg in zip(sizes, (1, 0, 3, 2)):
+        j = n - 2 - np.arange(out_len)
+        parts.append(np.where((j >= 0) & (j < sizes[seg]), starts[seg] + j, 4 * n - 4))
+    index = np.concatenate(parts)
+    scale = np.repeat([0.5, -0.5], [sizes[0] + sizes[1], 2 * n - 2])
+    index.flags.writeable = scale.flags.writeable = False
+    return index, scale
 
 
 def certificate_multipliers(m: Measurements) -> np.ndarray:
@@ -108,15 +116,8 @@ def certificate_multipliers(m: Measurements) -> np.ndarray:
     cross-correlations with a sign flip.  No signal is needed, so
     adjoint(lam) is the certificate of whatever pair produced `m`.
     """
-    n = m.l1 + m.l2
-    return np.concatenate(
-        [
-            0.5 * _reversed_window(m.a22, 2 * m.l1 - 1, n),
-            0.5 * _reversed_window(m.a11, 2 * m.l2 - 1, n),
-            -0.5 * m.a21[::-1],
-            -0.5 * m.a12[::-1],
-        ]
-    )
+    index, scale = _multiplier_gather(m.l1, m.l2)
+    return scale * np.concatenate([m.a11, m.a22, m.a12, m.a21, [0.0]])[index]
 
 
 def _pow2_scale(a: np.ndarray) -> float:

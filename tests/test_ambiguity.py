@@ -309,6 +309,59 @@ def test_batched_autocorr_matches_loop_on_reflection_cases():
         _assert_rows_match(enumerate_autocorr_ambiguities(x), _loop_autocorr(x))
 
 
+def _quadratic_first_distinct(y):
+    # Reference dedup: every candidate against every kept row.
+    kept = []
+    peaks = np.abs(y).max(axis=1)
+    for i in range(len(y)):
+        if not np.any(np.abs(y[kept] - y[i]).max(axis=1) <= 1e-7 * peaks[kept]):
+            kept.append(i)
+    mask = np.zeros(len(y), dtype=bool)
+    mask[kept] = True
+    return mask
+
+
+def _dedup_signals():
+    rng = np.random.default_rng(71)
+    z = 0.6 + 0.3j
+    mirror = [1.0, -(z + 1 / np.conj(z)), z / np.conj(z)]
+    signals = [random_signal(rng, n) for n in (2, 3, 5, 8, 11)]
+    signals += [rng.standard_normal(n) for n in (4, 7)]
+    signals += [
+        convolve(convolve([1.0, -2.0], [1.0, -2.0]), [1.0, 0.5j]),  # repeated zero
+        convolve([1.0, -2.0], [1.0, -0.5]),  # mirror pair on the real axis
+        convolve(mirror, [1.0, 3.0]),  # mirror pair off the axis
+        convolve(mirror, mirror),  # a repeated mirror pair
+        convolve([1.0, 0.0, 1.0], [1.0, -3.0]),  # unit-circle zeros
+    ]
+    return signals
+
+
+def test_autocorr_dedup_matches_quadratic_loop(monkeypatch):
+    got = [enumerate_autocorr_ambiguities(x) for x in _dedup_signals()]
+    monkeypatch.setattr(ambiguity, "_first_distinct", _quadratic_first_distinct)
+    want = [enumerate_autocorr_ambiguities(x) for x in _dedup_signals()]
+    assert [len(g) for g in got] == [len(w) for w in want]
+    assert any(len(g) < 2 ** (len(x) - 1) for g, x in zip(got, _dedup_signals()))
+    for g, w in zip(got, want):
+        assert np.array(g).tobytes() == np.array(w).tobytes()
+
+
+def test_first_distinct_at_the_tolerance_edge():
+    # rows 1e-7 * peak apart, just inside and outside, in one coefficient
+    # or spread over several, and a huge-magnitude family
+    rng = np.random.default_rng(72)
+    for scale in (1.0, 1e-200, 1e200):
+        base = scale * (rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5)))
+        rows = [base]
+        for f in (0.5, 0.999, 1.0, 1.001, 2.0):
+            step = f * 1e-7 * np.abs(base).max(axis=1, keepdims=True)
+            rows.append(base + step * np.exp(2j * np.pi * rng.random(base.shape)))
+            rows.append(base + step * (rng.random(base.shape) < 0.3))
+        y = np.concatenate(rows)[rng.permutation(66)]
+        assert np.array_equal(ambiguity._first_distinct(y), _quadratic_first_distinct(y))
+
+
 def test_bad_merge_fails_reconvolution(monkeypatch):
     # at this tolerance the zeros 1 and 1.3 merge into one double zero
     monkeypatch.setattr(ambiguity, "DEFAULT_CLUSTER_TOL", 0.5)

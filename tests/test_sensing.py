@@ -110,6 +110,17 @@ def test_build_sensing_counts():
             assert np.unique(s.label).size == 4 * (l1 + l2) - 4
 
 
+def test_build_sensing_is_cached_and_read_only():
+    s = build_sensing(3, 4)
+    assert build_sensing(3, 4) is s
+    assert build_sensing(4, 3) is not s
+    for table in (s.label, s._tr_flat, s._tr_bounds):
+        with pytest.raises(ValueError):
+            table[0] = 1
+        with pytest.raises(ValueError):
+            table.reshape(-1)[0] = 1
+
+
 def test_build_sensing_block_sparsity():
     s = build_sensing(2, 3)
     n11, n22, nc = 3, 5, 4

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from corrlift.linalg import herm_eig
 from corrlift.sensing import (
     Measurements,
     NoiseModel,
@@ -187,6 +190,41 @@ def test_extract_rank1_degenerate_top_warns():
     with pytest.warns(RuntimeWarning):
         est = extract_rank1(tie)
     assert np.linalg.norm(est) == pytest.approx(1.0)
+
+
+def _as_result(x_mat):
+    return SolverResult(x_mat=x_mat, iters=0, residual=0.0, rank1_gap=0.0)
+
+
+def _herm_eig_top(x_mat):
+    eig = herm_eig(x_mat)
+    return math.sqrt(float(eig.eigenvalues[-1])) * eig.eigenvectors[:, -1]
+
+
+def test_extract_rank1_matches_herm_eig_top_column_bytewise():
+    rng = np.random.default_rng(89)
+    for trial in range(300):
+        n = int(rng.integers(2, 13))
+        g = rng.standard_normal((n, 1 + trial % n)) + 1j * rng.standard_normal((n, 1 + trial % n))
+        x_mat = g @ g.conj().T
+        if trial % 2:
+            # not exactly Hermitian: both read its Hermitian part
+            x_mat = x_mat + 1e-3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        got = extract_rank1(_as_result(x_mat))
+        assert got.tobytes() == _herm_eig_top(x_mat).tobytes()
+
+
+def test_extract_rank1_exact_top_tie_falls_back_to_herm_eig():
+    # eigh returns the tied eigenvalue 3 exactly; its columns e0 and e2
+    # come back in index order, and herm_eig's lexicographic order puts e0
+    # last, so the top column of a plain eigh would be e2.
+    x_mat = np.diag([3.0, 1.0, 3.0]).astype(complex)
+    w, v = np.linalg.eigh(x_mat)
+    assert w[-1] == w[-2] and np.array_equal(np.abs(v[:, -1]), [0.0, 0.0, 1.0])
+    with pytest.warns(RuntimeWarning, match="numerically degenerate"):
+        got = extract_rank1(_as_result(x_mat))
+    assert got.tobytes() == _herm_eig_top(x_mat).tobytes()
+    assert np.array_equal(got, [math.sqrt(3.0), 0.0, 0.0])
 
 
 def test_aligned_mse_examples():

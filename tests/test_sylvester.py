@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from corrlift.poly import convolve, gsd, poly_gcd
-from corrlift.sensing import adjoint, build_sensing, forward_stacked, measure
+from corrlift.sensing import (
+    NoiseModel,
+    add_noise,
+    adjoint,
+    build_sensing,
+    forward_stacked,
+    measure,
+)
 from corrlift.sylvester import (
     _tangent_jacobian,
     build_padded,
@@ -235,6 +242,47 @@ def test_certificate_multipliers_from_data_alone():
         w = adjoint(build_sensing(l1, l2), lam)
         x = np.concatenate([x1, x2])
         assert np.linalg.norm(w @ x) <= 1e-12 * np.linalg.norm(w) * np.linalg.norm(x)
+
+
+def _reversed_window(seg, out_len, n):
+    # out[k] = seg[n-2-k], reading zero where the index leaves the segment.
+    out = np.zeros(out_len, dtype=complex)
+    k = np.arange(out_len)
+    j = n - 2 - k
+    ok = (j >= 0) & (j < seg.size)
+    out[ok] = seg[j[ok]]
+    return out
+
+
+def multipliers_by_windows(m):
+    """Reference for `certificate_multipliers`: one reversed window per segment."""
+    n = m.l1 + m.l2
+    return np.concatenate(
+        [
+            0.5 * _reversed_window(m.a22, 2 * m.l1 - 1, n),
+            0.5 * _reversed_window(m.a11, 2 * m.l2 - 1, n),
+            -0.5 * m.a21[::-1],
+            -0.5 * m.a12[::-1],
+        ]
+    )
+
+
+def test_certificate_multipliers_match_window_oracle_bytewise():
+    rng = np.random.default_rng(68)
+    for l1 in range(1, 9):
+        for l2 in range(1, 9):
+            x1, x2 = random_coprime_pair(rng, l1, l2)
+            clean = measure(x1, x2)
+            for m in (
+                clean,
+                add_noise(clean, NoiseModel(sigma=0.1, seed=l1 * 10 + l2)),
+                measure(x1, x2, reduced=True),
+                measure(x1.real, x2.real),
+            ):
+                got = certificate_multipliers(m)
+                want = multipliers_by_windows(m)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 def test_lambda_segment_lengths():

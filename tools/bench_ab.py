@@ -17,9 +17,10 @@ The output file holds, per workload, each end-to-end metric's runs, median
 and quartiles on both sides, the change's median relative to the base's, the
 number of pairs the change won (ties count for neither side), whether the
 worsening stays within the metric's bound, and whether a gain would meet the
-claim rule (won at least nine tenths of the pairs, and the medians differ by
-more than the base's interquartile range).  It also holds every run's
-correctness and failure counts and the two traced metric sets.
+claim rule (won at least nine tenths of the pairs, the medians differ by
+more than the base's interquartile range, and every change run is correct
+and fails no more operations than its paired base run).  It also holds
+every run's correctness and failure counts and the two traced metric sets.
 
 Uses only the standard library.
 """
@@ -100,9 +101,18 @@ def summary(values):
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
 
 
-def compare(spec, base_runs, change_runs):
-    """End-to-end comparison of one metric over paired runs."""
+def compare(spec, base_side, change_side):
+    """End-to-end comparison of one metric over paired runs.
+
+    A gain also needs every change run to be correct and to fail no more
+    operations than the base run it is paired with.
+    """
     higher = spec["better"] == "higher"
+    base_runs = [r["metrics"][spec["name"]] for r in base_side]
+    change_runs = [r["metrics"][spec["name"]] for r in change_side]
+    sound = all(
+        c["correct"] and c["failed"] <= b["failed"] for b, c in zip(base_side, change_side)
+    )
     base, change = summary(base_runs), summary(change_runs)
     wins = sum((c > b) if higher else (c < b) for b, c in zip(base_runs, change_runs))
     ratio = change["median"] / base["median"] if base["median"] else None
@@ -118,7 +128,8 @@ def compare(spec, base_runs, change_runs):
         "change_wins": wins,
         "pairs": len(base_runs),
         "within_bound": worse_by is not None and worse_by <= spec["bound"],
-        "gain_rule_met": wins >= 0.9 * len(base_runs)
+        "gain_rule_met": sound
+        and wins >= 0.9 * len(base_runs)
         and (gap if higher else -gap) > base["q3"] - base["q1"],
     }
 
@@ -142,12 +153,7 @@ def bench_workload(trees, command, name, metric_specs, args, seconds):
             )
             print(f"{name} seed={seed} {side}: {runs[side][-1]['metrics']}", file=sys.stderr)
     end_to_end = {
-        spec["name"]: compare(
-            spec,
-            [r["metrics"][spec["name"]] for r in runs["base"]],
-            [r["metrics"][spec["name"]] for r in runs["change"]],
-        )
-        for spec in metric_specs
+        spec["name"]: compare(spec, runs["base"], runs["change"]) for spec in metric_specs
     }
     per_layer = {}
     for side, tree in trees.items():
@@ -169,7 +175,10 @@ def main(argv=None) -> int:
         "base": {"rev": args.base, "commit": base_commit},
         "change": {
             "commit": git("rev-parse", "HEAD"),
-            "uncommitted_changes": bool(git("status", "--porcelain")),
+            # Tracked files only: an untracked notes file changes no run.
+            "uncommitted_changes": bool(
+                git("status", "--porcelain", "--untracked-files=no")
+            ),
         },
         "command": spec["command"],
         "seconds": seconds,
@@ -192,13 +201,15 @@ def main(argv=None) -> int:
             )
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     for name, w in report["workloads"].items():
+        failed = {side: sum(r["failed"] for r in runs) for side, runs in w["runs"].items()}
         for metric, c in w["end_to_end"].items():
             print(
                 f"{name} {metric}: base {c['base']['median']:.6g} "
                 f"[{c['base']['q1']:.6g}, {c['base']['q3']:.6g}] -> change "
                 f"{c['change']['median']:.6g} [{c['change']['q1']:.6g}, "
                 f"{c['change']['q3']:.6g}]; wins {c['change_wins']}/{c['pairs']}, "
-                f"within bound {c['within_bound']}, gain rule {c['gain_rule_met']}"
+                f"within bound {c['within_bound']}, gain rule {c['gain_rule_met']}; "
+                f"failed operations base {failed['base']}, change {failed['change']}"
             )
     return 0
 
