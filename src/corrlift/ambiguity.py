@@ -10,11 +10,15 @@ ambiguity families.
 Each family is built as one batch: the zero choices of all its members
 form the rows of one array, `poly.from_roots` expands every row in one pass,
 and one row-wise product checks every member against the source
-convolution or autocorrelation.
+convolution or autocorrelation.  The convolution classes gather their zeros
+through index tables that depend only on the shape and are built once per
+shape; the subset filter for repeated zeros runs only when a cluster holds
+more than one zero.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -145,24 +149,15 @@ def enumerate_convolution_ambiguities(x1: Signal, x2: Signal) -> list:
     # cluster of a repeated zero only the count matters, so a class is the
     # index subset that takes a prefix of every cluster's block; the
     # lexicographic order of `combinations` is the class order.
-    starts = np.zeros(d, dtype=bool)
-    starts[np.cumsum([0] + [m for _, m in clusters[:-1]])] = True
-    # Straight into an array: K tuples of Python ints would raise the peak
-    # memory by about a megabyte at (8, 9).
-    count = math.comb(d, l1 - 1)
-    subsets = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(d), l1 - 1)),
-        dtype=np.intp,
-        count=count * (l1 - 1),
-    ).reshape(count, l1 - 1)
-    mask = np.zeros((count, d), dtype=bool)
-    mask[np.arange(count)[:, None], subsets] = True
-    rises = mask[:, 1:] & ~mask[:, :-1] & ~starts[1:]
-    mask = mask[~rises.any(axis=1)]
-    k = len(mask)
-    zs = np.broadcast_to(np.repeat([z for z, _ in clusters], [m for _, m in clusters]), mask.shape)
-    x1_reps = from_roots(unit, zs[mask].reshape(k, l1 - 1))
-    x2_reps = from_roots(1.0, zs[~mask].reshape(k, l2 - 1))
+    mask, left, right = _subset_tables(d, l1 - 1)
+    if len(clusters) < d:
+        starts = np.zeros(d, dtype=bool)
+        starts[np.cumsum([0] + [m for _, m in clusters[:-1]])] = True
+        keep = ~(mask[:, 1:] & ~mask[:, :-1] & ~starts[1:]).any(axis=1)
+        left, right = left[keep], right[keep]
+    zs = np.repeat([z for z, _ in clusters], [m for _, m in clusters])
+    x1_reps = from_roots(unit, zs[left])
+    x2_reps = from_roots(1.0, zs[right])
     # Each class's error norm in place, with no further K-row temporaries.
     recon = _convolve_rows(x1_reps, x2_reps)
     recon -= conv
@@ -173,7 +168,32 @@ def enumerate_convolution_ambiguities(x1: Signal, x2: Signal) -> list:
             f"{_RECONVOLVE_TOL:g} relative; distinct zeros were merged at "
             f"the clustering tolerance {DEFAULT_CLUSTER_TOL:g}"
         )
-    return [AmbiguityClass(x1_rep=a, x2_rep=b) for a, b in zip(x1_reps, x2_reps)]
+    return list(map(AmbiguityClass, x1_reps, x2_reps))
+
+
+@functools.lru_cache(maxsize=32)
+def _subset_tables(d: int, k: int) -> tuple:
+    """Every k-subset of range(d), in the lexicographic order of `combinations`.
+
+    Returns the (C(d, k), d) membership mask and the int8 tables of each
+    subset's indices and of its complement's, both ascending.  Cached for
+    the 32 most recent (d, k): a repeated shape returns the same three
+    read-only arrays.
+    """
+    count = math.comb(d, k)
+    # Straight into an int8 array: as a list, the C(d, k) tuples of Python
+    # ints would take 0.67 MB at d = 15, k = 7.
+    left = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(d), k)),
+        dtype=np.int8,
+        count=count * k,
+    ).reshape(count, k)
+    mask = np.zeros((count, d), dtype=bool)
+    mask[np.arange(count)[:, None], left] = True
+    right = np.nonzero(~mask)[1].astype(np.int8).reshape(count, d - k)
+    for table in (mask, left, right):
+        table.flags.writeable = False
+    return mask, left, right
 
 
 def enumerate_autocorr_ambiguities(x: Signal) -> list:
@@ -243,6 +263,9 @@ def _first_distinct(y: np.ndarray) -> np.ndarray:
     width = 2e-7 * peaks.max()
     lo = np.searchsorted(sorted_key, key - width, side="left")
     hi = np.searchsorted(sorted_key, key + width, side="right")
+    if np.all(hi - lo == 1):
+        # every window holds only its own row: nothing to compare
+        return np.ones(len(y), dtype=bool)
     kept = np.zeros(len(y), dtype=bool)
     for i in range(len(y)):
         near = order[lo[i] : hi[i]]

@@ -97,6 +97,16 @@ def _trim_bounds(x: Signal, tol: float) -> tuple[int, int]:
     return int(keep[0]), int(keep[-1])
 
 
+def _horner(c: list, z: np.ndarray) -> np.ndarray:
+    # npoly.polyval(z, c) in its own operation order, from a list of
+    # Python complex coefficients: c[-1] + z*0, then c[-i] + acc*z.
+    # (In-place products round differently on short arrays.)
+    acc = c[-1] + z * 0
+    for ci in c[-2::-1]:
+        acc = ci + acc * z
+    return acc
+
+
 def _aberth(coeffs: np.ndarray, max_iter: int = 200, update_tol: float = 1e-13) -> np.ndarray:
     """All roots of an ascending-order w-polynomial with c_0, c_m != 0.
 
@@ -107,32 +117,38 @@ def _aberth(coeffs: np.ndarray, max_iter: int = 200, update_tol: float = 1e-13) 
     the root magnitude; after the iteration cap the roots are accepted only
     if every relative residual is small (multiple roots stall their updates
     at the usual sqrt-eps cluster radius while their residuals stay tiny).
+
+    p and p' are evaluated by Horner loops over coefficient lists made once
+    per call, in `npoly.polyval`'s operation order, so every iterate is bit
+    for bit what `npoly.polyval` gives.
     """
     m = len(coeffs) - 1
     if m == 0:
         return np.zeros(0, dtype=complex)
     c = coeffs / np.abs(coeffs).max()
-    dc = npoly.polyder(c)
+    c_list = c.tolist()
+    dc_list = npoly.polyder(c).tolist()
     radius = float(np.abs(c[0] / c[m]) ** (1.0 / m))
     angles = 2.0 * np.pi * (np.arange(m) + 0.3127) / m + 0.6
     z = radius * np.exp(1j * angles)
+    diag = np.arange(m)
     for _ in range(max_iter):
-        p = npoly.polyval(z, c)
-        dp = npoly.polyval(z, dc)
+        p = _horner(c_list, z)
+        dp = _horner(dc_list, z)
         # Newton correction with a guard against a vanishing derivative.
-        dp = np.where(dp == 0, 1e-300, dp)
+        dp[dp == 0] = 1e-300
         newton = p / dp
         diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        inv = 1.0 / diff
-        np.fill_diagonal(inv, 0.0)
+        diff[diag, diag] = 1.0
+        inv = np.divide(1.0, diff, out=diff)
+        inv[diag, diag] = 0.0
         denom = 1.0 - newton * inv.sum(axis=1)
-        denom = np.where(denom == 0, 1e-300, denom)
+        denom[denom == 0] = 1e-300
         delta = newton / denom
         z = z - delta
         if np.all(np.abs(delta) <= update_tol * np.maximum(1.0, np.abs(z))):
             break
-    res = np.abs(npoly.polyval(z, c)) / (
+    res = np.abs(_horner(c_list, z)) / (
         np.abs(c).sum() * np.maximum(1.0, np.abs(z)) ** m
     )
     worst = float(res.max())
@@ -174,20 +190,26 @@ def resolved_zeros(rs: RootSet, length: int, name: str) -> tuple:
 def from_roots(unit: complex, zeros) -> np.ndarray:
     """Coefficients of unit * prod_j (1 - zeros[r, j] z^{-1}), one row per r.
 
-    `zeros` of shape (K, m) gives shape (K, m+1); a 1-D `zeros` of length m
-    gives one signal of length m+1.  The product is built in one pass over
-    the m columns, for all rows at once.  Origin zeros are carried by
-    `RootSet.origin_power`, not here: a caller pads with leading zeros.
+    `zeros` of shape (K, m) gives a C-contiguous array of shape (K, m+1); a
+    1-D `zeros` of length m gives one signal of length m+1.  The product is
+    built in one pass over the m columns, for all rows at once, in a
+    column-major (m+1, K) array that is transposed once at the end.  Origin
+    zeros are carried by `RootSet.origin_power`, not here: a caller pads
+    with leading zeros.
     """
     zeros = np.asarray(zeros, dtype=complex)
     if np.any(zeros == 0):
         raise ValueError("zeros at the origin are not representable; use origin_power")
-    rows = np.atleast_2d(zeros)
-    m = rows.shape[1]
-    out = np.zeros((rows.shape[0], m + 1), dtype=complex)
-    out[:, 0] = unit
+    cols = np.ascontiguousarray(np.atleast_2d(zeros).T)
+    m = cols.shape[0]
+    out = np.zeros((m + 1, cols.shape[1]), dtype=complex)
+    out[0] = unit
     for j in range(m):
-        out[:, 1 : j + 2] -= rows[:, j : j + 1] * out[:, : j + 1]
+        # A (1, K) slice, not a 1-D row: NumPy's complex product can round
+        # the last bit differently on other broadcast layouts (K = 1 with a
+        # 1-D row is one), and this one matches a row-major loop's.
+        out[1 : j + 2] -= cols[j : j + 1] * out[: j + 1]
+    out = np.ascontiguousarray(out.T)
     return out[0] if zeros.ndim == 1 else out
 
 
