@@ -140,7 +140,7 @@ def _aberth(coeffs: np.ndarray, max_iter: int = 200, update_tol: float = 1e-13) 
         newton = p / dp
         diff = z[:, None] - z[None, :]
         diff[diag, diag] = 1.0
-        inv = np.divide(1.0, diff, out=diff)
+        inv = 1.0 / diff
         inv[diag, diag] = 0.0
         denom = 1.0 - newton * inv.sum(axis=1)
         denom[denom == 0] = 1e-300
@@ -200,7 +200,7 @@ def from_roots(unit: complex, zeros) -> np.ndarray:
     zeros = np.asarray(zeros, dtype=complex)
     if np.any(zeros == 0):
         raise ValueError("zeros at the origin are not representable; use origin_power")
-    cols = np.ascontiguousarray(np.atleast_2d(zeros).T)
+    cols = np.atleast_2d(zeros).T
     m = cols.shape[0]
     out = np.zeros((m + 1, cols.shape[1]), dtype=complex)
     out[0] = unit
