@@ -18,7 +18,7 @@ from corrlift.ambiguity import (
     enumerate_convolution_ambiguities,
 )
 from corrlift.cli import gen_signal
-from corrlift.poly import convolve, correlate, roots
+from corrlift.poly import convolve, correlate, from_roots, roots
 from corrlift.solver import aligned_mse
 
 
@@ -367,3 +367,92 @@ def test_bad_merge_fails_reconvolution(monkeypatch):
     monkeypatch.setattr(ambiguity, "DEFAULT_CLUSTER_TOL", 0.5)
     with pytest.raises(RuntimeError, match="fail to reproduce the convolution"):
         enumerate_convolution_ambiguities([1.0, -1.0], [1.0, -1.3])
+
+
+# --- per-shape subset tables and the fast paths ------------------------------
+
+
+def test_subset_tables_are_cached_and_read_only():
+    tables = ambiguity._subset_tables(7, 3)
+    assert all(a is b for a, b in zip(tables, ambiguity._subset_tables(7, 3)))
+    mask, left, right = tables
+    assert left.dtype == right.dtype == np.int8
+    assert [tuple(row) for row in left] == list(itertools.combinations(range(7), 3))
+    for m, l, r in zip(mask, left, right):
+        assert list(np.flatnonzero(m)) == list(l)
+        assert sorted([*l, *r]) == list(range(7))
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+
+
+def _filtered_classes(x1, x2):
+    # The mask construction with the cluster-prefix filter always applied,
+    # kept as the oracle of the table gather and of its singleton skip.
+    l1 = len(x1)
+    r1, r2 = roots(x1), roots(x2)
+    unit = r1.unit * r2.unit
+    zs = list(r1.zeros) + list(r2.zeros)
+    d = len(zs)
+    clusters = cluster_zeros(zs, DEFAULT_CLUSTER_TOL * max(abs(z) for z in zs))
+    starts = np.zeros(d, dtype=bool)
+    starts[np.cumsum([0] + [m for _, m in clusters[:-1]])] = True
+    subsets = np.array(list(itertools.combinations(range(d), l1 - 1)), dtype=np.intp)
+    mask = np.zeros((len(subsets), d), dtype=bool)
+    mask[np.arange(len(subsets))[:, None], subsets] = True
+    mask = mask[~(mask[:, 1:] & ~mask[:, :-1] & ~starts[1:]).any(axis=1)]
+    k = len(mask)
+    zs = np.broadcast_to(np.repeat([z for z, _ in clusters], [m for _, m in clusters]), mask.shape)
+    return len(clusters), list(
+        zip(
+            from_roots(unit, zs[mask].reshape(k, l1 - 1)),
+            from_roots(1.0, zs[~mask].reshape(k, len(x2) - 1)),
+        )
+    )
+
+
+def _assert_bytes_match_filtered(x1, x2):
+    n_clusters, want = _filtered_classes(x1, x2)
+    got = enumerate_convolution_ambiguities(x1, x2)
+    assert len(got) == len(want)
+    for cls, (w1, w2) in zip(got, want):
+        assert cls.x1_rep.tobytes() == w1.tobytes()
+        assert cls.x2_rep.tobytes() == w2.tobytes()
+    return n_clusters
+
+
+@pytest.mark.parametrize("l1,l2", [(2, 2), (3, 5), (5, 3), (6, 7), (8, 9)])
+def test_singleton_skip_matches_the_filtered_path(l1, l2):
+    # distinct zeros only: the enumeration skips the filter, which would
+    # keep every subset
+    x1, x2 = _planted_pair(l1, l2, 0, 13)
+    assert _assert_bytes_match_filtered(x1, x2) == l1 + l2 - 2
+
+
+def test_filtered_path_on_repeated_zeros_matches_loop_and_oracle():
+    # a double zero at 2 and a triple zero at -1, split across the factors
+    x1 = convolve(convolve([1.0, -2.0], [1.0, -2.0]), convolve([1.0, 1.0], [1.0, 0.5j]))
+    x2 = convolve(convolve([1.0, 1.0], [1.0, 1.0]), [1.0, 3.0])
+    for a, b in ((x1, x2), (x2, x1)):
+        assert _assert_bytes_match_filtered(a, b) < len(a) + len(b) - 2
+        _assert_matches_loop(a, b)
+    for common in (1, 2):
+        x1, x2 = _planted_pair(6, 7, common, 14)
+        assert _assert_bytes_match_filtered(x1, x2) == 11 - common
+
+
+def test_first_distinct_fast_path_matches_quadratic_loop():
+    rng = np.random.default_rng(73)
+    for k, n in ((1, 3), (2, 2), (64, 5), (256, 8)):
+        # generic candidates: every search window holds its own row only
+        y = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+        got = ambiguity._first_distinct(y)
+        assert got.all()
+        assert np.array_equal(got, _quadratic_first_distinct(y))
+        # planted near-duplicates, half a tolerance away from their source
+        picks = rng.integers(0, k, size=max(k // 4, 1))
+        step = 0.5e-7 * np.abs(y[picks]).max(axis=1, keepdims=True)
+        y = np.concatenate([y, y[picks] + step])[rng.permutation(k + len(picks))]
+        got = ambiguity._first_distinct(y)
+        assert got.sum() == k
+        assert np.array_equal(got, _quadratic_first_distinct(y))

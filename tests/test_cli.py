@@ -272,6 +272,36 @@ def test_main_ambiguities_stdout_is_pinned(capsys):
     )
 
 
+def test_main_zeros_and_ambiguities_stdout_pinned_on_a_complex_pair(capsys):
+    # complex coefficients carry every last bit of the Aberth iterates and
+    # of the batched expansion into the printed digits
+    pair = ["--signal", "1+2j,-0.5j,0.3-1j", "--signal", "2-1j,1j"]
+    assert main(["zeros", *pair]) == 0
+    assert capsys.readouterr().out == (
+        "which,re,im,multiplicity\n"
+        "x1,-0.5429325914024077,-0.2066365466713874,1\n"
+        "x1,0.7429325914024076,0.3066365466713874,1\n"
+        "x2,0.2,-0.4,1\n"
+        "product,-0.5429325914024076,-0.20663654667138734,1\n"
+        "product,0.20000000000000007,-0.4,1\n"
+        "product,0.7429325914024076,0.3066365466713874,1\n"
+    )
+    assert main(["ambiguities", *pair]) == 0
+    assert capsys.readouterr().out == (
+        "lower_bound=2\n"
+        "upper_bound=8\n"
+        "classes=3\n"
+        "class0_x1=(4+3j),(-0.4481792744045314+3.4553439608927725j),"
+        "(-1.292501729476203+0.1296594980596329j)\n"
+        "class0_x2=(1+0j),(-0.7429325914024076-0.3066365466713874j)\n"
+        "class1_x1=(4+3j),(-0.4999999999999998-1j),(-0.4000000000000002-2.3000000000000003j)\n"
+        "class1_x2=(1+0j),(-0.2+0.4j)\n"
+        "class2_x1=(4+3j),(-4.051820725595468-2.4553439608927725j),"
+        "(1.7925017294762027-0.12965949805963284j)\n"
+        "class2_x2=(1+0j),(0.5429325914024077+0.2066365466713874j)\n"
+    )
+
+
 def test_parse_complex():
     assert _parse_complex("1+2i") == 1 + 2j
     assert _parse_complex(" -0.5i ") == -0.5j

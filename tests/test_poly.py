@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
+from corrlift import poly
 from corrlift.poly import (
     RootSet,
     anti_solution,
@@ -96,6 +98,117 @@ def test_roots_matches_numpy_oracle():
         ref = 1.0 / np.roots(x[::-1])
         ref = np.array(sorted(ref, key=lambda z: (z.real, z.imag)))
         assert np.allclose(mine, ref, rtol=1e-7, atol=1e-9)
+
+
+# --- the npoly.polyval form of the Aberth iteration, kept as the oracle -----
+
+
+def _polyval_aberth(coeffs, max_iter=200, update_tol=1e-13):
+    m = len(coeffs) - 1
+    if m == 0:
+        return np.zeros(0, dtype=complex)
+    c = coeffs / np.abs(coeffs).max()
+    dc = npoly.polyder(c)
+    radius = float(np.abs(c[0] / c[m]) ** (1.0 / m))
+    angles = 2.0 * np.pi * (np.arange(m) + 0.3127) / m + 0.6
+    z = radius * np.exp(1j * angles)
+    for _ in range(max_iter):
+        p = npoly.polyval(z, c)
+        dp = npoly.polyval(z, dc)
+        dp = np.where(dp == 0, 1e-300, dp)
+        newton = p / dp
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, 1.0)
+        inv = 1.0 / diff
+        np.fill_diagonal(inv, 0.0)
+        denom = 1.0 - newton * inv.sum(axis=1)
+        denom = np.where(denom == 0, 1e-300, denom)
+        delta = newton / denom
+        z = z - delta
+        if np.all(np.abs(delta) <= update_tol * np.maximum(1.0, np.abs(z))):
+            break
+    res = np.abs(npoly.polyval(z, c)) / (np.abs(c).sum() * np.maximum(1.0, np.abs(z)) ** m)
+    worst = float(res.max())
+    if worst > 1e-10:
+        raise RuntimeError(f"root finding did not converge: worst relative residual {worst:.3e}")
+    return z
+
+
+def _oracle_signals():
+    # 600 signals of length 2-17: complex, real, with a planted double or
+    # triple zero, and with a conjugate pair of unit-circle zeros
+    rng = np.random.default_rng(81)
+    signals = []
+    for i in range(600):
+        n = int(rng.integers(2, 18))
+        kind = i % 5
+        if kind == 0:
+            x = random_signal(rng, n)
+        elif kind == 1:
+            x = rng.standard_normal(n)
+        elif kind in (2, 3):
+            k = min(kind, n - 1)
+            z = complex(rng.standard_normal(), rng.standard_normal())
+            x = random_signal(rng, n - k)
+            for _ in range(k):
+                x = convolve(x, [1.0, -z])
+        else:
+            t = rng.uniform(0.0, 2.0 * np.pi)
+            x = rng.standard_normal(max(n - 2, 1))
+            x = convolve(x, [1.0, -2.0 * np.cos(t), 1.0])
+        signals.append(x)
+    return signals
+
+
+def _roots_bytes(x):
+    rs = roots(x)
+    return np.array([rs.unit, *rs.zeros]).tobytes(), rs.origin_power
+
+
+def test_roots_is_byte_identical_to_the_polyval_oracle(monkeypatch):
+    signals = _oracle_signals()
+    got = [_roots_bytes(x) for x in signals]
+    monkeypatch.setattr(poly, "_aberth", _polyval_aberth)
+    want = [_roots_bytes(x) for x in signals]
+    assert got == want
+
+
+def test_aberth_fails_like_the_polyval_oracle():
+    # two iterations cannot converge: the same error, residual digits included
+    c = random_signal(np.random.default_rng(82), 9)
+    with pytest.raises(RuntimeError) as oracle:
+        _polyval_aberth(c, max_iter=2)
+    with pytest.raises(RuntimeError, match="did not converge") as mine:
+        poly._aberth(c, max_iter=2)
+    assert str(mine.value) == str(oracle.value)
+
+
+def _row_major_from_roots(unit, zeros):
+    # the row-major loop, kept as the oracle of the column-major build
+    zeros = np.asarray(zeros, dtype=complex)
+    rows = np.atleast_2d(zeros)
+    m = rows.shape[1]
+    out = np.zeros((rows.shape[0], m + 1), dtype=complex)
+    out[:, 0] = unit
+    for j in range(m):
+        out[:, 1 : j + 2] -= rows[:, j : j + 1] * out[:, : j + 1]
+    return out[0] if zeros.ndim == 1 else out
+
+
+@pytest.mark.parametrize("k", [1, 7, 6435])
+@pytest.mark.parametrize("m", [0, 1, 8])
+def test_from_roots_is_byte_identical_to_the_row_major_loop(k, m):
+    rng = np.random.default_rng([83, k, m])
+    zeros = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
+    got = from_roots(0.3 + 2j, zeros)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == _row_major_from_roots(0.3 + 2j, zeros).tobytes()
+    for row in zeros[:3]:
+        one = from_roots(-1.5j, row)
+        assert one.ndim == 1 and one.flags.c_contiguous
+        assert one.tobytes() == _row_major_from_roots(-1.5j, row).tobytes()
+    empty = np.zeros((4, 0))
+    assert from_roots(3, empty).tobytes() == _row_major_from_roots(3, empty).tobytes()
 
 
 def test_from_roots_identity_and_single_zero():
