@@ -7,6 +7,11 @@ autocorrelation only determines zeros up to swaps across reflections at the
 unit circle.  This module enumerates canonical representatives of both
 ambiguity families.
 
+A convolution family is a read-only `np.recarray`: row `c` is one class
+(`c.x1_rep`, `c.x2_rep`) and `family.x1_rep` the (K, l1) column of left
+factors.  An autocorrelation family is a read-only (k, n) array, one signal
+per row.  `bool(family)` raises for more than one row: test `len(family)`.
+
 Each family is built as one batch: the zero choices of all its members
 form the rows of one array, `poly.from_roots` expands every row in one pass,
 and one row-wise product checks every member against the source
@@ -22,7 +27,6 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,14 +48,6 @@ MAX_CONVOLUTION_ZEROS = 16
 MAX_AUTOCORR_ZEROS = 12
 
 _RECONVOLVE_TOL = 1e-7
-
-
-@dataclass(frozen=True, slots=True)
-class AmbiguityClass:
-    """Left-scaled representative pair of one factorization class."""
-
-    x1_rep: np.ndarray
-    x2_rep: np.ndarray
 
 
 def cluster_zeros(zs, threshold: float) -> list:
@@ -112,7 +108,7 @@ def count_bounds(x1: Signal, x2: Signal) -> tuple[int, int]:
     return min(d + 1, x1.size, x2.size), 2**d
 
 
-def enumerate_convolution_ambiguities(x1: Signal, x2: Signal) -> list:
+def enumerate_convolution_ambiguities(x1: Signal, x2: Signal) -> np.recarray:
     """All factorization classes of convolve(x1, x2) with the given lengths.
 
     Zeros of the product (union of the factors' zeros) are clustered at
@@ -120,7 +116,9 @@ def enumerate_convolution_ambiguities(x1: Signal, x2: Signal) -> list:
     split whose sizes fit the factor lengths yields one representative,
     with the combined unit placed on the left factor.  Classes are ordered
     lexicographically by the assigned index subset and each is verified to
-    reconvolve to the source product within 1e-7 relative.
+    reconvolve to the source product within 1e-7 relative.  Returns a
+    read-only record array, one row per class, whose fields `x1_rep` (shape
+    (l1,)) and `x2_rep` (shape (l2,)) hold each class's pair.
     """
     x1 = require_c00(as_signal(x1))
     x2 = require_c00(as_signal(x2))
@@ -137,10 +135,8 @@ def enumerate_convolution_ambiguities(x1: Signal, x2: Signal) -> list:
     conv = convolve(x1, x2)
     conv_norm = float(np.linalg.norm(conv))
 
-    if not all_zeros:
-        return [AmbiguityClass(x1_rep=np.array([unit]), x2_rep=np.array([1.0 + 0.0j]))]
-
-    scale = max(abs(z) for z in all_zeros)
+    # No zeros (l1 = l2 = 1): empty tables give the one class (unit) | (1).
+    scale = max((abs(z) for z in all_zeros), default=0.0)
     threshold = DEFAULT_CLUSTER_TOL * scale
     clusters = cluster_zeros(all_zeros, threshold)
     _warn_if_near_merge(clusters, threshold)
@@ -158,7 +154,7 @@ def enumerate_convolution_ambiguities(x1: Signal, x2: Signal) -> list:
     zs = np.repeat([z for z, _ in clusters], [m for _, m in clusters])
     x1_reps = from_roots(unit, zs[left])
     x2_reps = from_roots(1.0, zs[right])
-    # Each class's error norm in place, with no further K-row temporaries.
+    # Each class's error norm in place; no K-row temporary outlives the check.
     recon = _convolve_rows(x1_reps, x2_reps)
     recon -= conv
     parts = recon.view(float)
@@ -168,7 +164,11 @@ def enumerate_convolution_ambiguities(x1: Signal, x2: Signal) -> list:
             f"{_RECONVOLVE_TOL:g} relative; distinct zeros were merged at "
             f"the clustering tolerance {DEFAULT_CLUSTER_TOL:g}"
         )
-    return list(map(AmbiguityClass, x1_reps, x2_reps))
+    del recon, parts
+    dtype = [("x1_rep", complex, (l1,)), ("x2_rep", complex, (l2,))]
+    classes = np.rec.fromarrays([x1_reps, x2_reps], dtype=dtype)
+    classes.flags.writeable = False
+    return classes
 
 
 @functools.lru_cache(maxsize=32)
@@ -196,7 +196,7 @@ def _subset_tables(d: int, k: int) -> tuple:
     return mask, left, right
 
 
-def enumerate_autocorr_ambiguities(x: Signal) -> list:
+def enumerate_autocorr_ambiguities(x: Signal) -> np.ndarray:
     """All signals sharing correlate(x, x), one per conjugate-inverse choice.
 
     Every zero zeta of x pairs with 1/conj(zeta) in the autocorrelation's
@@ -204,7 +204,8 @@ def enumerate_autocorr_ambiguities(x: Signal) -> list:
     autocorrelation norm exhausts the ambiguity family (at most 2^{N-1}
     signals).  Outputs are canonicalized to a real positive leading
     coefficient and deduplicated; the original signal appears among them up
-    to global phase.
+    to global phase.  Returns them as the rows of one read-only (k, n)
+    array, (1, 1) for n = 1.
     """
     x = require_c00(as_signal(x))
     n = x.size
@@ -214,12 +215,9 @@ def enumerate_autocorr_ambiguities(x: Signal) -> list:
         )
     acf = correlate(x, x)
     acf_norm = float(np.linalg.norm(acf))
-    if n == 1:
-        return [np.array([math.sqrt(acf_norm)], dtype=complex)]
-
+    # For n = 1 there are no zeros: one candidate, (sqrt(acf_norm)).
     zeros = resolved_zeros(roots(x), n, "x")
-    scale = max(abs(z) for z in zeros)
-    threshold = DEFAULT_CLUSTER_TOL * max(scale, 1.0)
+    threshold = DEFAULT_CLUSTER_TOL * max([1.0, *(abs(z) for z in zeros)])
 
     choice_sets = []
     for z in zeros:
@@ -242,7 +240,9 @@ def enumerate_autocorr_ambiguities(x: Signal) -> list:
             "distinct zeros were merged at the clustering tolerance "
             f"{DEFAULT_CLUSTER_TOL:g}"
         )
-    return list(y[_first_distinct(y)])
+    family = y[_first_distinct(y)]
+    family.flags.writeable = False
+    return family
 
 
 def _first_distinct(y: np.ndarray) -> np.ndarray:

@@ -325,9 +325,9 @@ def cmd_ambiguities(x1: Signal, x2: Signal) -> list[str]:
         f"upper_bound={upper}",
         f"classes={len(classes)}",
     ]
-    for index, cls in enumerate(classes):
-        lines.append(f"class{index}_x1={_fmt_complex_vec(cls.x1_rep)}")
-        lines.append(f"class{index}_x2={_fmt_complex_vec(cls.x2_rep)}")
+    for index, (x1_rep, x2_rep) in enumerate(zip(classes.x1_rep, classes.x2_rep)):
+        lines.append(f"class{index}_x1={_fmt_complex_vec(x1_rep)}")
+        lines.append(f"class{index}_x2={_fmt_complex_vec(x2_rep)}")
     return lines
 
 

@@ -127,7 +127,7 @@ def _aberth(coeffs: np.ndarray, max_iter: int = 200, update_tol: float = 1e-13) 
         return np.zeros(0, dtype=complex)
     c = coeffs / np.abs(coeffs).max()
     c_list = c.tolist()
-    dc_list = npoly.polyder(c).tolist()
+    dc_list = (c[1:] * np.arange(1, m + 1)).tolist()  # npoly.polyder(c)'s bytes
     radius = float(np.abs(c[0] / c[m]) ** (1.0 / m))
     angles = 2.0 * np.pi * (np.arange(m) + 0.3127) / m + 0.6
     z = radius * np.exp(1j * angles)

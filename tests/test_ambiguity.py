@@ -11,13 +11,12 @@ import pytest
 from corrlift import ambiguity
 from corrlift.ambiguity import (
     DEFAULT_CLUSTER_TOL,
-    AmbiguityClass,
     cluster_zeros,
     count_bounds,
     enumerate_autocorr_ambiguities,
     enumerate_convolution_ambiguities,
 )
-from corrlift.cli import gen_signal
+from corrlift.cli import cmd_ambiguities, gen_signal
 from corrlift.poly import convolve, correlate, from_roots, roots
 from corrlift.solver import aligned_mse
 
@@ -192,10 +191,43 @@ def test_autocorr_guard():
         enumerate_autocorr_ambiguities(random_signal(rng, 14))
 
 
-def test_ambiguity_class_is_frozen():
-    cls = AmbiguityClass(x1_rep=np.array([1.0]), x2_rep=np.array([1.0, -1.0]))
-    with pytest.raises(Exception):
-        cls.x1_rep = np.array([2.0])
+def test_families_are_read_only_arrays():
+    x1, x2 = _planted_pair(3, 4, 0, 15)
+    classes = enumerate_convolution_ambiguities(x1, x2)
+    autos = enumerate_autocorr_ambiguities(x1)
+    assert isinstance(classes, np.recarray) and isinstance(classes[0], np.record)
+    assert classes.x1_rep.shape == (len(classes), 3)
+    assert classes.x2_rep.shape == (len(classes), 4)
+    for row, c1, c2 in zip(classes, classes.x1_rep, classes.x2_rep):
+        assert row.x1_rep.tobytes() == c1.tobytes()
+        assert row.x2_rep.tobytes() == c2.tobytes()
+    assert autos.shape == (4, 3)
+    writes = [
+        lambda: setattr(classes[0], "x1_rep", np.zeros(3)),
+        lambda: classes[0].x2_rep.__setitem__(0, 0.0),
+        lambda: classes.x1_rep.__setitem__((slice(None), 0), 0.0),
+        lambda: autos[0].__setitem__(0, 0.0),
+        lambda: autos.__setitem__((slice(None), 0), 0.0),
+    ]
+    for write in writes:
+        with pytest.raises(ValueError, match="read-only"):
+            write()
+    # families are arrays: their truth value is ambiguous, their length is not
+    for family in (classes, autos):
+        with pytest.raises(ValueError, match="ambiguous"):
+            bool(family)
+
+
+def test_zero_free_families_hold_one_row():
+    classes = enumerate_convolution_ambiguities([1.0], [2.0])
+    assert len(classes) == 1
+    assert classes[0].x1_rep.tobytes() == np.array([2.0 + 0.0j]).tobytes()
+    assert classes[0].x2_rep.tobytes() == np.array([1.0 + 0.0j]).tobytes()
+    assert cmd_ambiguities([1.0], [2.0])[2:] == ["classes=1", "class0_x1=(2+0j)", "class0_x2=(1+0j)"]
+    autos = enumerate_autocorr_ambiguities([3.0 - 4.0j])
+    assert autos.shape == (1, 1)
+    assert autos.tobytes() == np.array([[5.0 + 0.0j]]).tobytes()
+    assert not autos.flags.writeable
 
 
 # --- the per-class loop, kept as the oracle of the batched enumeration ------

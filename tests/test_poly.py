@@ -183,6 +183,36 @@ def test_aberth_fails_like_the_polyval_oracle():
     assert str(mine.value) == str(oracle.value)
 
 
+def test_aberth_derivative_is_polyder_byte_for_byte(monkeypatch):
+    # _aberth hands p' to _horner as its second coefficient list.  On 2000
+    # random complex polynomials of degree 1-15, every other one with signed
+    # zeros among its coefficients, that list is npoly.polyder's bytes.  (Its
+    # one product differs from polyder's on a -0-0j coefficient, which the
+    # scaling c / max|c| never leaves.)
+    rng = np.random.default_rng(84)
+    specials = [complex(a, b) for a in (0.0, -0.0, 1.5) for b in (0.0, -0.0, -2.0)]
+    lists = []
+    horner = poly._horner
+
+    def recording(c, z):
+        lists.append(c)
+        return horner(c, z)
+
+    monkeypatch.setattr(poly, "_horner", recording)
+    for i in range(2000):
+        coeffs = random_signal(rng, int(rng.integers(2, 17)))
+        if i % 2 and coeffs.size > 2:
+            picks = rng.integers(1, coeffs.size - 1, size=coeffs.size // 2)
+            coeffs[picks] = [specials[k] for k in rng.integers(0, len(specials), picks.size)]
+        lists.clear()
+        try:
+            poly._aberth(coeffs, max_iter=1)
+        except RuntimeError:
+            pass
+        want = npoly.polyder(coeffs / np.abs(coeffs).max())
+        assert np.array(lists[1], dtype=complex).tobytes() == want.tobytes()
+
+
 def _row_major_from_roots(unit, zeros):
     # the row-major loop, kept as the oracle of the column-major build
     zeros = np.asarray(zeros, dtype=complex)

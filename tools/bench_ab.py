@@ -96,6 +96,15 @@ def run_once(tree: Path, command, workload: str, seed: int, seconds: float, trac
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def numpy_version() -> str:
+    """``numpy.__version__`` as the benchmark runs, which use this interpreter, see it."""
+    done = subprocess.run(
+        [sys.executable, "-c", "import numpy; print(numpy.__version__)"],
+        capture_output=True, text=True, check=True,
+    )
+    return done.stdout.strip()
+
+
 def summary(values):
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
@@ -188,6 +197,8 @@ def main(argv=None) -> int:
             "cpus": os.cpu_count(),
             "python": platform.python_version(),
             "platform": platform.platform(),
+            # The runs' byte-identical outputs rest on NumPy's loop layout.
+            "numpy": numpy_version(),
         },
         "workloads": {},
     }
