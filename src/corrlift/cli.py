@@ -38,25 +38,8 @@ from .ambiguity import (
 )
 from .poly import Signal, as_signal, convolve, require_c00, resolved_zeros, roots
 from .sensing import NoiseModel, add_noise, measure
-from .solver import SolverOptions, aligned_mse, recover
+from .solver import SolverOptions, SolverResult, aligned_mse, recover
 from .sylvester import certificate_report, tangent_injectivity
-
-CSV_FIELDS = (
-    "trial",
-    "l1",
-    "l2",
-    "rsnr_db",
-    "sigma",
-    "mse",
-    "mse_per_dim_db",
-    "iters",
-    "stop_reason",
-    "restarts",
-    "residual",
-    "rank1_gap",
-    "seed",
-    "failed",
-)
 
 ZEROS_FIELDS = ("which", "re", "im", "multiplicity")
 
@@ -79,7 +62,6 @@ class ExperimentConfig:
     seed: int
     reduced: bool = False
     solver: SolverOptions = field(default_factory=SolverOptions)
-    out_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.l1 < 1 or self.l2 < 1:
@@ -96,12 +78,13 @@ class ExperimentConfig:
         self.snr_db_list = snrs
 
 
-@dataclass
+@dataclass(kw_only=True)
 class TrialRecord:
-    """One row of sweep output; ``failed`` marks solver non-convergence.
+    """One row of sweep output, its fields in CSV column order.
 
-    Metric fields of a failed trial are NaN and are exempt from the
-    nonnegativity check; its ``stop_reason`` reads ``diverged``.
+    ``failed`` marks solver non-convergence: the metric fields of a failed
+    trial are NaN and are exempt from the nonnegativity check, and its
+    ``stop_reason`` reads ``diverged``.
     """
 
     trial: int
@@ -112,12 +95,12 @@ class TrialRecord:
     mse: float
     mse_per_dim_db: float
     iters: int
+    stop_reason: str
+    restarts: int
     residual: float
     rank1_gap: float
     seed: int
-    failed: bool = False
-    stop_reason: str = "converged"
-    restarts: int = 0
+    failed: bool
 
     def __post_init__(self) -> None:
         if not self.failed and not self.mse >= 0.0:
@@ -128,11 +111,14 @@ class TrialRecord:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name == "failed":
-                value = "true" if value else "false"
+                value = _fmt_bool(value)
             elif isinstance(value, float):
                 value = repr(value)
             row[f.name] = value
         return row
+
+
+CSV_FIELDS = tuple(f.name for f in fields(TrialRecord))
 
 
 def gen_signal(length: int, rng: np.random.Generator) -> Signal:
@@ -186,6 +172,42 @@ def _sigma_for(snr_db: float, power: float, m_count: int) -> float:
     return math.sqrt(power / (m_count * _snr_gain(snr_db)))
 
 
+def _trial(
+    x1: Signal,
+    x2: Signal,
+    snr_db: float,
+    noise_seed: int,
+    reduced: bool,
+    opts: SolverOptions,
+) -> tuple[float, RuntimeError | tuple[np.ndarray, np.ndarray, SolverResult, float]]:
+    """Measure the pair, add noise at `snr_db`, recover it and score the estimate.
+
+    Returns ``(sigma, outcome)``.  ``outcome`` is ``(x1_est, x2_est, result,
+    mse)``, with ``mse`` the phase-aligned error of the stacked pair, or the
+    RuntimeError of a failed solve, which is data rather than a configuration
+    error.  Configuration errors raise ValueError; nothing is printed here, so
+    they leave no partial output.
+    """
+    clean = measure(x1, x2, reduced=reduced)
+    stacked = clean.stacked
+    # The correlations of finite signals can overflow: reject them before
+    # their power is summed.
+    if not np.all(np.isfinite(stacked)):
+        raise ValueError("measurements must be finite")
+    sigma = _sigma_for(
+        snr_db, float(np.linalg.norm(stacked) ** 2), stacked.size
+    )
+    noisy = add_noise(clean, NoiseModel(sigma=sigma, seed=noise_seed))
+    try:
+        est1, est2, result = recover(len(x1), len(x2), noisy, opts)
+    except RuntimeError as exc:
+        return sigma, exc
+    mse, _ = aligned_mse(
+        np.concatenate([x1, x2]), np.concatenate([est1, est2])
+    )
+    return sigma, (est1, est2, result, mse)
+
+
 def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
     """Run the Monte-Carlo sweep; solver failures become flagged rows.
 
@@ -202,13 +224,8 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
             rng = np.random.default_rng(seq)
             x1 = gen_signal(cfg.l1, rng)
             x2 = gen_signal(cfg.l2, rng)
-            clean = measure(x1, x2, reduced=cfg.reduced)
-            stacked = clean.stacked
-            sigma = _sigma_for(
-                snr_db, float(np.linalg.norm(stacked) ** 2), stacked.size
-            )
             noise_seed = int(rng.integers(0, 2**63))
-            noisy = add_noise(clean, NoiseModel(sigma=sigma, seed=noise_seed))
+            sigma, outcome = _trial(x1, x2, snr_db, noise_seed, cfg.reduced, cfg.solver)
             base = {
                 "trial": trial_index,
                 "l1": cfg.l1,
@@ -217,34 +234,32 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
                 "sigma": sigma,
                 "seed": cfg.seed,
             }
-            try:
-                est1, est2, diag = recover(cfg.l1, cfg.l2, noisy, cfg.solver)
-            except RuntimeError:
+            if isinstance(outcome, RuntimeError):
                 records.append(
                     TrialRecord(
                         mse=math.nan,
                         mse_per_dim_db=math.nan,
                         iters=0,
+                        stop_reason="diverged",
+                        restarts=0,
                         residual=math.nan,
                         rank1_gap=math.nan,
                         failed=True,
-                        stop_reason="diverged",
                         **base,
                     )
                 )
                 continue
-            mse, _ = aligned_mse(
-                np.concatenate([x1, x2]), np.concatenate([est1, est2])
-            )
+            _, _, result, mse = outcome
             records.append(
                 TrialRecord(
                     mse=mse,
                     mse_per_dim_db=_mse_per_dim_db(mse, n),
-                    iters=diag.iters,
-                    residual=diag.residual,
-                    rank1_gap=diag.rank1_gap,
-                    stop_reason=diag.stop_reason,
-                    restarts=diag.restarts,
+                    iters=result.iters,
+                    stop_reason=result.stop_reason,
+                    restarts=result.restarts,
+                    residual=result.residual,
+                    rank1_gap=result.rank1_gap,
+                    failed=False,
                     **base,
                 )
             )
@@ -384,15 +399,14 @@ def _run_sweep(args: argparse.Namespace) -> int:
         seed=args.seed,
         reduced=args.reduced,
         solver=_solver_options(args),
-        out_path=args.out,
     )
     # Opened before the first trial, so an unwritable path fails at once.
-    with _open_out(cfg.out_path) as stream:
+    with _open_out(args.out) as stream:
         records = run_sweep(cfg)
         write_records(records, stream)
-    if cfg.out_path is not None:
+    if args.out is not None:
         failed = sum(r.failed for r in records)
-        print(f"rows={len(records)} failed={failed} out={cfg.out_path}")
+        print(f"rows={len(records)} failed={failed} out={args.out}")
     return 0
 
 
@@ -408,16 +422,10 @@ def _run_zeros(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_certify(args: argparse.Namespace) -> int:
+def _run_lines(args: argparse.Namespace) -> int:
+    """Print the ``key=value`` lines of the ``cmd_*`` named by ``args.lines``."""
     x1, x2 = _signal_pair(args)
-    for line in cmd_certify(x1, x2):
-        print(line)
-    return 0
-
-
-def _run_ambiguities(args: argparse.Namespace) -> int:
-    x1, x2 = _signal_pair(args)
-    for line in cmd_ambiguities(x1, x2):
+    for line in args.lines(x1, x2):
         print(line)
     return 0
 
@@ -429,44 +437,33 @@ def _run_recover(args: argparse.Namespace) -> int:
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0, 0]))
         x1 = gen_signal(args.l1, rng)
         x2 = gen_signal(args.l2, rng)
-    clean = measure(x1, x2, reduced=args.reduced)
-    if args.snr_db is None:
-        sigma = 0.0
-    else:
+    snr_db = math.inf
+    if args.snr_db is not None:
         snrs = _parse_snr_list(args.snr_db)
         if len(snrs) != 1:
             raise ValueError("recover accepts a single --snr-db value")
-        _check_snr(snrs[0])
-        stacked = clean.stacked
-        sigma = _sigma_for(
-            snrs[0], float(np.linalg.norm(stacked) ** 2), stacked.size
-        )
-    noisy = add_noise(clean, NoiseModel(sigma=sigma, seed=args.seed))
+        snr_db = snrs[0]
+        _check_snr(snr_db)
+    sigma, outcome = _trial(x1, x2, snr_db, args.seed, args.reduced, _solver_options(args))
     print(f"l1={len(x1)}")
     print(f"l2={len(x2)}")
     print(f"sigma={sigma!r}")
-    try:
-        est1, est2, diag = recover(
-            len(x1), len(x2), noisy, _solver_options(args)
-        )
-    except RuntimeError as exc:
+    if isinstance(outcome, RuntimeError):
         print("failed=true")
-        print(f"reason={exc}")
+        print(f"reason={outcome}")
         return 0
-    mse, _ = aligned_mse(
-        np.concatenate([x1, x2]), np.concatenate([est1, est2])
-    )
+    est1, est2, result, mse = outcome
     print("failed=false")
     print(f"mse={mse!r}")
-    print(f"iters={diag.iters}")
-    print(f"stop_reason={diag.stop_reason}")
-    print(f"restarts={diag.restarts}")
-    print(f"residual={diag.residual!r}")
-    print(f"rank1_gap={diag.rank1_gap!r}")
-    print(f"non_unique={_fmt_bool(diag.non_unique)}")
+    print(f"iters={result.iters}")
+    print(f"stop_reason={result.stop_reason}")
+    print(f"restarts={result.restarts}")
+    print(f"residual={result.residual!r}")
+    print(f"rank1_gap={result.rank1_gap!r}")
+    print(f"non_unique={_fmt_bool(result.non_unique)}")
     print(f"x1_est={_fmt_complex_vec(est1)}")
     print(f"x2_est={_fmt_complex_vec(est2)}")
-    print(f"margin={diag.margin!r}")
+    print(f"margin={result.margin!r}")
     return 0
 
 
@@ -548,13 +545,13 @@ def build_parser() -> argparse.ArgumentParser:
         "certify", help="certificate and tangent-space diagnostics for a pair"
     )
     _add_signal_flag(certify)
-    certify.set_defaults(handler=_run_certify)
+    certify.set_defaults(handler=_run_lines, lines=cmd_certify)
 
     ambiguities = sub.add_parser(
         "ambiguities", help="enumerate ambiguity classes for a pair"
     )
     _add_signal_flag(ambiguities)
-    ambiguities.set_defaults(handler=_run_ambiguities)
+    ambiguities.set_defaults(handler=_run_lines, lines=cmd_ambiguities)
 
     recov = sub.add_parser(
         "recover", help="run a single recovery and print diagnostics"

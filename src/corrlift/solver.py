@@ -24,6 +24,10 @@ relative residual reaches `rel_tol` ("converged", as noiseless data do), the
 objective falls by no more than STALL_RTOL of itself over STALL_WINDOW
 iterations ("stalled", as noisy data do, whose least-squares fit keeps a
 positive residual), or the `max_iters` cap is spent ("max_iters").
+
+`SolverResult` is the one record of a solve's diagnostics: `recover` returns
+the result `solve` built, and the command line's output and sweep CSV read
+their diagnostics from it.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ class SolverOptions:
 
 @dataclass
 class SolverResult:
-    """Solution matrix with convergence and rank-1 quality diagnostics.
+    """The one record of a solve: solution matrix and its diagnostics.
 
     `residual` is ||A(X) - b|| / ||b||; `rank1_gap` is the ratio of the
     second to the first eigenvalue of the solution matrix (0 for the zero
@@ -89,23 +93,14 @@ class SolverResult:
     iters: int
     residual: float
     rank1_gap: float
-    margin: float = 0.0
-    stop_reason: str = "converged"
-    restarts: int = 0
+    margin: float
+    stop_reason: str
+    restarts: int
 
-
-@dataclass
-class RecoveryDiagnostics:
-    """Per-recovery quality flags derived from the solver output."""
-
-    iters: int
-    residual: float
-    rank1_gap: float
-    degenerate: bool
-    non_unique: bool
-    margin: float = 0.0
-    stop_reason: str = "converged"
-    restarts: int = 0
+    @property
+    def non_unique(self) -> bool:
+        """Whether `rank1_gap` exceeds NONUNIQUE_GAP_TOL (a shared factor or heavy noise)."""
+        return self.rank1_gap > NONUNIQUE_GAP_TOL
 
 
 def _spectral_start(s: SensingSet, b: Measurements) -> tuple[np.ndarray, float]:
@@ -146,7 +141,13 @@ def solve(s: SensingSet, b: Measurements, opts: SolverOptions | None = None) -> 
     norm_b = float(np.linalg.norm(b_vec))
     if norm_b == 0.0:
         return SolverResult(
-            x_mat=np.zeros((n, n), dtype=complex), iters=0, residual=0.0, rank1_gap=0.0
+            x_mat=np.zeros((n, n), dtype=complex),
+            iters=0,
+            residual=0.0,
+            rank1_gap=0.0,
+            margin=0.0,
+            stop_reason="converged",
+            restarts=0,
         )
 
     lam = np.zeros(4 * n - 4, dtype=complex)
@@ -236,8 +237,8 @@ def solve(s: SensingSet, b: Measurements, opts: SolverOptions | None = None) -> 
     )
 
 
-def extract_rank1(result: SolverResult) -> np.ndarray:
-    """Best rank-1 signal estimate sqrt(lam1) * v1 from the solution matrix.
+def extract_rank1(x_mat: np.ndarray) -> np.ndarray:
+    """Best rank-1 signal estimate sqrt(lam1) * v1 from a solution matrix.
 
     v1 is one `eigh`'s top column with `herm_eig`'s phase rule, bit for bit
     `herm_eig`'s top column (an exactly tied top eigenvalue calls `herm_eig`).
@@ -246,7 +247,7 @@ def extract_rank1(result: SolverResult) -> np.ndarray:
     the estimate is not unique, which is also warned about while the
     deterministic first eigenvector is returned.
     """
-    x_mat = np.asarray(result.x_mat, dtype=complex)
+    x_mat = np.asarray(x_mat, dtype=complex)
     w, v = np.linalg.eigh(hermitian_part(x_mat))
     lam1 = float(w[-1])
     if lam1 <= 0.0:
@@ -293,27 +294,16 @@ def recover(
     x2_len: int,
     b: Measurements,
     opts: SolverOptions | None = None,
-) -> tuple[np.ndarray, np.ndarray, RecoveryDiagnostics]:
+) -> tuple[np.ndarray, np.ndarray, SolverResult]:
     """Recover the signal pair from correlations: solve, extract, split.
 
-    The stacked rank-1 estimate is split at `x1_len`.  Diagnostics flag a
-    degenerate (zero) estimate and a non-unique solution (rank-1 gap above
-    NONUNIQUE_GAP_TOL, the signature of a shared z-domain factor or of heavy
-    noise).
+    The stacked rank-1 estimate is split at `x1_len`; the third item is the
+    `SolverResult` of the solve, whose `non_unique` flags a solution that is
+    not numerically rank-1.
     """
     if b.l1 != x1_len or b.l2 != x2_len:
         raise ValueError("measurements are inconsistent with the stated lengths")
     s = build_sensing(x1_len, x2_len)
     result = solve(s, b, opts)
-    x_est = extract_rank1(result)
-    diag = RecoveryDiagnostics(
-        iters=result.iters,
-        residual=result.residual,
-        rank1_gap=result.rank1_gap,
-        degenerate=not bool(np.any(x_est != 0)),
-        non_unique=result.rank1_gap > NONUNIQUE_GAP_TOL,
-        margin=result.margin,
-        stop_reason=result.stop_reason,
-        restarts=result.restarts,
-    )
-    return x_est[:x1_len], x_est[x1_len:], diag
+    x_est = extract_rank1(result.x_mat)
+    return x_est[:x1_len], x_est[x1_len:], result

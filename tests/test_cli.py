@@ -70,9 +70,12 @@ def test_trial_record_validation():
             mse=-1e-3,
             mse_per_dim_db=0.0,
             iters=5,
+            stop_reason="converged",
+            restarts=0,
             residual=0.0,
             rank1_gap=0.0,
             seed=0,
+            failed=False,
         )
     failed = TrialRecord(
         trial=0,
@@ -83,6 +86,8 @@ def test_trial_record_validation():
         mse=math.nan,
         mse_per_dim_db=math.nan,
         iters=0,
+        stop_reason="diverged",
+        restarts=0,
         residual=math.nan,
         rank1_gap=math.nan,
         seed=0,
@@ -507,6 +512,38 @@ def test_main_recover_given_signals_reduced(capsys):
     assert float(kv["mse"]) <= 1e-5
 
 
+RECOVER_KEYS = [
+    "l1", "l2", "sigma", "failed", "mse", "iters", "stop_reason", "restarts",
+    "residual", "rank1_gap", "non_unique", "x1_est", "x2_est", "margin",
+]
+
+
+def test_main_recover_key_sequence(capsys):
+    # test_main_recover_solver_failure_exits_zero pins the failure output
+    assert main(["recover", "--l1", "3", "--l2", "4", "--snr-db", "30", "--seed", "3"]) == 0
+    lines = capsys.readouterr().out.split("\n")
+    assert lines.pop() == ""
+    assert [line.split("=", 1)[0] for line in lines] == RECOVER_KEYS
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--signal", "0", "--signal", "0"], "reference signal must be nonzero"),
+        (["--signal", "1e200,1", "--signal", "1,1"], "measurements must be finite"),
+        (["--signal", "1e200,1", "--signal", "1,1", "--snr-db", "20"], "measurements must be finite"),
+        (["--max-iters", "0"], "max_iters must be positive"),
+    ],
+    ids=["zero-pair", "overflow", "overflow-noisy", "max-iters"],
+)
+def test_main_recover_config_error_prints_nothing(capsys, argv, message):
+    # the whole trial runs before the first line is printed
+    assert main(["recover", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_main_recover_solver_failure_exits_zero(monkeypatch, capsys):
     def boom(l1, l2, b, opts):
         raise RuntimeError("diverged")
@@ -514,9 +551,9 @@ def test_main_recover_solver_failure_exits_zero(monkeypatch, capsys):
     monkeypatch.setattr("corrlift.cli.recover", boom)
     code = main(["recover", "--l1", "2", "--l2", "2"])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "failed=true" in out
-    assert "reason=diverged" in out
+    assert capsys.readouterr().out == (
+        "l1=2\nl2=2\nsigma=0.0\nfailed=true\nreason=diverged\n"
+    )
 
 
 def test_main_certify_stdout(capsys):

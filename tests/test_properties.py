@@ -23,7 +23,7 @@ from corrlift.sensing import (
     forward_stacked,
     measure,
 )
-from corrlift.solver import SolverResult, _spectral_start, aligned_mse, extract_rank1
+from corrlift.solver import _spectral_start, aligned_mse, extract_rank1
 from corrlift.sylvester import certificate_multipliers
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
@@ -146,7 +146,7 @@ def test_spectral_start_alone_recovers_noiseless_coprime_pair(x1, x2, reduced):
     x_start, margin = _spectral_start(build_sensing(l1, l2), b)
     # a (near-)shared factor leaves the null space more than one-dimensional
     assume(margin > 1e-4)
-    est = extract_rank1(SolverResult(x_mat=x_start, iters=0, residual=0.0, rank1_gap=0.0))
+    est = extract_rank1(x_start)
     x = np.concatenate([x1, x2])
     _, phi = aligned_mse(x, est)
     assert np.linalg.norm(np.exp(1j * phi) * est - x) <= 1e-10 * np.linalg.norm(x)

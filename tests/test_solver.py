@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from corrlift.sensing import (
 from corrlift.solver import (
     STALL_RTOL,
     STALL_WINDOW,
-    RecoveryDiagnostics,
     SolverOptions,
     SolverResult,
     aligned_mse,
@@ -69,7 +70,7 @@ def test_zero_measurements_give_zero_solution():
     assert result.iters == 0
     assert result.residual == 0.0
     assert result.rank1_gap == 0.0
-    assert (result.stop_reason, result.restarts) == ("converged", 0)
+    assert (result.margin, result.stop_reason, result.restarts) == (0.0, "converged", 0)
     assert np.array_equal(result.x_mat, np.zeros((4, 4), dtype=complex))
 
 
@@ -148,10 +149,7 @@ def test_gradient_matches_finite_differences():
 def test_extract_rank1_exact_outer_product():
     rng = np.random.default_rng(86)
     x = random_signal(rng, 4)
-    result = SolverResult(
-        x_mat=np.outer(x, x.conj()), iters=1, residual=0.0, rank1_gap=0.0
-    )
-    est = extract_rank1(result)
+    est = extract_rank1(np.outer(x, x.conj()))
     mse, _ = aligned_mse(x, est)
     assert mse <= 1e-24
 
@@ -160,40 +158,24 @@ def test_extract_rank1_identity_perturbation():
     rng = np.random.default_rng(87)
     x = random_signal(rng, 4)
     for eps in (1e-6, 1e-4, 1e-2):
-        result = SolverResult(
-            x_mat=np.outer(x, x.conj()) + eps * np.eye(4),
-            iters=1,
-            residual=0.0,
-            rank1_gap=0.0,
-        )
-        est = extract_rank1(result)
+        est = extract_rank1(np.outer(x, x.conj()) + eps * np.eye(4))
         mse, phi = aligned_mse(x, est)
         assert np.linalg.norm(np.exp(1j * phi) * est - x) <= eps
 
 
 def test_extract_rank1_zero_and_negative():
-    zero = SolverResult(
-        x_mat=np.zeros((3, 3), dtype=complex), iters=0, residual=0.0, rank1_gap=0.0
-    )
+    zero = np.zeros((3, 3), dtype=complex)
     assert np.array_equal(extract_rank1(zero), np.zeros(3, dtype=complex))
 
-    negdef = SolverResult(
-        x_mat=-np.eye(3, dtype=complex), iters=0, residual=0.0, rank1_gap=0.0
-    )
     with pytest.warns(RuntimeWarning):
-        est = extract_rank1(negdef)
+        est = extract_rank1(-np.eye(3, dtype=complex))
     assert np.array_equal(est, np.zeros(3, dtype=complex))
 
 
 def test_extract_rank1_degenerate_top_warns():
-    tie = SolverResult(x_mat=np.eye(3, dtype=complex), iters=0, residual=0.0, rank1_gap=1.0)
     with pytest.warns(RuntimeWarning):
-        est = extract_rank1(tie)
+        est = extract_rank1(np.eye(3, dtype=complex))
     assert np.linalg.norm(est) == pytest.approx(1.0)
-
-
-def _as_result(x_mat):
-    return SolverResult(x_mat=x_mat, iters=0, residual=0.0, rank1_gap=0.0)
 
 
 def _herm_eig_top(x_mat):
@@ -210,7 +192,7 @@ def test_extract_rank1_matches_herm_eig_top_column_bytewise():
         if trial % 2:
             # not exactly Hermitian: both read its Hermitian part
             x_mat = x_mat + 1e-3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        got = extract_rank1(_as_result(x_mat))
+        got = extract_rank1(x_mat)
         assert got.tobytes() == _herm_eig_top(x_mat).tobytes()
 
 
@@ -222,7 +204,7 @@ def test_extract_rank1_exact_top_tie_falls_back_to_herm_eig():
     w, v = np.linalg.eigh(x_mat)
     assert w[-1] == w[-2] and np.array_equal(np.abs(v[:, -1]), [0.0, 0.0, 1.0])
     with pytest.warns(RuntimeWarning, match="numerically degenerate"):
-        got = extract_rank1(_as_result(x_mat))
+        got = extract_rank1(x_mat)
     assert got.tobytes() == _herm_eig_top(x_mat).tobytes()
     assert np.array_equal(got, [math.sqrt(3.0), 0.0, 0.0])
 
@@ -264,9 +246,8 @@ def test_recover_end_to_end_noiseless():
     e1, e2, diag = recover(2, 3, measure(x1, x2))
     mse, _ = aligned_mse(np.concatenate([x1, x2]), np.concatenate([e1, e2]))
     assert mse <= 1e-5
-    assert not diag.degenerate
     assert not diag.non_unique
-    assert isinstance(diag, RecoveryDiagnostics)
+    assert isinstance(diag, SolverResult)
 
 
 def test_recover_length_mismatch():
@@ -406,3 +387,17 @@ def test_noiseless_recovery_batch():
         e1, e2, _ = recover(l1, l2, measure(x1, x2))
         mse, _ = aligned_mse(np.concatenate([x1, x2]), np.concatenate([e1, e2]))
         assert mse <= 1e-5
+
+
+def test_readme_round_trip_runs(capsys):
+    # README's fenced Python example documents the diagnostics `recover`
+    # returns; it must keep running and print what it says it prints
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    exec(compile(example, "README.md", "exec"), {})
+    mse, iters, stop_reason, non_unique, margin = capsys.readouterr().out.split()
+    assert float(mse) <= 1e-20
+    assert int(iters) >= 1
+    assert stop_reason == "converged"
+    assert non_unique == "False"
+    assert 0.0 < float(margin) <= 1.0
