@@ -38,7 +38,7 @@ from .ambiguity import (
 )
 from .poly import Signal, as_signal, convolve, require_c00, resolved_zeros, roots
 from .sensing import NoiseModel, add_noise, measure
-from .solver import SolverOptions, SolverResult, aligned_mse, recover
+from .solver import SolverOptions, SolverResult, aligned_mse, measurement_norm, recover
 from .sylvester import certificate_report, tangent_injectivity
 
 ZEROS_FIELDS = ("which", "re", "im", "multiplicity")
@@ -190,13 +190,11 @@ def _trial(
     """
     clean = measure(x1, x2, reduced=reduced)
     stacked = clean.stacked
-    # The correlations of finite signals can overflow: reject them before
-    # their power is summed.
+    # The correlations of finite signals can overflow, and so can the sum of
+    # their squares: reject both before the power is used.
     if not np.all(np.isfinite(stacked)):
         raise ValueError("measurements must be finite")
-    sigma = _sigma_for(
-        snr_db, float(np.linalg.norm(stacked) ** 2), stacked.size
-    )
+    sigma = _sigma_for(snr_db, measurement_norm(stacked) ** 2, stacked.size)
     noisy = add_noise(clean, NoiseModel(sigma=sigma, seed=noise_seed))
     try:
         est1, est2, result = recover(len(x1), len(x2), noisy, opts)

@@ -5,8 +5,9 @@ Contents
 - hermitian_part             : symmetrization (A + A^H) / 2
 - EigDecomposition, herm_eig : full Hermitian eigendecomposition with a
                                deterministic ordering and phase convention
-- psd_project                : Frobenius-nearest PSD matrix; the solver's
-                               projection, run once per iteration
+- psd_project                : Frobenius-nearest PSD matrix of a Hermitian
+                               input; the solver's projection, run once per
+                               iteration
 - numeric_rank               : singular-value-threshold rank of a dense matrix
 
 All routines operate on dense ndarrays; matrices here stay small (N of order
@@ -67,17 +68,18 @@ def _pin_phase(v: np.ndarray) -> np.ndarray:
 def psd_project(a: HermitianMatrix) -> HermitianMatrix:
     """Frobenius-nearest positive semidefinite matrix.
 
-    Symmetrizes, then clips negative eigenvalues to zero and rebuilds; an
-    input whose symmetrized part is already PSD comes back as that part.
-    The result is exactly Hermitian and the operation is idempotent and
+    `a` must be Hermitian: it is not symmetrized (`eigh` reads its lower
+    triangle only), so a caller whose matrix is Hermitian only up to
+    rounding passes `hermitian_part(a)`.  Clips negative eigenvalues to zero
+    and rebuilds; an input that is already PSD comes back as itself.  The
+    result is exactly Hermitian and the operation is idempotent and
     1-Lipschitz in Frobenius norm.  The rebuild is invariant to eigenvector
     phase and order, so plain `eigh` suffices.
     """
-    a = 0.5 * (a + a.conj().T)
     w, v = np.linalg.eigh(a)
     if w[0] >= 0.0:
         return a
-    np.clip(w, 0.0, None, out=w)
+    np.maximum(w, 0.0, out=w)
     out = (v * w) @ v.conj().T
     return 0.5 * (out + out.conj().T)
 

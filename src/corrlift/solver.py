@@ -15,9 +15,13 @@ eigenvector, scaled to the energy a11[l1-1] + a22[l2-1] = ||x||^2, is the
 pair itself (up to phase) on noiseless coprime data, so the iteration only
 refines it under noise or a shared factor.
 
-Each iteration projects onto the PSD cone with `linalg.psd_project`, and
-`extract_rank1` reads the estimate from one `eigh`, pinning the top column's
-phase by `linalg.herm_eig`'s rule; the solver keeps no eigen routine of its own.
+Each iteration projects onto the PSD cone with `linalg.psd_project`, which
+takes a Hermitian matrix as is.  The adjoint returns m + m^H, real-scalar
+combinations keep that symmetry exactly, and the projection's output is
+exactly Hermitian, so only the first step's input, built from the spectral
+start c v v* (Hermitian up to rounding), is symmetrized.  `extract_rank1`
+reads the estimate from one `eigh`, pinning the top column's phase by
+`linalg.herm_eig`'s rule; the solver keeps no eigen routine of its own.
 
 Every solve ends for a stated reason (`SolverResult.stop_reason`): the
 relative residual reaches `rel_tol` ("converged", as noiseless data do), the
@@ -33,6 +37,7 @@ their diagnostics from it.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -42,7 +47,7 @@ import numpy as np
 from .linalg import _pin_phase, herm_eig, hermitian_part, psd_project
 from .poly import Signal, as_signal
 from .sensing import Measurements, SensingSet, adjoint, build_sensing, forward_stacked
-from .sylvester import certificate_multipliers
+from .sylvester import _pow2_scale, certificate_multipliers
 
 # A solution whose second eigenvalue exceeds this fraction of the first is
 # not meaningfully rank-1; recovery then reflects a non-unique program.
@@ -60,6 +65,9 @@ STEP_SAFETY = 0.95
 # iterations.  The rule is relative, so it is invariant under scaling b.
 STALL_WINDOW = 100
 STALL_RTOL = 1e-9
+
+# The largest norm whose square is a finite float.
+_MAX_NORM = math.sqrt(sys.float_info.max)
 
 
 @dataclass
@@ -103,6 +111,20 @@ class SolverResult:
         return self.rank1_gap > NONUNIQUE_GAP_TOL
 
 
+def measurement_norm(b_vec: np.ndarray) -> float:
+    """||b_vec|| as `np.linalg.norm` computes it; ValueError when ||b_vec||^2 overflows.
+
+    The objective and the sweep's noise level are computed from the energy
+    ||b||^2, so finite data whose energy is not a finite float are rejected
+    here, before NumPy warns about the overflow.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(b_vec))
+    if not norm <= _MAX_NORM:
+        raise ValueError("measurement energy ||b||^2 overflows the floating-point range")
+    return norm
+
+
 def _spectral_start(s: SensingSet, b: Measurements) -> tuple[np.ndarray, float]:
     """The start c v v* and the identifiability margin lam2(W) / lam_max(W).
 
@@ -138,7 +160,7 @@ def solve(s: SensingSet, b: Measurements, opts: SolverOptions | None = None) -> 
     if not np.all(np.isfinite(b_vec)):
         raise ValueError("measurements must be finite")
     n = s.n
-    norm_b = float(np.linalg.norm(b_vec))
+    norm_b = measurement_norm(b_vec)
     if norm_b == 0.0:
         return SolverResult(
             x_mat=np.zeros((n, n), dtype=complex),
@@ -151,6 +173,12 @@ def solve(s: SensingSet, b: Measurements, opts: SolverOptions | None = None) -> 
         )
 
     lam = np.zeros(4 * n - 4, dtype=complex)
+
+    def objective(v: np.ndarray) -> float:
+        # float(np.linalg.norm(v - b_vec) ** 2), the same arithmetic without
+        # the wrapper.
+        r = v - b_vec
+        return math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag)) ** 2
 
     def gradient(v: np.ndarray) -> np.ndarray:
         # nabla ||A(X) - b||^2 = adjoint(conj(A(X) - b)); adjoint output is
@@ -166,7 +194,7 @@ def solve(s: SensingSet, b: Measurements, opts: SolverOptions | None = None) -> 
     x, margin = _spectral_start(s, b)
     v_x = forward_stacked(s, x)[:m_count]
     x_prev, v_prev = x, v_x
-    obj_prev = float(np.linalg.norm(v_x - b_vec) ** 2)
+    obj_prev = objective(v_x)
     t = 1.0
     beta = 0.0
     bad_streak = 0
@@ -181,9 +209,12 @@ def solve(s: SensingSet, b: Measurements, opts: SolverOptions | None = None) -> 
         # same combination of the stored images (saves one transform).
         v_y = v_x + beta * (v_x - v_prev)
         y = x + beta * (x - x_prev)
-        x_new = psd_project(y - step * gradient(v_y))
+        a = y - step * gradient(v_y)
+        # Only the first input carries the start's rounding asymmetry; at
+        # k = 2 beta is still 0, so it never reaches a later one.
+        x_new = psd_project(hermitian_part(a) if k == 1 else a)
         v_new = forward_stacked(s, x_new)[:m_count]
-        obj = float(np.linalg.norm(v_new - b_vec) ** 2)
+        obj = objective(v_new)
 
         if obj > obj_prev:
             # Adaptive restart: drop momentum and redo as a plain projected
@@ -194,7 +225,7 @@ def solve(s: SensingSet, b: Measurements, opts: SolverOptions | None = None) -> 
                 restarts += 1
                 x_new = psd_project(x - step * gradient(v_x))
                 v_new = forward_stacked(s, x_new)[:m_count]
-                obj = float(np.linalg.norm(v_new - b_vec) ** 2)
+                obj = objective(v_new)
         if obj > obj_prev:
             bad_streak += 1
             if bad_streak >= 10:
@@ -274,12 +305,19 @@ def aligned_mse(x_true: Signal, x_est: Signal) -> tuple[float, float]:
     """Phase-aligned normalized squared error and the aligning phase.
 
     Returns ``(min_phi ||x - e^{i phi} x_est||^2 / ||x||^2, phi)`` in closed
-    form; ``e^{i phi} x_est`` is the estimate rotated onto the truth.
+    form; ``e^{i phi} x_est`` is the estimate rotated onto the truth.  Both
+    signals are first scaled by the power of two that brings the reference's
+    largest magnitude to unit order.  That is exact and leaves the ratio and
+    the phase unchanged, but a tiny reference's squared norm no longer
+    underflows to zero.
     """
     xt = as_signal(x_true)
     xe = as_signal(x_est)
     if xt.size != xe.size:
         raise ValueError("signals must have equal length")
+    scale = _pow2_scale(xt)
+    xt = xt * scale
+    xe = xe * scale
     nt = float(np.linalg.norm(xt) ** 2)
     if nt == 0.0:
         raise ValueError("reference signal must be nonzero")

@@ -526,6 +526,9 @@ def test_main_recover_key_sequence(capsys):
     assert [line.split("=", 1)[0] for line in lines] == RECOVER_KEYS
 
 
+ENERGY_OVERFLOWS = "measurement energy ||b||^2 overflows the floating-point range"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -533,8 +536,10 @@ def test_main_recover_key_sequence(capsys):
         (["--signal", "1e200,1", "--signal", "1,1"], "measurements must be finite"),
         (["--signal", "1e200,1", "--signal", "1,1", "--snr-db", "20"], "measurements must be finite"),
         (["--max-iters", "0"], "max_iters must be positive"),
+        (["--signal", "1e154,1", "--signal", "1,1"], ENERGY_OVERFLOWS),
+        (["--signal", "1e154,1", "--signal", "1,1", "--snr-db", "20"], ENERGY_OVERFLOWS),
     ],
-    ids=["zero-pair", "overflow", "overflow-noisy", "max-iters"],
+    ids=["zero-pair", "overflow", "overflow-noisy", "max-iters", "energy", "energy-noisy"],
 )
 def test_main_recover_config_error_prints_nothing(capsys, argv, message):
     # the whole trial runs before the first line is printed
@@ -542,6 +547,16 @@ def test_main_recover_config_error_prints_nothing(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_main_recover_tiny_pair_scores_its_zero_estimate(capsys):
+    # The correlations underflow to 0, so the estimate is the zero pair; its
+    # error is 1 although ||x||^2 itself underflows.
+    assert main(["recover", "--signal", "1e-170", "--signal", "1e-170"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    kv = dict(line.split("=", 1) for line in captured.out.strip().split("\n"))
+    assert (kv["mse"], kv["stop_reason"], kv["x1_est"]) == ("1.0", "converged", "0j")
 
 
 def test_main_recover_solver_failure_exits_zero(monkeypatch, capsys):

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corrlift.linalg import herm_eig
+from corrlift.linalg import herm_eig, psd_project
+from corrlift.poly import convolve
 from corrlift.sensing import (
     Measurements,
     NoiseModel,
@@ -26,6 +27,7 @@ from corrlift.solver import (
     SolverResult,
     aligned_mse,
     extract_rank1,
+    measurement_norm,
     recover,
     solve,
 )
@@ -225,6 +227,37 @@ def test_aligned_mse_examples():
         aligned_mse(np.zeros(5), x)
 
 
+def _unscaled_aligned_mse(x_true, x_est):
+    # `aligned_mse` before it rescaled its inputs by a power of two.
+    nt = float(np.linalg.norm(x_true) ** 2)
+    ne = float(np.linalg.norm(x_est) ** 2)
+    inner = complex(np.vdot(x_est, x_true))
+    return max(nt + ne - 2.0 * abs(inner), 0.0) / nt, float(np.angle(inner))
+
+
+def test_aligned_mse_rescaling_is_exact():
+    rng = np.random.default_rng(90)
+    for trial in range(2000):
+        n = int(rng.integers(1, 9))
+        x = random_signal(rng, n) * 10.0 ** rng.uniform(-30, 30)
+        y = x * (1.0 + 10.0 ** rng.uniform(-12, 0) * random_signal(rng, n))
+        if trial % 3 == 0:
+            y = random_signal(rng, n) * 10.0 ** rng.uniform(-30, 30)
+        got = aligned_mse(x, y)
+        want = _unscaled_aligned_mse(x, y)
+        assert (got[0].hex(), got[1].hex()) == (want[0].hex(), want[1].hex())
+
+
+def test_aligned_mse_tiny_reference():
+    # ||x||^2 of the reference underflows to 0; the rescaled norms do not
+    x = np.array([1e-170, 2e-170j])
+    assert float(np.linalg.norm(x) ** 2) == 0.0
+    mse, phi = aligned_mse(x, 1j * x)
+    assert mse <= 1e-15
+    assert phi == pytest.approx(-np.pi / 2)
+    assert aligned_mse(x, np.zeros(2)) == (1.0, 0.0)
+
+
 def test_aligned_mse_matches_grid_search():
     rng = np.random.default_rng(89)
     for _ in range(5):
@@ -258,8 +291,6 @@ def test_recover_length_mismatch():
 
 
 def test_recover_common_factor_flags_non_uniqueness():
-    from corrlift.poly import convolve
-
     rng = np.random.default_rng(92)
     common = np.array([1.0, -2.0], dtype=complex)
     x1 = convolve(common, random_signal(rng, 2))
@@ -334,9 +365,79 @@ def test_max_iters_stop_and_restart_count(monkeypatch):
     assert len(calls) == 1 + result.iters + result.restarts
 
 
-def test_margin_separates_coprime_from_common_factor():
-    from corrlift.poly import convolve
+def _symmetrizing_psd_project(a):
+    # The projection as it was before `psd_project` took its input as
+    # Hermitian: symmetrize every input, clip with np.clip.
+    a = 0.5 * (a + a.conj().T)
+    w, v = np.linalg.eigh(a)
+    if w[0] >= 0.0:
+        return a
+    np.clip(w, 0.0, None, out=w)
+    out = (v * w) @ v.conj().T
+    return 0.5 * (out + out.conj().T)
 
+
+def _oracle_cases():
+    # Noisy pairs at 10-40 dB, noiseless coprime pairs, and a noiseless pair
+    # with a common zero (capped: it would spend the whole budget).
+    rng = np.random.default_rng(101)
+    for l1, l2 in [(3, 3), (2, 4), (4, 1)]:
+        for snr_db in (10.0, 20.0, 30.0, 40.0):
+            yield l1, l2, noisy_pair(rng, l1, l2, snr_db)[1], None
+        yield l1, l2, measure(random_signal(rng, l1), random_signal(rng, l2)), None
+    common = np.array([1.0, -2.0], dtype=complex)
+    x1 = convolve(common, random_signal(rng, 2))
+    x2 = convolve(common, random_signal(rng, 2))
+    yield 3, 3, measure(x1, x2), SolverOptions(max_iters=1500)
+
+
+def test_solve_matches_the_symmetrizing_projection_bitwise(monkeypatch):
+    # Only the first projection input needs symmetrizing: every later one is
+    # exactly Hermitian, so the solve is bit for bit the one that
+    # symmetrized every input.
+    for l1, l2, b, opts in _oracle_cases():
+        s = build_sensing(l1, l2)
+        got = solve(s, b, opts)
+        with monkeypatch.context() as m:
+            m.setattr("corrlift.solver.psd_project", _symmetrizing_psd_project)
+            want = solve(s, b, opts)
+        assert got.x_mat.tobytes() == want.x_mat.tobytes()
+        assert (got.iters, got.restarts, got.stop_reason) == (
+            want.iters, want.restarts, want.stop_reason
+        )
+        assert got.residual.hex() == want.residual.hex()
+        assert got.rank1_gap.hex() == want.rank1_gap.hex()
+
+
+def test_projection_inputs_after_the_first_are_hermitian(monkeypatch):
+    inputs = []
+
+    def recording(a):
+        inputs.append(a.copy())
+        return psd_project(a)
+
+    monkeypatch.setattr("corrlift.solver.psd_project", recording)
+    for l1, l2, b, opts in _oracle_cases():
+        start = len(inputs)
+        result = solve(build_sensing(l1, l2), b, opts)
+        assert len(inputs) - start == result.iters + result.restarts
+        # the first input is symmetrized in `solve`, so it is Hermitian too
+        assert all(np.array_equal(a, a.conj().T) for a in inputs[start:])
+
+
+def test_solve_rejects_overflowing_measurement_energy():
+    # every correlation is finite, but ||b||^2 is not
+    b = measure(np.array([1e154, 1.0]), np.array([1.0, 1.0]))
+    assert np.all(np.isfinite(b.stacked))
+    with pytest.raises(ValueError, match=r"energy \|\|b\|\|\^2 overflows"):
+        measurement_norm(b.stacked)
+    with pytest.raises(ValueError, match="overflows"):
+        solve(build_sensing(2, 2), b)
+    big = measure(np.array([1e76, 1.0]), np.array([1.0, 1.0])).stacked
+    assert measurement_norm(big) == float(np.linalg.norm(big))
+
+
+def test_margin_separates_coprime_from_common_factor():
     rng = np.random.default_rng(97)
     a1, a2 = random_signal(rng, 2), random_signal(rng, 2)
     _, _, coprime = recover(2, 2, measure(a1, a2))
