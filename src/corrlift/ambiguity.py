@@ -13,12 +13,17 @@ factors.  An autocorrelation family is a read-only (k, n) array, one signal
 per row.  `bool(family)` raises for more than one row: test `len(family)`.
 
 Each family is built as one batch: the zero choices of all its members
-form the rows of one array, `poly.from_roots` expands every row in one pass,
-and one row-wise product checks every member against the source
-convolution or autocorrelation.  The convolution classes gather their zeros
-through index tables that depend only on the shape and are built once per
-shape; the subset filter for repeated zeros runs only when a cluster holds
-more than one zero.
+form one array, `poly.from_roots` expands every member in one pass, and one
+batched product checks every member against the source convolution or
+autocorrelation.  The convolution classes gather their zeros through index
+tables that depend only on the shape and are built once per shape; the
+subset filter for repeated zeros runs only when a cluster holds more than
+one zero.  Their check runs along the class axis, on (l, K) tables with one
+class per column, and the tables are copied once, into the record array.
+The autocorrelation family stays one signal per row: its scale goes through
+a row norm.  Zero clustering and the near-merge warning scan pairs in Python
+only when one NumPy distance matrix shows two zeros within twice the
+threshold.
 """
 
 from __future__ import annotations
@@ -56,12 +61,14 @@ def cluster_zeros(zs, threshold: float) -> list:
     Returns (centroid, multiplicity) pairs sorted by (re, im) for
     deterministic downstream enumeration.
     """
-    clusters = [[complex(z)] for z in zs]
     # Centroids are always np.mean of a cluster's members (a singleton's
     # mean can differ from the zero in the sign of a zero part); only a
     # merge changes one, so it alone is recomputed then.
-    centroids = [complex(c) for c in np.mean(np.array(zs, dtype=complex)[:, None], axis=1)]
-    merged = True
+    means = np.mean(np.array(zs, dtype=complex)[:, None], axis=1)
+    centroids = [complex(c) for c in means]
+    clusters = [[complex(z)] for z in zs]
+    # With no pair close, no merge happens: skip the scan.
+    merged = not _all_apart(means, threshold)
     while merged:
         merged = False
         for i in range(len(clusters)):
@@ -79,8 +86,25 @@ def cluster_zeros(zs, threshold: float) -> list:
     return out
 
 
+def _all_apart(points: np.ndarray, threshold: float) -> bool:
+    """Whether every two of the complex `points` lie more than 2 * threshold apart.
+
+    One distance matrix in NumPy, so that the Python pair scans of
+    `cluster_zeros` and `_warn_if_near_merge` run only when some pair is
+    close.  `np.abs` and Python's `abs` of a complex number differ in the
+    last bit on about a third of inputs, so the bound carries a relative
+    margin of 1e-9: a gap the scans would place at or below 2 * threshold
+    never passes here.
+    """
+    gaps = np.abs(points[:, None] - points)
+    gaps.flat[:: len(points) + 1] = np.inf
+    return bool((gaps > 2.0 * (1.0 + 1e-9) * threshold).all())
+
+
 def _warn_if_near_merge(clusters, threshold: float) -> None:
     centroids = [c for c, _ in clusters]
+    if _all_apart(np.array(centroids, dtype=complex), threshold):
+        return
     for i in range(len(centroids)):
         for j in range(i + 1, len(centroids)):
             gap = abs(centroids[i] - centroids[j])
@@ -152,23 +176,41 @@ def enumerate_convolution_ambiguities(x1: Signal, x2: Signal) -> np.recarray:
         keep = ~(mask[:, 1:] & ~mask[:, :-1] & ~starts[1:]).any(axis=1)
         left, right = left[keep], right[keep]
     zs = np.repeat([z for z, _ in clusters], [m for _, m in clusters])
-    x1_reps = from_roots(unit, zs[left])
-    x2_reps = from_roots(1.0, zs[right])
-    # Each class's error norm in place; no K-row temporary outlives the check.
-    recon = _convolve_rows(x1_reps, x2_reps)
-    recon -= conv
-    parts = recon.view(float)
-    if np.any(np.sqrt(np.einsum("ij,ij->i", parts, parts)) > _RECONVOLVE_TOL * conv_norm):
+    # Gathered class axis last, so `from_roots` reads contiguous columns,
+    # and expanded to (l, K) tables: one signal per column.
+    x1_cols = from_roots(unit, zs[left.T].T, columns=True)
+    x2_cols = from_roots(1.0, zs[right.T].T, columns=True)
+    if np.any(_reconvolution_errors(x1_cols, x2_cols, conv) > _RECONVOLVE_TOL * conv_norm):
         raise RuntimeError(
             "clustered zeros fail to reproduce the convolution within "
             f"{_RECONVOLVE_TOL:g} relative; distinct zeros were merged at "
             f"the clustering tolerance {DEFAULT_CLUSTER_TOL:g}"
         )
-    del recon, parts
     dtype = [("x1_rep", complex, (l1,)), ("x2_rep", complex, (l2,))]
-    classes = np.rec.fromarrays([x1_reps, x2_reps], dtype=dtype)
+    classes = np.empty(len(left), dtype=dtype).view(np.recarray)
+    classes.x1_rep.T[...] = x1_cols
+    classes.x2_rep.T[...] = x2_cols
     classes.flags.writeable = False
     return classes
+
+
+def _reconvolution_errors(a: np.ndarray, b: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Per column k, the norm of convolve(a[:, k], b[:, k]) - target.
+
+    a and b are (la, K) and (lb, K) tables, one signal per column.  Each of
+    the la steps is one product over all K classes, written into one
+    scratch table reused across the steps.
+    """
+    la, lb = a.shape[0], b.shape[0]
+    out = np.zeros((la + lb - 1, a.shape[1]), dtype=complex)
+    step = np.empty_like(b)
+    for i in range(la):
+        np.multiply(a[i], b, out=step)
+        out[i : i + lb] += step
+    out -= target[:, None]
+    parts = out.view(float)
+    squares = np.einsum("ij,ij->j", parts, parts)
+    return np.sqrt(squares[0::2] + squares[1::2])
 
 
 @functools.lru_cache(maxsize=32)

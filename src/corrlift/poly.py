@@ -131,22 +131,23 @@ def _aberth(coeffs: np.ndarray, max_iter: int = 200, update_tol: float = 1e-13) 
     radius = float(np.abs(c[0] / c[m]) ** (1.0 / m))
     angles = 2.0 * np.pi * (np.arange(m) + 0.3127) / m + 0.6
     z = radius * np.exp(1j * angles)
-    diag = np.arange(m)
     for _ in range(max_iter):
         p = _horner(c_list, z)
         dp = _horner(dc_list, z)
         # Newton correction with a guard against a vanishing derivative.
-        dp[dp == 0] = 1e-300
+        if not dp.all():
+            dp[dp == 0] = 1e-300
         newton = p / dp
-        diff = z[:, None] - z[None, :]
-        diff[diag, diag] = 1.0
+        diff = z[:, None] - z
+        diff.flat[:: m + 1] = 1.0
         inv = 1.0 / diff
-        inv[diag, diag] = 0.0
+        inv.flat[:: m + 1] = 0.0
         denom = 1.0 - newton * inv.sum(axis=1)
-        denom[denom == 0] = 1e-300
+        if not denom.all():
+            denom[denom == 0] = 1e-300
         delta = newton / denom
         z = z - delta
-        if np.all(np.abs(delta) <= update_tol * np.maximum(1.0, np.abs(z))):
+        if (np.abs(delta) <= update_tol * np.maximum(1.0, np.abs(z))).all():
             break
     res = np.abs(_horner(c_list, z)) / (
         np.abs(c).sum() * np.maximum(1.0, np.abs(z)) ** m
@@ -187,13 +188,14 @@ def resolved_zeros(rs: RootSet, length: int, name: str) -> tuple:
     return rs.zeros
 
 
-def from_roots(unit: complex, zeros) -> np.ndarray:
+def from_roots(unit: complex, zeros, columns: bool = False) -> np.ndarray:
     """Coefficients of unit * prod_j (1 - zeros[r, j] z^{-1}), one row per r.
 
     `zeros` of shape (K, m) gives a C-contiguous array of shape (K, m+1); a
     1-D `zeros` of length m gives one signal of length m+1.  The product is
     built in one pass over the m columns, for all rows at once, in a
-    column-major (m+1, K) array that is transposed once at the end.  Origin
+    column-major (m+1, K) array that is transposed once at the end;
+    `columns=True` returns that array as is, one signal per column.  Origin
     zeros are carried by `RootSet.origin_power`, not here: a caller pads
     with leading zeros.
     """
@@ -209,6 +211,8 @@ def from_roots(unit: complex, zeros) -> np.ndarray:
         # the last bit differently on other broadcast layouts (K = 1 with a
         # 1-D row is one), and this one matches a row-major loop's.
         out[1 : j + 2] -= cols[j : j + 1] * out[: j + 1]
+    if columns:
+        return out
     out = np.ascontiguousarray(out.T)
     return out[0] if zeros.ndim == 1 else out
 

@@ -233,6 +233,11 @@ def test_from_roots_is_byte_identical_to_the_row_major_loop(k, m):
     got = from_roots(0.3 + 2j, zeros)
     assert got.flags.c_contiguous
     assert got.tobytes() == _row_major_from_roots(0.3 + 2j, zeros).tobytes()
+    # the same signals one per column, and from a column-major gather
+    for table in (zeros, np.ascontiguousarray(zeros.T).T):
+        cols = from_roots(0.3 + 2j, table, columns=True)
+        assert cols.shape == (m + 1, k) and cols.flags.c_contiguous
+        assert cols.T.tobytes(order="C") == got.tobytes()
     for row in zeros[:3]:
         one = from_roots(-1.5j, row)
         assert one.ndim == 1 and one.flags.c_contiguous
