@@ -21,9 +21,7 @@ subset filter for repeated zeros runs only when a cluster holds more than
 one zero.  Their check runs along the class axis, on (l, K) tables with one
 class per column, and the tables are copied once, into the record array.
 The autocorrelation family stays one signal per row: its scale goes through
-a row norm.  Zero clustering and the near-merge warning scan pairs in Python
-only when one NumPy distance matrix shows two zeros within twice the
-threshold.
+a row norm.
 """
 
 from __future__ import annotations
@@ -61,14 +59,12 @@ def cluster_zeros(zs, threshold: float) -> list:
     Returns (centroid, multiplicity) pairs sorted by (re, im) for
     deterministic downstream enumeration.
     """
+    clusters = [[complex(z)] for z in zs]
     # Centroids are always np.mean of a cluster's members (a singleton's
     # mean can differ from the zero in the sign of a zero part); only a
     # merge changes one, so it alone is recomputed then.
-    means = np.mean(np.array(zs, dtype=complex)[:, None], axis=1)
-    centroids = [complex(c) for c in means]
-    clusters = [[complex(z)] for z in zs]
-    # With no pair close, no merge happens: skip the scan.
-    merged = not _all_apart(means, threshold)
+    centroids = [complex(c) for c in np.mean(np.array(zs, dtype=complex)[:, None], axis=1)]
+    merged = True
     while merged:
         merged = False
         for i in range(len(clusters)):
@@ -86,25 +82,8 @@ def cluster_zeros(zs, threshold: float) -> list:
     return out
 
 
-def _all_apart(points: np.ndarray, threshold: float) -> bool:
-    """Whether every two of the complex `points` lie more than 2 * threshold apart.
-
-    One distance matrix in NumPy, so that the Python pair scans of
-    `cluster_zeros` and `_warn_if_near_merge` run only when some pair is
-    close.  `np.abs` and Python's `abs` of a complex number differ in the
-    last bit on about a third of inputs, so the bound carries a relative
-    margin of 1e-9: a gap the scans would place at or below 2 * threshold
-    never passes here.
-    """
-    gaps = np.abs(points[:, None] - points)
-    gaps.flat[:: len(points) + 1] = np.inf
-    return bool((gaps > 2.0 * (1.0 + 1e-9) * threshold).all())
-
-
 def _warn_if_near_merge(clusters, threshold: float) -> None:
     centroids = [c for c, _ in clusters]
-    if _all_apart(np.array(centroids, dtype=complex), threshold):
-        return
     for i in range(len(centroids)):
         for j in range(i + 1, len(centroids)):
             gap = abs(centroids[i] - centroids[j])

@@ -5,7 +5,6 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -492,116 +491,7 @@ def test_first_distinct_fast_path_matches_quadratic_loop():
         assert np.array_equal(got, _quadratic_first_distinct(y))
 
 
-# --- the pair-scan fast path and the class-axis check -----------------------
-
-
-def _scan_cluster_zeros(zs, threshold):
-    # The full pair scan with no distance-matrix shortcut, kept as the oracle.
-    clusters = [[complex(z)] for z in zs]
-    centroids = [complex(c) for c in np.mean(np.array(zs, dtype=complex)[:, None], axis=1)]
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                if abs(centroids[i] - centroids[j]) <= threshold:
-                    clusters[i].extend(clusters.pop(j))
-                    del centroids[j]
-                    centroids[i] = complex(np.mean(clusters[i]))
-                    merged = True
-                    break
-            if merged:
-                break
-    out = [(c, len(members)) for c, members in zip(centroids, clusters)]
-    out.sort(key=lambda t: (t[0].real, t[0].imag))
-    return out
-
-
-def _scan_warn_if_near_merge(clusters, threshold):
-    centroids = [c for c, _ in clusters]
-    for i in range(len(centroids)):
-        for j in range(i + 1, len(centroids)):
-            gap = abs(centroids[i] - centroids[j])
-            if threshold < gap <= 2.0 * threshold:
-                warnings.warn(
-                    "two zero clusters are within a factor two of merging; "
-                    "the class enumeration is sensitive to the clustering tolerance",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                return
-
-
-def _certify_pairs(seed):
-    # perfbench's certify-ambiguity inputs: every shape with 0-2 planted
-    # common zeros, drawn from the stream (seed, shape index, common)
-    shapes = [(3, 3), (3, 4), (4, 4), (4, 5), (5, 5), (5, 6), (6, 6), (6, 7), (7, 7), (7, 8), (8, 8), (8, 9)]
-    for index, (l1, l2) in enumerate(shapes):
-        for common in (0, 1, 2):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, index, common]))
-            c = gen_signal(common + 1, rng)
-            yield (
-                np.convolve(gen_signal(l1 - common, rng), c),
-                np.convolve(gen_signal(l2 - common, rng), c),
-            )
-
-
-def _parity_members(x):
-    # the zero multiset `_check_circle_parity` clusters, with its threshold
-    zeros = roots(x).zeros
-    threshold = DEFAULT_CLUSTER_TOL * max([1.0, *(abs(z) for z in zeros)])
-    members = []
-    for z in zeros:
-        mirror = 1.0 / np.conj(z)
-        members.extend((z, z) if abs(z - mirror) <= threshold else (z, mirror))
-    return members, threshold
-
-
-def _cluster_cases():
-    scale = 2.0
-    threshold = DEFAULT_CLUSTER_TOL * scale
-    far = [-1.0 + 0.5j, 0.3 - 1.2j, 1.5j]
-    yield [1 + 1j, 1 + 1j, scale, -3j / 2], threshold  # an exact duplicate
-    yield [0.5j, 0.5j, 0.5j, 1.0, scale], threshold  # an exact triple
-    # a gap that Python's abs puts at 2 * threshold and np.abs one bit above
-    rng = np.random.default_rng(17)
-    gap = 1e-6 * complex(*rng.standard_normal(2))
-    while not np.abs(gap) > abs(gap):
-        gap = 1e-6 * complex(*rng.standard_normal(2))
-    yield [0j, gap], abs(gap) / 2.0
-    for f in (0.5, 1.5, 2.0, 2.5):
-        for angle in (0.0, 0.7, np.pi / 2, 2.0):
-            z = 1.2 - 0.4j
-            yield [*far, z, z + f * threshold * np.exp(1j * angle), scale], threshold
-    for x in ([1.0, 0.0, 1.0], convolve([1.0, 0.0, 1.0], [1.0, -3.0]), np.exp(1j * np.arange(5))):
-        yield _parity_members(np.array(x, dtype=complex))
-    for seed in range(1, 6):
-        for x1, x2 in _certify_pairs(seed):
-            zs = list(roots(x1).zeros) + list(roots(x2).zeros)
-            yield zs, DEFAULT_CLUSTER_TOL * max(abs(z) for z in zs)
-            yield _parity_members(x1)
-
-
-def _warned(warn, clusters, threshold):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        warn(clusters, threshold)
-    return [(w.category, str(w.message)) for w in caught]
-
-
-def test_cluster_fast_path_matches_the_full_scan():
-    cases = list(_cluster_cases())
-    merging = warning = 0
-    for zs, threshold in cases:
-        got = cluster_zeros(zs, threshold)
-        want = _scan_cluster_zeros(zs, threshold)
-        assert repr(got) == repr(want)
-        warned = _warned(ambiguity._warn_if_near_merge, got, threshold)
-        assert warned == _warned(_scan_warn_if_near_merge, want, threshold)
-        merging += len(got) < len(zs)
-        warning += bool(warned)
-    # the cases reach both the merge and the warning, and mostly neither
-    assert 0 < merging and 0 < warning and merging + warning < len(cases) // 2
+# --- the near-merge warning and the class-axis check ------------------------
 
 
 def test_near_merge_warning_points_at_the_caller():

@@ -12,8 +12,16 @@ check compares stdout, stderr, exit status and the bytes of every file a
 command writes there (the sweep and zeros CSVs).  It prints one line per
 command and exits 1 if any of them differs, 0 otherwise.
 
-The commands are the default ``corrlift sweep``, the acceptance suite's
-criterion-10 sweep, README's six command-line examples, and ``certify``,
+A change that means to alter some outputs declares the corrlift
+subcommands whose runs it alters, with ``--expect-diff NAME`` or with a
+``Byte-identity-differs: NAME, ...`` trailer in a commit message that
+``--expect-from RANGE`` reads (``git log RANGE``).  A difference in a
+declared subcommand is reported but passes; a declared subcommand none of
+whose runs differs fails, so that a declaration says what the change does.
+
+The commands are README's sweep example (all of whose options are
+``corrlift sweep``'s defaults), the acceptance suite's criterion-10 sweep,
+README's other five command-line examples, and ``certify``,
 ``ambiguities`` and ``zeros`` on README's pairs and on three
 certify-ambiguity benchmark pairs (seed 1: shape (8, 9) with no common
 zero, (7, 8) with one, (6, 6) with two), written as ``--signal`` literals.
@@ -66,12 +74,12 @@ CERTIFY_PAIRS = (
 )
 
 COMMANDS = [
-    ["sweep", "--out", "sweep.csv"],
     [
         "sweep", "--l1", "3", "--l2", "3", "--snr-db", "20,40", "--trials", "5",
         "--seed", "2024", "--max-iters", "2000", "--out", "sweep.csv",
     ],
-    # README's examples
+    # README's examples; the sweep's options are all the defaults, so it is
+    # also the default `corrlift sweep`
     [
         "sweep", "--l1", "3", "--l2", "3", "--snr-db", "10,20,30,40", "--trials", "50",
         "--seed", "0", "--out", "sweep.csv",
@@ -89,10 +97,37 @@ for _x1, _x2 in README_PAIRS + CERTIFY_PAIRS:
     COMMANDS.append(["zeros", f"--signal={_x1}", f"--signal={_x2}", "--out", "zeros.csv"])
 
 
+SUBCOMMANDS = sorted({command[0] for command in COMMANDS})
+TRAILER = "Byte-identity-differs"
+
+
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
-    return parser.parse_args(argv)
+    parser.add_argument(
+        "--expect-diff", action="append", default=[], metavar="NAME",
+        help="a corrlift subcommand whose runs the change alters (repeatable)",
+    )
+    parser.add_argument(
+        "--expect-from", metavar="RANGE",
+        help=f"also read the subcommands of every '{TRAILER}:' trailer in git log RANGE",
+    )
+    args = parser.parse_args(argv)
+    if args.expect_from:
+        args.expect_diff += declared_differences(args.expect_from)
+    unknown = set(args.expect_diff) - set(SUBCOMMANDS)
+    if unknown:
+        parser.error(
+            f"unknown subcommand(s) {', '.join(sorted(unknown))}; "
+            f"expected one of {', '.join(SUBCOMMANDS)}"
+        )
+    return args
+
+
+def declared_differences(revisions: str) -> list:
+    """The subcommands named in the trailers of the commits in `revisions`."""
+    values = git("log", f"--format=%(trailers:key={TRAILER},valueonly)", revisions)
+    return values.replace(",", " ").split()
 
 
 def environment(tree: Path) -> dict:
@@ -132,8 +167,10 @@ def run(tree: Path, args, scratch: Path) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    expected = set(args.expect_diff)
     base_commit = git("rev-parse", args.base)
-    differing = 0
+    failing = 0
+    altered = set()
     with tempfile.TemporaryDirectory(prefix="byte_identity_") as tmp:
         trees = {"base": Path(tmp) / "base", "change": ROOT}
         export_revision(base_commit, trees["base"])
@@ -145,12 +182,21 @@ def main(argv=None) -> int:
                 for side, tree in trees.items()
             }
             diff = [key for key in out["base"] if out["base"][key] != out["change"][key]]
-            differing += bool(diff)
+            if diff:
+                altered.add(command[0])
+                failing += command[0] not in expected
             shown = " ".join(a if len(a) <= 40 else a[:37] + "..." for a in command)
             status = "differs in " + ", ".join(diff) if diff else "identical"
+            if diff and command[0] in expected:
+                status += " (declared)"
             print(f"{status} (exit {out['change']['exit']}): corrlift {shown}")
-    print(f"{differing} of {len(COMMANDS)} commands differ from {args.base} ({base_commit[:12]})")
-    return 1 if differing else 0
+    print(
+        f"{failing} of {len(COMMANDS)} commands differ from {args.base} "
+        f"({base_commit[:12]}) in an undeclared subcommand"
+    )
+    for name in sorted(expected - altered):
+        print(f"declared to differ, but every run is identical: corrlift {name}")
+    return 1 if failing or expected - altered else 0
 
 
 if __name__ == "__main__":
