@@ -10,14 +10,15 @@ runs as ``python -m corrlift.cli`` in both trees, each tree's ``src`` first
 on ``PYTHONPATH`` and each command in a fresh empty working directory.  The
 check compares stdout, stderr, exit status and the bytes of every file a
 command writes there (the sweep and zeros CSVs).  It prints one line per
-command and exits 1 if any of them differs, 0 otherwise.
+command and exits 1 if any of them differs, unless the change declares
+that difference as below, and 0 otherwise.
 
 A change that means to alter some outputs declares the corrlift
-subcommands whose runs it alters, with ``--expect-diff NAME`` or with a
-``Byte-identity-differs: NAME, ...`` trailer in a commit message that
-``--expect-from RANGE`` reads (``git log RANGE``).  A difference in a
-declared subcommand is reported but passes; a declared subcommand none of
-whose runs differs fails, so that a declaration says what the change does.
+subcommands whose runs it alters in a ``Byte-identity-differs: NAME, ...``
+trailer of one of its commit messages, and ``--expect-from RANGE`` reads
+the trailers of ``git log RANGE``.  A difference in a declared subcommand
+is reported but passes; a declared subcommand none of whose runs differs
+fails, so that a declaration says what the change does.
 
 The commands are README's sweep example (all of whose options are
 ``corrlift sweep``'s defaults), the acceptance suite's criterion-10 sweep,
@@ -105,17 +106,12 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument(
-        "--expect-diff", action="append", default=[], metavar="NAME",
-        help="a corrlift subcommand whose runs the change alters (repeatable)",
-    )
-    parser.add_argument(
         "--expect-from", metavar="RANGE",
-        help=f"also read the subcommands of every '{TRAILER}:' trailer in git log RANGE",
+        help=f"commits whose '{TRAILER}:' trailers name the subcommands the change alters",
     )
     args = parser.parse_args(argv)
-    if args.expect_from:
-        args.expect_diff += declared_differences(args.expect_from)
-    unknown = set(args.expect_diff) - set(SUBCOMMANDS)
+    args.expected = declared_differences(args.expect_from) if args.expect_from else set()
+    unknown = args.expected - set(SUBCOMMANDS)
     if unknown:
         parser.error(
             f"unknown subcommand(s) {', '.join(sorted(unknown))}; "
@@ -124,10 +120,10 @@ def parse_args(argv):
     return args
 
 
-def declared_differences(revisions: str) -> list:
+def declared_differences(revisions: str) -> set:
     """The subcommands named in the trailers of the commits in `revisions`."""
     values = git("log", f"--format=%(trailers:key={TRAILER},valueonly)", revisions)
-    return values.replace(",", " ").split()
+    return set(values.replace(",", " ").split())
 
 
 def environment(tree: Path) -> dict:
@@ -167,7 +163,7 @@ def run(tree: Path, args, scratch: Path) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    expected = set(args.expect_diff)
+    expected = args.expected
     base_commit = git("rev-parse", args.base)
     failing = 0
     altered = set()
