@@ -63,7 +63,7 @@ def cluster_zeros(zs, threshold: float) -> list:
     # Centroids are always np.mean of a cluster's members (a singleton's
     # mean can differ from the zero in the sign of a zero part); only a
     # merge changes one, so it alone is recomputed then.
-    centroids = [complex(c) for c in np.mean(np.array(zs, dtype=complex)[:, None], axis=1)]
+    centroids = np.mean(np.array(zs, dtype=complex)[:, None], axis=1).tolist()
     merged = True
     while merged:
         merged = False

@@ -568,9 +568,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bind_signal_values(argv: Sequence[str]) -> list[str]:
+    """Join each `--signal V` whose V starts with one "-" into `--signal=V`.
+
+    argparse reads an argument such as "-1,2" (a negative first coefficient)
+    as an option, not as the value of the `--signal` before it.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--signal" and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"--signal={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_bind_signal_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:

@@ -586,6 +586,24 @@ def test_main_certify_rank_is_sylvester_rank(capsys):
     assert kv["rank"] == "3"
 
 
+@pytest.mark.parametrize("command", ["zeros", "certify", "ambiguities", "recover"])
+def test_main_signal_with_a_leading_minus_is_the_flags_value(capsys, command):
+    # "-1,2" after --signal is x1, not an unknown option: the same output as
+    # the --signal=-1,2 spelling, which argparse always read as a value
+    assert main([command, "--signal=-1,2", "--signal=1,1"]) == 0
+    bound = capsys.readouterr()
+    assert main([command, "--signal", "-1,2", "--signal", "1,1"]) == 0
+    assert capsys.readouterr() == bound
+    assert bound.out and not bound.err
+
+
+def test_main_signal_without_a_value_still_exits_2(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["certify", "--signal", "--signal", "1,1"])
+    assert excinfo.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "target", ["missing/x.csv", "."], ids=["missing-dir", "directory"]
 )
