@@ -27,7 +27,10 @@ Every solve ends for a stated reason (`SolverResult.stop_reason`): the
 relative residual reaches `rel_tol` ("converged", as noiseless data do), the
 objective falls by no more than STALL_RTOL of itself over STALL_WINDOW
 iterations ("stalled", as noisy data do, whose least-squares fit keeps a
-positive residual), or the `max_iters` cap is spent ("max_iters").
+positive residual), or the `max_iters` cap is spent ("max_iters").  The
+adaptive restart of O'Donoghue & Candes (FoCM 2015) makes the accepted
+objectives fall geometrically, so a short look-back (20 iterations) with a
+proportionally tight tolerance (1e-10) sees a stall soon after it sets in.
 
 `SolverResult` is the one record of a solve's diagnostics: `recover` returns
 the result `solve` built, and the command line's output and sweep CSV read
@@ -63,8 +66,11 @@ STEP_SAFETY = 0.95
 # Stall stop: the solve ends once the accepted objective has fallen by no
 # more than STALL_RTOL of its current value over the last STALL_WINDOW
 # iterations.  The rule is relative, so it is invariant under scaling b.
-STALL_WINDOW = 100
-STALL_RTOL = 1e-9
+# The look-back is short, so a stall ends the solve within STALL_WINDOW
+# iterations of setting in; the tolerance is tight in proportion, 5e-12 of
+# the objective per iteration.
+STALL_WINDOW = 20
+STALL_RTOL = 1e-10
 
 # The largest norm whose square is a finite float.
 _MAX_NORM = math.sqrt(sys.float_info.max)
@@ -147,8 +153,8 @@ def solve(s: SensingSet, b: Measurements, opts: SolverOptions | None = None) -> 
     without momentum from the last accepted iterate, so accepted objectives
     are non-increasing whenever the step bound holds).  Terminates once the
     relative measurement residual drops below `rel_tol` ("converged"), once
-    the objective has fallen by at most STALL_RTOL of itself over the last
-    STALL_WINDOW iterations ("stalled"), or after `max_iters` iterations
+    the objective has fallen by at most STALL_RTOL (1e-10) of itself over the
+    last STALL_WINDOW (20) iterations ("stalled"), or after `max_iters` iterations
     ("max_iters").  Ten consecutive objective increases after restarts
     raise RuntimeError with the recent objective trace.
     """

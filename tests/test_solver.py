@@ -347,6 +347,25 @@ def test_stall_stop_fires_at_the_first_iteration_the_rule_allows():
     assert solve(s, noisy, SolverOptions(max_iters=k - 1)).stop_reason == "max_iters"
 
 
+def test_stalled_objective_matches_a_tightly_converged_solve(monkeypatch):
+    # The stall stop ends a noisy solve early, not at a worse fit: its
+    # objective is within 1e-8 of a solve with a 2000-iteration, 1e-14 stall
+    # look-back, and the fit stays below the planted pair's misfit.
+    rng = np.random.default_rng(101)
+    s = build_sensing(3, 3)
+    cases = [noisy_pair(rng, 3, 3, snr_db) for snr_db in (10.0, 40.0) for _ in range(3)]
+    stalled = [solve(s, noisy) for _, noisy in cases]
+    monkeypatch.setattr("corrlift.solver.STALL_WINDOW", 2000)
+    monkeypatch.setattr("corrlift.solver.STALL_RTOL", 1e-14)
+    for (clean, noisy), result in zip(cases, stalled):
+        tight = solve(s, noisy)
+        assert (result.stop_reason, tight.stop_reason) == ("stalled", "stalled")
+        norm_b = np.linalg.norm(noisy.stacked)
+        obj, tight_obj = ((r.residual * norm_b) ** 2 for r in (result, tight))
+        assert abs(obj - tight_obj) <= 1e-8 * tight_obj
+        assert result.residual * norm_b <= np.linalg.norm(noisy.stacked - clean.stacked)
+
+
 def test_max_iters_stop_and_restart_count(monkeypatch):
     rng = np.random.default_rng(100)
     _, noisy = noisy_pair(rng, 3, 3, 20.0)
