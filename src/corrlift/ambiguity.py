@@ -13,15 +13,15 @@ factors.  An autocorrelation family is a read-only (k, n) array, one signal
 per row.  `bool(family)` raises for more than one row: test `len(family)`.
 
 Each family is built as one batch: the zero choices of all its members
-form one array, `poly.from_roots` expands every member in one pass, and one
-batched product checks every member against the source convolution or
-autocorrelation.  The convolution classes gather their zeros through index
-tables that depend only on the shape and are built once per shape; the
-subset filter for repeated zeros runs only when a cluster holds more than
-one zero.  Their check runs along the class axis, on (l, K) tables with one
-class per column, and the tables are copied once, into the record array.
-The autocorrelation family stays one signal per row: its scale goes through
-a row norm.
+form one array, `poly.from_roots` expands every member in one pass, into
+(l, K) tables with one member per column, and one batched product along
+that class axis (`_reconvolution_errors`) checks every member against the
+source convolution or autocorrelation.  The convolution classes gather
+their zeros through index tables that depend only on the shape and are
+built once per shape; the subset filter for repeated zeros runs only when a
+cluster holds more than one zero.  Their tables are copied once, into the
+record array.  The autocorrelation family's scale comes from the same
+product against a zero target, and its table is transposed once, to rows.
 """
 
 from __future__ import annotations
@@ -251,16 +251,16 @@ def enumerate_autocorr_ambiguities(x: Signal) -> np.ndarray:
 
     _check_circle_parity(choice_sets, threshold)
 
-    y0 = from_roots(1.0, list(itertools.product(*choice_sets)))
-    auto0 = _convolve_rows(y0, np.conj(y0[:, ::-1]))
-    y = np.sqrt(acf_norm / np.linalg.norm(auto0, axis=1))[:, None] * y0
-    err = np.linalg.norm(_convolve_rows(y, np.conj(y[:, ::-1])) - acf, axis=1)
-    if np.any(err > _RECONVOLVE_TOL * acf_norm):
+    y0 = from_roots(1.0, list(itertools.product(*choice_sets)), columns=True)
+    auto0_norms = _reconvolution_errors(y0, np.conj(y0[::-1]), np.zeros(acf.size))
+    y = np.sqrt(acf_norm / auto0_norms) * y0
+    if np.any(_reconvolution_errors(y, np.conj(y[::-1]), acf) > _RECONVOLVE_TOL * acf_norm):
         raise RuntimeError(
             "zero-swap candidate fails to reproduce the autocorrelation; "
             "distinct zeros were merged at the clustering tolerance "
             f"{DEFAULT_CLUSTER_TOL:g}"
         )
+    y = y.T
     family = y[_first_distinct(y)]
     family.flags.writeable = False
     return family
@@ -293,14 +293,6 @@ def _first_distinct(y: np.ndarray) -> np.ndarray:
         near = near[kept[near]]
         kept[i] = not np.any(np.abs(y[near] - y[i]).max(axis=1) <= 1e-7 * peaks[near])
     return kept
-
-
-def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise full convolution of two (K, la) and (K, lb) arrays."""
-    out = np.zeros((a.shape[0], a.shape[1] + b.shape[1] - 1), dtype=complex)
-    for i in range(a.shape[1]):
-        out[:, i : i + b.shape[1]] += a[:, i : i + 1] * b
-    return out
 
 
 def _check_circle_parity(choice_sets, threshold: float) -> None:

@@ -371,7 +371,7 @@ def _parse_snr_list(text: str) -> tuple[float, ...]:
 
 
 def _solver_options(args: argparse.Namespace) -> SolverOptions:
-    return SolverOptions(max_iters=args.max_iters, rel_tol=args.tol)
+    return SolverOptions(max_iters=args.max_iters)
 
 
 def _signal_pair(args: argparse.Namespace) -> tuple[Signal, Signal]:
@@ -479,12 +479,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
             "solver iteration cap; noisy solves normally stop well below it, "
             "once the objective stalls"
         ),
-    )
-    parser.add_argument(
-        "--tol",
-        type=float,
-        default=1e-10,
-        help="relative residual stopping tolerance",
     )
     parser.add_argument(
         "--reduced",

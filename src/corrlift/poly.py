@@ -11,7 +11,7 @@ Contents
 - convolve, conj_time_reverse, correlate     : ring operations
 - RootSet, roots, from_roots, resolved_zeros : root-domain codec
 - poly_gcd                                   : numeric Euclid GCD
-- is_self_reciprocal, is_self_inversive      : symmetry tests
+- is_self_reciprocal                         : symmetry test
 - gsd                                        : greatest self-reciprocal divisor
 - anti_solution                              : solutions of X H* + X* H = 0
 """
@@ -25,6 +25,7 @@ from numpy.polynomial import polynomial as npoly
 
 Signal = np.ndarray
 
+# The relative tolerance of the GCD, symmetry and factorization checks.
 DEFAULT_GCD_TOL = 1e-8
 _TRIM_TOL = 1e-12
 
@@ -224,13 +225,13 @@ def _polydiv(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.atleast_1d(q.astype(complex)), np.atleast_1d(r.astype(complex))
 
 
-def poly_gcd(x1: Signal, x2: Signal, tol: float = DEFAULT_GCD_TOL) -> Signal:
+def poly_gcd(x1: Signal, x2: Signal) -> Signal:
     """Numeric GCD by the Euclidean algorithm, monic in w.
 
-    Remainders are declared zero once their norm drops below `tol` times the
-    larger input norm; each remainder is also trimmed of leading-coefficient
-    dust at the same scale before it becomes the next divisor (the pivoting
-    that keeps the division stable).
+    Remainders are declared zero once their norm drops below DEFAULT_GCD_TOL
+    times the larger input norm; each remainder is also trimmed of
+    leading-coefficient dust at the same scale before it becomes the next
+    divisor (the pivoting that keeps the division stable).
     """
     a = as_signal(x1)
     b = as_signal(x2)
@@ -240,7 +241,7 @@ def poly_gcd(x1: Signal, x2: Signal, tol: float = DEFAULT_GCD_TOL) -> Signal:
 
     def trimmed(p: np.ndarray) -> np.ndarray:
         mags = np.abs(p)
-        keep = np.nonzero(mags > tol * scale)[0]
+        keep = np.nonzero(mags > DEFAULT_GCD_TOL * scale)[0]
         if keep.size == 0:
             return np.zeros(0, dtype=complex)
         return p[: keep[-1] + 1]
@@ -256,39 +257,19 @@ def poly_gcd(x1: Signal, x2: Signal, tol: float = DEFAULT_GCD_TOL) -> Signal:
     return a / a[-1]
 
 
-def is_self_reciprocal(x: Signal, tol: float = DEFAULT_GCD_TOL) -> bool:
-    """Whether conj-time-reversal fixes the vector, within tol relative."""
+def is_self_reciprocal(x: Signal) -> bool:
+    """Whether conj-time-reversal fixes the vector, within DEFAULT_GCD_TOL relative."""
     x = as_signal(x)
     nrm = float(np.linalg.norm(x))
     if nrm == 0.0:
         return True
-    return float(np.linalg.norm(x - conj_time_reverse(x))) <= tol * nrm
+    return float(np.linalg.norm(x - conj_time_reverse(x))) <= DEFAULT_GCD_TOL * nrm
 
 
-def is_self_inversive(x: Signal, tol: float = DEFAULT_GCD_TOL) -> tuple[bool, float]:
-    """Test whether X* = e^{i alpha} X for some phase, and return that phase.
-
-    The candidate phase comes from the largest-magnitude coefficient and is
-    then verified globally.  Returns (flag, alpha) with alpha in [0, 2 pi);
-    a failed test reports alpha = 0.
-    """
-    x = as_signal(x)
-    xc = conj_time_reverse(x)
-    nrm = float(np.linalg.norm(x))
-    if nrm == 0.0:
-        return True, 0.0
-    k = int(np.argmax(np.abs(x)))
-    ratio = xc[k] / x[k]
-    alpha = float(np.angle(ratio) % (2.0 * np.pi))
-    if np.linalg.norm(xc - np.exp(1j * alpha) * x) <= tol * nrm:
-        return True, alpha
-    return False, 0.0
-
-
-def _deconvolve(x: Signal, g: Signal, tol: float) -> Signal:
+def _deconvolve(x: Signal, g: Signal) -> Signal:
     q, r = _polydiv(as_signal(x), as_signal(g))
     scale = float(np.linalg.norm(x))
-    if float(np.linalg.norm(r)) > tol * max(scale, 1e-300):
+    if float(np.linalg.norm(r)) > DEFAULT_GCD_TOL * max(scale, 1e-300):
         raise ValueError("deconvolution left a non-negligible remainder")
     want = len(x) - len(g) + 1
     out = np.zeros(want, dtype=complex)
@@ -296,32 +277,35 @@ def _deconvolve(x: Signal, g: Signal, tol: float) -> Signal:
     return out
 
 
-def gsd(x: Signal, tol: float = DEFAULT_GCD_TOL) -> tuple[Signal, Signal]:
+def gsd(x: Signal) -> tuple[Signal, Signal]:
     """Greatest self-reciprocal divisor g and co-factor r with g * r = x.
 
-    g is gcd(X, X*) rescaled to be exactly canonical: a phase e^{i alpha/2}
-    (alpha from the self-inversive test of the monic gcd) makes it
-    self-reciprocal, and the sign is fixed by a nonnegative real part at the
-    middle coefficient.  Verifies convolve(g, r) = x within tol relative.
+    g is the monic g0 = gcd(X, X*) rescaled to be exactly canonical.  g0 is
+    self-inversive, G0* = e^{i alpha} G0, with alpha read off its
+    largest-magnitude coefficient; the phase e^{i alpha/2} makes it
+    self-reciprocal (checked by `is_self_reciprocal`), and the sign is fixed
+    by a nonnegative real part at the middle coefficient.  Verifies
+    convolve(g, r) = x within DEFAULT_GCD_TOL relative.
     """
     x = require_c00(x)
-    g0 = poly_gcd(x, conj_time_reverse(x), tol)
-    flag, alpha = is_self_inversive(g0, max(tol, 1e-10))
-    if not flag:
-        raise RuntimeError("gcd with the involution is unexpectedly not self-inversive")
+    g0 = poly_gcd(x, conj_time_reverse(x))
+    k = int(np.argmax(np.abs(g0)))
+    alpha = float(np.angle(np.conj(g0[-1 - k]) / g0[k]) % (2.0 * np.pi))
     g = np.exp(0.5j * alpha) * g0
+    if not is_self_reciprocal(g):
+        raise RuntimeError("gcd with the involution is unexpectedly not self-inversive")
     mid = (g.size - 1) // 2
     anchor = g[mid]
     if anchor.real < 0 or (anchor.real == 0 and anchor.imag < 0):
         g = -g
-    r = _deconvolve(x, g, tol)
+    r = _deconvolve(x, g)
     err = float(np.linalg.norm(convolve(g, r) - x))
-    if err > tol * float(np.linalg.norm(x)):
+    if err > DEFAULT_GCD_TOL * float(np.linalg.norm(x)):
         raise RuntimeError(f"self-reciprocal factorization failed to reproduce the signal ({err:.3e})")
     return g, r
 
 
-def anti_solution(x: Signal, s: Signal, tol: float = DEFAULT_GCD_TOL) -> Signal:
+def anti_solution(x: Signal, s: Signal) -> Signal:
     """A vector H (same length as x) with X H* + X* H = 0.
 
     Writes x = g * r with g the greatest self-reciprocal divisor, embeds the
@@ -332,9 +316,9 @@ def anti_solution(x: Signal, s: Signal, tol: float = DEFAULT_GCD_TOL) -> Signal:
     """
     x = require_c00(x)
     s = as_signal(s)
-    if not is_self_reciprocal(s, tol):
+    if not is_self_reciprocal(s):
         raise ValueError("s must be self-reciprocal")
-    g, r = gsd(x, tol)
+    g, r = gsd(x)
     gap = g.size - s.size
     if gap < 0:
         raise ValueError("degree of s exceeds the degree of the greatest self-reciprocal divisor")
@@ -349,7 +333,7 @@ def anti_solution(x: Signal, s: Signal, tol: float = DEFAULT_GCD_TOL) -> Signal:
     h = 1j * convolve(r, embedded)
     lhs = convolve(x, conj_time_reverse(h)) + convolve(conj_time_reverse(x), h)
     scale = float(np.linalg.norm(x)) * float(np.linalg.norm(h))
-    if scale > 0 and float(np.linalg.norm(lhs)) > tol * scale:
+    if scale > 0 and float(np.linalg.norm(lhs)) > DEFAULT_GCD_TOL * scale:
         raise RuntimeError("constructed vector does not solve the anti-symmetry equation")
     return h
 

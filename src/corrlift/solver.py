@@ -24,7 +24,7 @@ reads the estimate from one `eigh`, pinning the top column's phase by
 `linalg.herm_eig`'s rule; the solver keeps no eigen routine of its own.
 
 Every solve ends for a stated reason (`SolverResult.stop_reason`): the
-relative residual reaches `rel_tol` ("converged", as noiseless data do), the
+relative residual reaches REL_TOL ("converged", as noiseless data do), the
 objective falls by no more than STALL_RTOL of itself over STALL_WINDOW
 iterations ("stalled", as noisy data do, whose least-squares fit keeps a
 positive residual), or the `max_iters` cap is spent ("max_iters").  The
@@ -63,6 +63,10 @@ RANK1_TIE_TOL = 1e-12
 # Fraction of the exact step 1/L taken each iteration.
 STEP_SAFETY = 0.95
 
+# Convergence stop: the solve ends once the relative residual
+# ||A(X) - b|| / ||b|| is at most REL_TOL.
+REL_TOL = 1e-10
+
 # Stall stop: the solve ends once the accepted objective has fallen by no
 # more than STALL_RTOL of its current value over the last STALL_WINDOW
 # iterations.  The rule is relative, so it is invariant under scaling b.
@@ -78,16 +82,13 @@ _MAX_NORM = math.sqrt(sys.float_info.max)
 
 @dataclass
 class SolverOptions:
-    """Iteration controls for the projected-gradient solve."""
+    """The iteration cap of `solve`; its stop tolerances are module constants."""
 
     max_iters: int = 20000
-    rel_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.max_iters <= 0:
             raise ValueError("max_iters must be positive")
-        if not (0.0 < self.rel_tol < 1.0):
-            raise ValueError("rel_tol must lie in (0, 1)")
 
 
 @dataclass
@@ -144,23 +145,23 @@ def _spectral_start(s: SensingSet, b: Measurements) -> tuple[np.ndarray, float]:
     return energy * np.outer(v[:, 0], v[:, 0].conj()), margin
 
 
-def solve(s: SensingSet, b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
+def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
     """Minimize ||A(X) - b||^2 over PSD X by momentum projected gradient.
 
-    Starts from the spectral estimate of `_spectral_start` and takes the
-    step STEP_SAFETY / L with L = 2 max(l1, l2).  Momentum restarts
-    whenever the objective would increase (the restart redoes the step
-    without momentum from the last accepted iterate, so accepted objectives
-    are non-increasing whenever the step bound holds).  Terminates once the
-    relative measurement residual drops below `rel_tol` ("converged"), once
-    the objective has fallen by at most STALL_RTOL (1e-10) of itself over the
-    last STALL_WINDOW (20) iterations ("stalled"), or after `max_iters` iterations
-    ("max_iters").  Ten consecutive objective increases after restarts
-    raise RuntimeError with the recent objective trace.
+    A is the (cached) sensing set of b's segment lengths.  Starts from the
+    spectral estimate of `_spectral_start` and takes the step STEP_SAFETY / L
+    with L = 2 max(l1, l2).  Momentum restarts whenever the objective would
+    increase (the restart redoes the step without momentum from the last
+    accepted iterate, so accepted objectives are non-increasing whenever the
+    step bound holds).  Terminates once the relative measurement residual
+    drops below REL_TOL (1e-10) ("converged"), once the objective has fallen
+    by at most STALL_RTOL (1e-10) of itself over the last STALL_WINDOW (20)
+    iterations ("stalled"), or after `max_iters` iterations ("max_iters").
+    Ten consecutive objective increases after restarts raise RuntimeError
+    with the recent objective trace.
     """
     opts = SolverOptions() if opts is None else opts
-    if (b.l1, b.l2) != (s.l1, s.l2):
-        raise ValueError("measurement segment lengths do not match the sensing set")
+    s = build_sensing(b.l1, b.l2)
     b_vec = b.stacked
     m_count = b_vec.size
     if not np.all(np.isfinite(b_vec)):
@@ -251,7 +252,7 @@ def solve(s: SensingSet, b: Measurements, opts: SolverOptions | None = None) -> 
         beta = (t - 1.0) / t_next
         t = t_next
 
-        if math.sqrt(obj) <= opts.rel_tol * norm_b:
+        if math.sqrt(obj) <= REL_TOL * norm_b:
             iters_done, stop_reason = k, "converged"
             break
         if len(recent) > STALL_WINDOW and recent[0] - obj <= STALL_RTOL * obj:
@@ -347,7 +348,6 @@ def recover(
     """
     if b.l1 != x1_len or b.l2 != x2_len:
         raise ValueError("measurements are inconsistent with the stated lengths")
-    s = build_sensing(x1_len, x2_len)
-    result = solve(s, b, opts)
+    result = solve(b, opts)
     x_est = extract_rank1(result.x_mat)
     return x_est[:x1_len], x_est[x1_len:], result

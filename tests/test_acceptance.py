@@ -82,7 +82,7 @@ def test_criterion_01_noiseless_recovery(recovery_corpus):
     # Well-conditioned pairs stop early on the residual tolerance; the high
     # iteration cap only matters for rare near-common-factor draws, whose
     # flat-valley convergence needs a few hundred thousand steps.
-    opts = SolverOptions(max_iters=500000, rel_tol=1e-10)
+    opts = SolverOptions(max_iters=500000)
     for (l1, l2), pairs in recovery_corpus.items():
         for x1, x2 in pairs:
             b = measure(x1, x2)
@@ -198,7 +198,7 @@ def test_criterion_05_gcd_degree():
             x1 = convolve(g, r1)
             x2 = convolve(g, r2)
         sylvester_deg = gcd_degree(x1, x2) - 1
-        euclid_deg = poly_gcd(x1, x2, tol=1e-8).size - 1
+        euclid_deg = poly_gcd(x1, x2).size - 1
         if sylvester_deg != degree or euclid_deg != degree:
             mismatches += 1
     _report(
@@ -309,7 +309,7 @@ def test_criterion_08_noise_trend():
         snr_db_list=(10.0, 20.0, 30.0, 40.0),
         trials=50,
         seed=0,
-        solver=SolverOptions(max_iters=2000, rel_tol=1e-10),
+        solver=SolverOptions(max_iters=2000),
     )
     records = run_sweep(cfg)
     assert not any(r.failed for r in records)
@@ -332,7 +332,7 @@ def test_criterion_08_noise_trend():
                 snr_db_list=(30.0,),
                 trials=20,
                 seed=1,
-                solver=SolverOptions(max_iters=2000, rel_tol=1e-10),
+                solver=SolverOptions(max_iters=2000),
             )
         )
         split_medians[(l1, l2)] = float(np.median([r.mse for r in side]))

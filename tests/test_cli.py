@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import math
@@ -16,6 +17,7 @@ from corrlift.cli import (
     _parse_complex,
     _parse_signal,
     _sigma_for,
+    build_parser,
     cmd_ambiguities,
     cmd_certify,
     cmd_zeros,
@@ -36,7 +38,7 @@ def _config(**overrides):
         snr_db_list=(math.inf,),
         trials=1,
         seed=0,
-        solver=SolverOptions(max_iters=3000, rel_tol=1e-10),
+        solver=SolverOptions(max_iters=3000),
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -450,6 +452,31 @@ def test_main_recover_prints_margin_last(capsys):
     key, value = last.split("=", 1)
     assert key == "margin"
     assert 0.0 < float(value) <= 1.0
+
+
+def test_cli_flags_are_pinned(capsys):
+    # every option of every subcommand: a flag added or removed changes this
+    # table, and a removed one is an unrecognized argument (exit 2)
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: sorted(s for a in p._actions for s in a.option_strings if s not in ("-h", "--help"))
+        for name, p in sub.choices.items()
+    }
+    assert flags == {
+        "sweep": sorted(
+            ["--l1", "--l2", "--snr-db", "--trials", "--seed", "--max-iters", "--reduced", "--out"]
+        ),
+        "zeros": ["--out", "--signal"],
+        "certify": ["--signal"],
+        "ambiguities": ["--signal"],
+        "recover": sorted(
+            ["--l1", "--l2", "--snr-db", "--seed", "--max-iters", "--reduced", "--signal"]
+        ),
+    }
+    with pytest.raises(SystemExit) as excinfo:
+        main(["recover", "--tol", "1e-8"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_main_unknown_command_exits_nonzero():

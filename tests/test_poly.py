@@ -15,7 +15,6 @@ from corrlift.poly import (
     correlate,
     from_roots,
     gsd,
-    is_self_inversive,
     is_self_reciprocal,
     poly_gcd,
     roots,
@@ -332,23 +331,25 @@ def test_is_self_reciprocal():
     assert not is_self_reciprocal([1, -2])
 
 
-def test_is_self_inversive_phases():
+def test_gsd_rotates_a_self_inversive_gcd_onto_the_self_reciprocal_one():
+    # 1j * s is self-inversive with phase pi, not self-reciprocal: the
+    # rotation by e^{i pi/2} and the sign rule give back s's divisor exactly,
+    # and the phase goes to the co-factor
     s = np.array([2, -1 + 1j, 0.5, -1 - 1j, 2], dtype=complex)
-    flag, alpha = is_self_inversive(s)
-    assert flag and abs(alpha) < 1e-12
-
-    flag, alpha = is_self_inversive(1j * s)
-    assert flag and abs(alpha - np.pi) < 1e-12
-
-    flag, alpha = is_self_inversive([1, -2])
-    assert not flag and alpha == 0.0
+    g, r = gsd(s)
+    g_rot, r_rot = gsd(1j * s)
+    assert g_rot.tobytes() == g.tobytes()
+    assert np.array_equal(r_rot, 1j * r)
+    # a signal with no self-reciprocal factor has the trivial divisor
+    g, r = gsd([1, -2])
+    assert np.array_equal(g, [1.0]) and np.array_equal(r, [1.0, -2.0])
 
 
 def test_gsd_whole_signal_self_reciprocal():
     g, r = gsd([1, -2.5, 1])
     assert g.shape == (3,)
     assert r.shape == (1,)
-    assert is_self_reciprocal(g, 1e-12)
+    assert np.linalg.norm(g - conj_time_reverse(g)) <= 1e-12 * np.linalg.norm(g)
     assert g[1].real >= 0
     assert np.linalg.norm(convolve(g, r) - np.array([1, -2.5, 1])) <= 1e-10
 
@@ -363,7 +364,7 @@ def test_gsd_planted():
     x = convolve([1, -2.5, 1], [1, -3])
     g, r = gsd(x)
     assert g.shape == (3,)
-    assert is_self_reciprocal(g, 1e-10)
+    assert np.linalg.norm(g - conj_time_reverse(g)) <= 1e-10 * np.linalg.norm(g)
     # co-factor proportional to the non-reciprocal part
     assert abs(r[1] / r[0] - (-3)) < 1e-8
     assert np.linalg.norm(convolve(g, r) - x) <= 1e-8 * np.linalg.norm(x)
@@ -376,7 +377,7 @@ def test_gsd_complex_planted_with_phase():
         x = convolve(np.exp(1j * rng.uniform(0, 2 * np.pi)) * s, random_signal(rng, 3))
         g, r = gsd(x)
         assert g.size >= 3
-        assert is_self_reciprocal(g, 1e-8)
+        assert is_self_reciprocal(g)
         assert np.linalg.norm(convolve(g, r) - x) <= 1e-8 * np.linalg.norm(x)
 
 

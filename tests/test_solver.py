@@ -58,17 +58,12 @@ def random_hermitian(rng, n):
 def test_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverOptions(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(rel_tol=1.0)
 
 
 def test_zero_measurements_give_zero_solution():
     zeros3 = np.zeros(3)
     b = Measurements(a11=zeros3, a22=zeros3, a12=zeros3, a21=zeros3)
-    s = build_sensing(2, 2)
-    result = solve(s, b)
+    result = solve(b)
     assert result.iters == 0
     assert result.residual == 0.0
     assert result.rank1_gap == 0.0
@@ -80,35 +75,26 @@ def test_noiseless_solve_small():
     rng = np.random.default_rng(81)
     x1 = random_signal(rng, 2)
     x2 = random_signal(rng, 2)
-    s = build_sensing(2, 2)
-    result = solve(s, measure(x1, x2))
+    result = solve(measure(x1, x2))
     assert result.residual <= 1e-8
     assert result.rank1_gap <= 1e-6
     x = np.concatenate([x1, x2])
     assert np.abs(result.x_mat - np.outer(x, x.conj())).max() <= 1e-6
 
 
-def test_solve_length_mismatch():
-    rng = np.random.default_rng(82)
-    b = measure(random_signal(rng, 2), random_signal(rng, 3))
-    with pytest.raises(ValueError):
-        solve(build_sensing(2, 2), b)
-
-
 def test_homogeneity_under_measurement_scaling():
     rng = np.random.default_rng(83)
     b = measure(random_signal(rng, 2), random_signal(rng, 3))
     scaled = Measurements(a11=4.0 * b.a11, a22=4.0 * b.a22, a12=4.0 * b.a12, a21=4.0 * b.a21)
-    s = build_sensing(2, 3)
-    r1 = solve(s, b)
-    r4 = solve(s, scaled)
+    r1 = solve(b)
+    r4 = solve(scaled)
     assert r4.iters == r1.iters
     scale = np.abs(4.0 * r1.x_mat).max()
     assert np.abs(r4.x_mat - 4.0 * r1.x_mat).max() <= 1e-12 * scale
     # the stall rule is relative, so a noisy solve stops at the same place
     _, noisy = noisy_pair(rng, 2, 3, 20.0)
-    r1 = solve(s, noisy)
-    r4 = solve(s, Measurements(*(4.0 * seg for seg in (noisy.a11, noisy.a22, noisy.a12, noisy.a21))))
+    r1 = solve(noisy)
+    r4 = solve(Measurements(*(4.0 * seg for seg in (noisy.a11, noisy.a22, noisy.a12, noisy.a21))))
     assert r1.stop_reason == r4.stop_reason == "stalled"
     assert abs(r4.iters - r1.iters) <= 1
 
@@ -116,8 +102,7 @@ def test_homogeneity_under_measurement_scaling():
 def test_objective_monotone_along_iteration_ladder():
     rng = np.random.default_rng(84)
     b = measure(random_signal(rng, 2), random_signal(rng, 3))
-    s = build_sensing(2, 3)
-    residuals = [solve(s, b, SolverOptions(max_iters=k)).residual for k in range(10, 90, 10)]
+    residuals = [solve(b, SolverOptions(max_iters=k)).residual for k in range(10, 90, 10)]
     for earlier, later in zip(residuals, residuals[1:]):
         assert later <= earlier * (1.0 + 1e-12)
 
@@ -319,10 +304,9 @@ def test_noiseless_coprime_recovery_needs_one_iteration():
 
 def test_noisy_solve_stops_when_the_objective_stalls():
     rng = np.random.default_rng(98)
-    s = build_sensing(3, 3)
     for snr_db in (10.0, 40.0):
         clean, noisy = noisy_pair(rng, 3, 3, snr_db)
-        result = solve(s, noisy)
+        result = solve(noisy)
         assert result.stop_reason == "stalled"
         assert result.iters < 2000
         # the planted lift is feasible, so the fit cannot be worse than its misfit
@@ -334,17 +318,16 @@ def test_stall_stop_fires_at_the_first_iteration_the_rule_allows():
     # Capped solves replay the same iterates, so the objective after j
     # iterations is (residual * ||b||)^2 of the solve capped at j.
     rng = np.random.default_rng(99)
-    s = build_sensing(3, 3)
     _, noisy = noisy_pair(rng, 3, 3, 30.0)
-    k = solve(s, noisy).iters
+    k = solve(noisy).iters
     norm_b = np.linalg.norm(noisy.stacked)
 
     def obj(j):
-        return (solve(s, noisy, SolverOptions(max_iters=j)).residual * norm_b) ** 2
+        return (solve(noisy, SolverOptions(max_iters=j)).residual * norm_b) ** 2
 
     assert obj(k - STALL_WINDOW) - obj(k) <= STALL_RTOL * obj(k)
     assert obj(k - 1 - STALL_WINDOW) - obj(k - 1) > STALL_RTOL * obj(k - 1)
-    assert solve(s, noisy, SolverOptions(max_iters=k - 1)).stop_reason == "max_iters"
+    assert solve(noisy, SolverOptions(max_iters=k - 1)).stop_reason == "max_iters"
 
 
 def test_stalled_objective_matches_a_tightly_converged_solve(monkeypatch):
@@ -352,13 +335,12 @@ def test_stalled_objective_matches_a_tightly_converged_solve(monkeypatch):
     # objective is within 1e-8 of a solve with a 2000-iteration, 1e-14 stall
     # look-back, and the fit stays below the planted pair's misfit.
     rng = np.random.default_rng(101)
-    s = build_sensing(3, 3)
     cases = [noisy_pair(rng, 3, 3, snr_db) for snr_db in (10.0, 40.0) for _ in range(3)]
-    stalled = [solve(s, noisy) for _, noisy in cases]
+    stalled = [solve(noisy) for _, noisy in cases]
     monkeypatch.setattr("corrlift.solver.STALL_WINDOW", 2000)
     monkeypatch.setattr("corrlift.solver.STALL_RTOL", 1e-14)
     for (clean, noisy), result in zip(cases, stalled):
-        tight = solve(s, noisy)
+        tight = solve(noisy)
         assert (result.stop_reason, tight.stop_reason) == ("stalled", "stalled")
         norm_b = np.linalg.norm(noisy.stacked)
         obj, tight_obj = ((r.residual * norm_b) ** 2 for r in (result, tight))
@@ -369,7 +351,7 @@ def test_stalled_objective_matches_a_tightly_converged_solve(monkeypatch):
 def test_max_iters_stop_and_restart_count(monkeypatch):
     rng = np.random.default_rng(100)
     _, noisy = noisy_pair(rng, 3, 3, 20.0)
-    result = solve(build_sensing(3, 3), noisy, SolverOptions(max_iters=5))
+    result = solve(noisy, SolverOptions(max_iters=5))
     assert (result.stop_reason, result.iters) == ("max_iters", 5)
     # one forward transform for the start, one per iteration, one per restart
     calls = []
@@ -379,7 +361,7 @@ def test_max_iters_stop_and_restart_count(monkeypatch):
         return forward_stacked(s, x)
 
     monkeypatch.setattr("corrlift.solver.forward_stacked", counting)
-    result = solve(build_sensing(3, 3), noisy)
+    result = solve(noisy)
     assert result.restarts > 0
     assert len(calls) == 1 + result.iters + result.restarts
 
@@ -415,11 +397,10 @@ def test_solve_matches_the_symmetrizing_projection_bitwise(monkeypatch):
     # exactly Hermitian, so the solve is bit for bit the one that
     # symmetrized every input.
     for l1, l2, b, opts in _oracle_cases():
-        s = build_sensing(l1, l2)
-        got = solve(s, b, opts)
+        got = solve(b, opts)
         with monkeypatch.context() as m:
             m.setattr("corrlift.solver.psd_project", _symmetrizing_psd_project)
-            want = solve(s, b, opts)
+            want = solve(b, opts)
         assert got.x_mat.tobytes() == want.x_mat.tobytes()
         assert (got.iters, got.restarts, got.stop_reason) == (
             want.iters, want.restarts, want.stop_reason
@@ -438,7 +419,7 @@ def test_projection_inputs_after_the_first_are_hermitian(monkeypatch):
     monkeypatch.setattr("corrlift.solver.psd_project", recording)
     for l1, l2, b, opts in _oracle_cases():
         start = len(inputs)
-        result = solve(build_sensing(l1, l2), b, opts)
+        result = solve(b, opts)
         assert len(inputs) - start == result.iters + result.restarts
         # the first input is symmetrized in `solve`, so it is Hermitian too
         assert all(np.array_equal(a, a.conj().T) for a in inputs[start:])
@@ -451,7 +432,7 @@ def test_solve_rejects_overflowing_measurement_energy():
     with pytest.raises(ValueError, match=r"energy \|\|b\|\|\^2 overflows"):
         measurement_norm(b.stacked)
     with pytest.raises(ValueError, match="overflows"):
-        solve(build_sensing(2, 2), b)
+        solve(b)
     big = measure(np.array([1e76, 1.0]), np.array([1.0, 1.0])).stacked
     assert measurement_norm(big) == float(np.linalg.norm(big))
 
@@ -466,7 +447,7 @@ def test_margin_separates_coprime_from_common_factor():
     assert abs(shared.margin) <= 1e-12
     zeros3 = np.zeros(3)
     b0 = Measurements(a11=zeros3, a22=zeros3, a12=zeros3, a21=zeros3)
-    assert solve(build_sensing(2, 2), b0).margin == 0.0
+    assert solve(b0).margin == 0.0
 
 
 def test_recover_reduced_matches_full():
