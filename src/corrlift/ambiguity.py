@@ -35,12 +35,10 @@ import numpy as np
 
 from .poly import (
     Signal,
-    as_signal,
     convolve,
     correlate,
     from_roots,
     require_c00,
-    resolved_zeros,
     roots,
 )
 
@@ -105,8 +103,8 @@ def count_bounds(x1: Signal, x2: Signal) -> tuple[int, int]:
     constraint, so constrained enumeration may legitimately emit fewer
     classes for repeated zeros; the bounds are reported as-is.
     """
-    x1 = require_c00(as_signal(x1))
-    x2 = require_c00(as_signal(x2))
+    x1 = require_c00(x1)
+    x2 = require_c00(x2)
     d = (x1.size - 1) + (x2.size - 1)
     return min(d + 1, x1.size, x2.size), 2**d
 
@@ -123,18 +121,16 @@ def enumerate_convolution_ambiguities(x1: Signal, x2: Signal) -> np.recarray:
     read-only record array, one row per class, whose fields `x1_rep` (shape
     (l1,)) and `x2_rep` (shape (l2,)) hold each class's pair.
     """
-    x1 = require_c00(as_signal(x1))
-    x2 = require_c00(as_signal(x2))
+    x1 = require_c00(x1)
+    x2 = require_c00(x2)
     l1, l2 = x1.size, x2.size
     d = (l1 - 1) + (l2 - 1)
     if d > MAX_CONVOLUTION_ZEROS:
         raise ValueError(
             f"product has {d} zeros, above the enumeration guard {MAX_CONVOLUTION_ZEROS}"
         )
-    r1 = roots(x1)
-    r2 = roots(x2)
-    unit = r1.unit * r2.unit
-    all_zeros = list(resolved_zeros(r1, l1, "x1")) + list(resolved_zeros(r2, l2, "x2"))
+    unit = complex(x1[0]) * complex(x2[0])
+    all_zeros = roots(x1, "x1").tolist() + roots(x2, "x2").tolist()
     conv = convolve(x1, x2)
     conv_norm = float(np.linalg.norm(conv))
 
@@ -157,8 +153,8 @@ def enumerate_convolution_ambiguities(x1: Signal, x2: Signal) -> np.recarray:
     zs = np.repeat([z for z, _ in clusters], [m for _, m in clusters])
     # Gathered class axis last, so `from_roots` reads contiguous columns,
     # and expanded to (l, K) tables: one signal per column.
-    x1_cols = from_roots(unit, zs[left.T].T, columns=True)
-    x2_cols = from_roots(1.0, zs[right.T].T, columns=True)
+    x1_cols = from_roots(unit, zs[left.T].T)
+    x2_cols = from_roots(1.0, zs[right.T].T)
     if np.any(_reconvolution_errors(x1_cols, x2_cols, conv) > _RECONVOLVE_TOL * conv_norm):
         raise RuntimeError(
             "clustered zeros fail to reproduce the convolution within "
@@ -228,7 +224,7 @@ def enumerate_autocorr_ambiguities(x: Signal) -> np.ndarray:
     to global phase.  Returns them as the rows of one read-only (k, n)
     array, (1, 1) for n = 1.
     """
-    x = require_c00(as_signal(x))
+    x = require_c00(x)
     n = x.size
     if n - 1 > MAX_AUTOCORR_ZEROS:
         raise ValueError(
@@ -237,7 +233,7 @@ def enumerate_autocorr_ambiguities(x: Signal) -> np.ndarray:
     acf = correlate(x, x)
     acf_norm = float(np.linalg.norm(acf))
     # For n = 1 there are no zeros: one candidate, (sqrt(acf_norm)).
-    zeros = resolved_zeros(roots(x), n, "x")
+    zeros = roots(x)
     threshold = DEFAULT_CLUSTER_TOL * max([1.0, *(abs(z) for z in zeros)])
 
     choice_sets = []
@@ -251,7 +247,7 @@ def enumerate_autocorr_ambiguities(x: Signal) -> np.ndarray:
 
     _check_circle_parity(choice_sets, threshold)
 
-    y0 = from_roots(1.0, list(itertools.product(*choice_sets)), columns=True)
+    y0 = from_roots(1.0, list(itertools.product(*choice_sets)))
     auto0_norms = _reconvolution_errors(y0, np.conj(y0[::-1]), np.zeros(acf.size))
     y = np.sqrt(acf_norm / auto0_norms) * y0
     if np.any(_reconvolution_errors(y, np.conj(y[::-1]), acf) > _RECONVOLVE_TOL * acf_norm):

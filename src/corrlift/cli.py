@@ -36,9 +36,16 @@ from .ambiguity import (
     count_bounds,
     enumerate_convolution_ambiguities,
 )
-from .poly import Signal, as_signal, convolve, require_c00, resolved_zeros, roots
+from .poly import Signal, as_signal, convolve, require_c00, roots
 from .sensing import NoiseModel, add_noise, measure
-from .solver import SolverOptions, SolverResult, aligned_mse, measurement_norm, recover
+from .solver import (
+    MAX_ITERS,
+    SolverOptions,
+    SolverResult,
+    aligned_mse,
+    measurement_norm,
+    recover,
+)
 from .sylvester import certificate_report, tangent_injectivity
 
 ZEROS_FIELDS = ("which", "re", "im", "multiplicity")
@@ -280,11 +287,11 @@ def cmd_zeros(x1: Signal, x2: Signal) -> list[dict[str, object]]:
     x2 = require_c00(x2)
     rows: list[dict[str, object]] = []
     for which, sig in (("x1", x1), ("x2", x2), ("product", convolve(x1, x2))):
-        zs = resolved_zeros(roots(sig), sig.size, which)
-        if not zs:
+        zs = roots(sig, which)
+        if not zs.size:
             continue
         threshold = DEFAULT_CLUSTER_TOL * max(abs(z) for z in zs)
-        for centroid, mult in cluster_zeros(list(zs), threshold):
+        for centroid, mult in cluster_zeros(zs, threshold):
             rows.append(
                 {
                     "which": which,
@@ -474,7 +481,7 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-iters",
         type=int,
-        default=20000,
+        default=MAX_ITERS,
         help=(
             "solver iteration cap; noisy solves normally stop well below it, "
             "once the objective stalls"

@@ -9,7 +9,7 @@ zeta_k of X are the reciprocals of the roots of the w-polynomial.
 Contents
 --------
 - convolve, conj_time_reverse, correlate     : ring operations
-- RootSet, roots, from_roots, resolved_zeros : root-domain codec
+- roots, from_roots                          : root-domain codec
 - poly_gcd                                   : numeric Euclid GCD
 - is_self_reciprocal                         : symmetry test
 - gsd                                        : greatest self-reciprocal divisor
@@ -17,8 +17,6 @@ Contents
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -59,43 +57,6 @@ def conj_time_reverse(x: Signal) -> Signal:
 def correlate(x1: Signal, x2: Signal) -> Signal:
     """Cross-correlation x1 * conj-time-reversed x2, length L1 + L2 - 1."""
     return convolve(x1, conj_time_reverse(x2))
-
-
-@dataclass(frozen=True)
-class RootSet:
-    """Root-domain form: X(z) = unit * z^{-origin_power} * prod_k (1 - zeta_k z^{-1}).
-
-    `unit` is the first nonzero coefficient, `zeros` the multiset of finite
-    nonzero zeros zeta_k (with multiplicity, sorted for determinism), and
-    `origin_power` the number of leading zero coefficients.
-    """
-
-    unit: complex
-    zeros: tuple = field(default_factory=tuple)
-    origin_power: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "unit", complex(self.unit))
-        object.__setattr__(
-            self, "zeros", tuple(sorted((complex(z) for z in self.zeros), key=lambda z: (z.real, z.imag)))
-        )
-        if self.unit == 0:
-            raise ValueError("unit coefficient must be nonzero")
-        if self.origin_power < 0:
-            raise ValueError("origin_power must be nonnegative")
-        if any(z == 0 for z in self.zeros):
-            raise ValueError("zeros must be nonzero; origin zeros are carried by origin_power")
-
-
-def _trim_bounds(x: Signal, tol: float) -> tuple[int, int]:
-    # Indices of the first/last coefficient considered nonzero at `tol`
-    # relative to the largest magnitude.
-    mags = np.abs(x)
-    scale = float(mags.max())
-    if scale == 0.0:
-        raise ValueError("the zero signal has no root representation")
-    keep = np.nonzero(mags > tol * scale)[0]
-    return int(keep[0]), int(keep[-1])
 
 
 def _horner(c: list, z: np.ndarray) -> np.ndarray:
@@ -159,51 +120,40 @@ def _aberth(coeffs: np.ndarray, max_iter: int = 200, update_tol: float = 1e-13) 
     return z
 
 
-def roots(x: Signal) -> RootSet:
-    """Root-domain representation of a signal.
+def roots(x: Signal, name: str = "x") -> np.ndarray:
+    """The L-1 zeros of a length-L signal, sorted by (re, im).
 
-    Coefficients within _TRIM_TOL = 1e-12 (relative to the largest
-    magnitude) of zero at either end are treated as exact zeros: leading
-    ones become origin_power, trailing ones reduce the degree.  The returned
-    zeros are the reciprocals of the roots of the trimmed w-polynomial,
-    counted with multiplicity.
+    The zeros are the reciprocals of the roots of the w-polynomial, counted
+    with multiplicity.  An end coefficient within _TRIM_TOL = 1e-12 of the
+    largest magnitude takes a zero out of reach; then a ValueError names the
+    signal by `name`.  The zero signal raises ValueError too.
     """
     x = as_signal(x)
-    first, last = _trim_bounds(x, _TRIM_TOL)
-    core = x[first : last + 1]
-    w_roots = _aberth(core)
-    return RootSet(unit=core[0], zeros=tuple(1.0 / w_roots), origin_power=first)
-
-
-def resolved_zeros(rs: RootSet, length: int, name: str) -> tuple:
-    """The zeros of `rs`, checked to be all length-1 zeros of its signal.
-
-    `roots` drops an end coefficient that is negligible next to the
-    largest, and with it a zero; raises ValueError naming the signal then.
-    """
-    if len(rs.zeros) < length - 1:
+    mags = np.abs(x)
+    scale = float(mags.max())
+    if scale == 0.0:
+        raise ValueError("the zero signal has no root representation")
+    keep = np.flatnonzero(mags > _TRIM_TOL * scale)
+    resolvable = int(keep[-1] - keep[0])
+    if resolvable < x.size - 1:
         raise ValueError(
-            f"{name} has {len(rs.zeros)} resolvable zeros instead of "
-            f"{length - 1}: an end coefficient is negligible next to the largest"
+            f"{name} has {resolvable} resolvable zeros instead of "
+            f"{x.size - 1}: an end coefficient is negligible next to the largest"
         )
-    return rs.zeros
+    z = 1.0 / _aberth(x)
+    return z[np.lexsort((z.imag, z.real))]
 
 
-def from_roots(unit: complex, zeros, columns: bool = False) -> np.ndarray:
-    """Coefficients of unit * prod_j (1 - zeros[r, j] z^{-1}), one row per r.
+def from_roots(unit: complex, zeros) -> np.ndarray:
+    """Coefficients of unit * prod_j (1 - zeros[k, j] z^{-1}), one signal per column k.
 
-    `zeros` of shape (K, m) gives a C-contiguous array of shape (K, m+1); a
-    1-D `zeros` of length m gives one signal of length m+1.  The product is
-    built in one pass over the m columns, for all rows at once, in a
-    column-major (m+1, K) array that is transposed once at the end;
-    `columns=True` returns that array as is, one signal per column.  Origin
-    zeros are carried by `RootSet.origin_power`, not here: a caller pads
-    with leading zeros.
+    `zeros` of shape (K, m) gives a C-contiguous (m+1, K) table.  The product
+    is built in one pass over the m zero columns, for all K signals at once.
     """
     zeros = np.asarray(zeros, dtype=complex)
     if np.any(zeros == 0):
-        raise ValueError("zeros at the origin are not representable; use origin_power")
-    cols = np.atleast_2d(zeros).T
+        raise ValueError("zeros at the origin are not representable")
+    cols = zeros.T
     m = cols.shape[0]
     out = np.zeros((m + 1, cols.shape[1]), dtype=complex)
     out[0] = unit
@@ -212,10 +162,7 @@ def from_roots(unit: complex, zeros, columns: bool = False) -> np.ndarray:
         # the last bit differently on other broadcast layouts (K = 1 with a
         # 1-D row is one), and this one matches a row-major loop's.
         out[1 : j + 2] -= cols[j : j + 1] * out[: j + 1]
-    if columns:
-        return out
-    out = np.ascontiguousarray(out.T)
-    return out[0] if zeros.ndim == 1 else out
+    return out
 
 
 def _polydiv(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

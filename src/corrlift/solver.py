@@ -63,6 +63,9 @@ RANK1_TIE_TOL = 1e-12
 # Fraction of the exact step 1/L taken each iteration.
 STEP_SAFETY = 0.95
 
+# The default iteration cap of `solve` (`SolverOptions.max_iters`).
+MAX_ITERS = 20000
+
 # Convergence stop: the solve ends once the relative residual
 # ||A(X) - b|| / ||b|| is at most REL_TOL.
 REL_TOL = 1e-10
@@ -84,7 +87,7 @@ _MAX_NORM = math.sqrt(sys.float_info.max)
 class SolverOptions:
     """The iteration cap of `solve`; its stop tolerances are module constants."""
 
-    max_iters: int = 20000
+    max_iters: int = MAX_ITERS
 
     def __post_init__(self) -> None:
         if self.max_iters <= 0:

@@ -8,7 +8,6 @@ from numpy.polynomial import polynomial as npoly
 
 from corrlift import poly
 from corrlift.poly import (
-    RootSet,
     anti_solution,
     conj_time_reverse,
     convolve,
@@ -68,23 +67,41 @@ def test_autocorrelation_is_involution_product():
 
 
 def test_roots_examples():
-    rs = roots([1, -3, 2])
-    assert rs.unit == 1
-    assert rs.origin_power == 0
-    assert np.allclose(sorted(rs.zeros, key=abs), [1, 2], atol=1e-10)
-
-    rs = roots([1, -2])
-    assert np.allclose(rs.zeros, [2], atol=1e-12)
-
-    rs = roots([0, 1, -1])
-    assert rs.origin_power == 1
-    assert rs.unit == 1
-    assert np.allclose(rs.zeros, [1], atol=1e-10)
+    assert np.allclose(roots([1, -3, 2]), [1, 2], atol=1e-10)
+    assert np.allclose(roots([1, -2]), [2], atol=1e-12)
+    assert roots([5]).shape == (0,)
+    # an end coefficient just above 1e-12 of the largest keeps its zero
+    assert roots([2e-12, 1, 0.5]).shape == (2,)
 
 
 def test_roots_rejects_zero_signal():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the zero signal"):
         roots([0, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "x, resolvable",
+    [
+        ([0, 1, -1], 1),
+        ([1e-13, 1, 2], 1),
+        ([1, 2, 1e-12], 1),
+        ([1e-300, 1, 2, 1e-300], 1),
+        ([1e-20, 1e-20, 3, 1], 1),
+        ([1, 1e-300], 0),
+    ],
+)
+def test_roots_rejects_a_negligible_end_coefficient(x, resolvable):
+    # an end coefficient at most 1e-12 of the largest takes its zero out of
+    # reach; the message names the signal and both counts
+    want = (
+        f"sig has {resolvable} resolvable zeros instead of {len(x) - 1}: "
+        "an end coefficient is negligible next to the largest"
+    )
+    with pytest.raises(ValueError) as err:
+        roots(x, "sig")
+    assert str(err.value) == want
+    with pytest.raises(ValueError, match=f"^x has {resolvable} resolvable zeros"):
+        roots(x)
 
 
 def test_roots_matches_numpy_oracle():
@@ -92,7 +109,7 @@ def test_roots_matches_numpy_oracle():
     for _ in range(15):
         n = int(rng.integers(2, 9))
         x = random_signal(rng, n)
-        mine = np.array(sorted(roots(x).zeros, key=lambda z: (z.real, z.imag)))
+        mine = roots(x)
         # numpy wants descending powers of w; zeros are reciprocals of w-roots
         ref = 1.0 / np.roots(x[::-1])
         ref = np.array(sorted(ref, key=lambda z: (z.real, z.imag)))
@@ -159,17 +176,45 @@ def _oracle_signals():
     return signals
 
 
-def _roots_bytes(x):
-    rs = roots(x)
-    return np.array([rs.unit, *rs.zeros]).tobytes(), rs.origin_power
+def _record_aberth(monkeypatch, aberth):
+    # patch poly._aberth with `aberth`, keeping the roots of every call
+    calls = []
+    monkeypatch.setattr(poly, "_aberth", lambda c: calls.append(aberth(c)) or calls[-1])
+    return calls
+
+
+def _python_sorted_bytes(w_roots):
+    # the zeros 1/w in Python's sorted order by (re, im), as bytes
+    zs = (1.0 / w_roots).tolist()
+    return np.array(sorted(zs, key=lambda z: (z.real, z.imag)), dtype=complex).tobytes()
 
 
 def test_roots_is_byte_identical_to_the_polyval_oracle(monkeypatch):
     signals = _oracle_signals()
-    got = [_roots_bytes(x) for x in signals]
-    monkeypatch.setattr(poly, "_aberth", _polyval_aberth)
-    want = [_roots_bytes(x) for x in signals]
+    got = [roots(x).tobytes() for x in signals]
+    w_roots = _record_aberth(monkeypatch, _polyval_aberth)
+    want = [roots(x).tobytes() for x in signals]
     assert got == want
+    # and in the order of Python's sorted on the same roots
+    assert want == [_python_sorted_bytes(w) for w in w_roots]
+
+
+def test_roots_order_is_sorted_by_real_then_imaginary_part(monkeypatch):
+    # Real polynomials, and products of (1 - e^{it} w)(1 - e^{-it} w): their
+    # conjugate zero pairs can tie in the real part, so the imaginary part
+    # decides the order.  (The oracle signals are checked above.)
+    rng = np.random.default_rng(86)
+    signals = [rng.standard_normal(n) for n in rng.integers(2, 14, size=200)]
+    for n in rng.integers(1, 7, size=200):
+        x = np.ones(1, dtype=complex)
+        for t in rng.uniform(0.1, 3.0, size=n):
+            x = convolve(x, convolve([1.0, -np.exp(1j * t)], [1.0, -np.exp(-1j * t)]))
+        signals.append(x)
+    w_roots = _record_aberth(monkeypatch, poly._aberth)
+    got = [roots(x) for x in signals]
+    assert [z.tobytes() for z in got] == [_python_sorted_bytes(w) for w in w_roots]
+    tied = sum(np.unique(z.real).size < z.size for z in got)
+    assert tied > len(signals) // 2
 
 
 def test_aberth_fails_like_the_polyval_oracle():
@@ -229,25 +274,22 @@ def _row_major_from_roots(unit, zeros):
 def test_from_roots_is_byte_identical_to_the_row_major_loop(k, m):
     rng = np.random.default_rng([83, k, m])
     zeros = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
-    got = from_roots(0.3 + 2j, zeros)
-    assert got.flags.c_contiguous
-    assert got.tobytes() == _row_major_from_roots(0.3 + 2j, zeros).tobytes()
-    # the same signals one per column, and from a column-major gather
+    want = _row_major_from_roots(0.3 + 2j, zeros).tobytes()
+    # one signal per column, from a row-major and from a column-major gather
     for table in (zeros, np.ascontiguousarray(zeros.T).T):
-        cols = from_roots(0.3 + 2j, table, columns=True)
+        cols = from_roots(0.3 + 2j, table)
         assert cols.shape == (m + 1, k) and cols.flags.c_contiguous
-        assert cols.T.tobytes(order="C") == got.tobytes()
+        assert cols.T.tobytes(order="C") == want
     for row in zeros[:3]:
-        one = from_roots(-1.5j, row)
-        assert one.ndim == 1 and one.flags.c_contiguous
-        assert one.tobytes() == _row_major_from_roots(-1.5j, row).tobytes()
+        one = from_roots(-1.5j, [row])
+        assert one.T.tobytes(order="C") == _row_major_from_roots(-1.5j, row).tobytes()
     empty = np.zeros((4, 0))
-    assert from_roots(3, empty).tobytes() == _row_major_from_roots(3, empty).tobytes()
+    assert from_roots(3, empty).T.tobytes(order="C") == _row_major_from_roots(3, empty).tobytes()
 
 
 def test_from_roots_identity_and_single_zero():
-    assert np.array_equal(from_roots(1, []), np.array([1.0 + 0j]))
-    assert np.allclose(from_roots(1, [2]), [1, -2])
+    assert np.array_equal(from_roots(1, [[]]), np.array([[1.0 + 0j]]))
+    assert np.allclose(from_roots(1, [[2]]), [[1], [-2]])
 
 
 def test_from_roots_rows_match_single_calls():
@@ -255,16 +297,14 @@ def test_from_roots_rows_match_single_calls():
     zeros = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
     batch = from_roots(2 - 1j, zeros)
     assert batch.shape == (5, 5)
-    for row, zs in zip(batch, zeros):
-        assert np.array_equal(row, from_roots(2 - 1j, zs))
-        assert np.allclose(row, (2 - 1j) * np.poly(zs))
-    # no zeros at all: every row is the unit alone
-    assert np.array_equal(from_roots(3, np.zeros((4, 0))), np.full((4, 1), 3 + 0j))
+    for col, zs in zip(batch.T, zeros):
+        assert np.array_equal(col, from_roots(2 - 1j, [zs])[:, 0])
+        assert np.allclose(col, (2 - 1j) * np.poly(zs))
+    # no zeros at all: every signal is the unit alone
+    assert np.array_equal(from_roots(3, np.zeros((4, 0))), np.full((1, 4), 3 + 0j))
 
 
 def test_from_roots_rejects_origin_zero():
-    with pytest.raises(ValueError):
-        RootSet(unit=1, zeros=(0,))
     with pytest.raises(ValueError, match="origin"):
         from_roots(1, [[2, 0]])
 
@@ -274,23 +314,13 @@ def test_root_round_trip():
     for _ in range(20):
         n = int(rng.integers(2, 9))
         x = random_signal(rng, n)
-        rs = roots(x)
-        back = from_roots(rs.unit, rs.zeros)
+        back = from_roots(x[0], [roots(x)])[:, 0]
         assert np.linalg.norm(back - x) <= 1e-8 * np.linalg.norm(x)
 
 
 def test_root_round_trip_double_zero():
     x = np.array([1.0, -2.0, 1.0], dtype=complex)  # (1 - w)^2
-    rs = roots(x)
-    back = from_roots(rs.unit, rs.zeros)
-    assert np.linalg.norm(back - x) <= 1e-8 * np.linalg.norm(x)
-
-
-def test_root_round_trip_with_origin_power():
-    x = np.array([0, 0, 2.0, 1.0], dtype=complex)
-    rs = roots(x)
-    assert rs.origin_power == 2
-    back = np.concatenate([np.zeros(rs.origin_power), from_roots(rs.unit, rs.zeros)])
+    back = from_roots(x[0], [roots(x)])[:, 0]
     assert np.linalg.norm(back - x) <= 1e-8 * np.linalg.norm(x)
 
 

@@ -24,7 +24,8 @@ The commands are README's sweep example (all of whose options are
 ``corrlift sweep``'s defaults), the acceptance suite's criterion-10 sweep,
 README's other command-line examples but the one whose ``--signal`` value
 starts with a minus sign (older revisions exit 2 on it), a noisy
-``recover`` (which ends on the stall stop), and ``certify``,
+``recover`` (which ends on the stall stop), ``zeros`` and ``ambiguities``
+rejecting a pair with a negligible end coefficient, and ``certify``,
 ``ambiguities`` and ``zeros`` on README's pairs and on three
 certify-ambiguity benchmark pairs (seed 1: shape (8, 9) with no common
 zero, (7, 8) with one, (6, 6) with two), written as ``--signal`` literals.
@@ -93,6 +94,10 @@ COMMANDS = [
     ["recover", "--l1", "2", "--l2", "3", "--seed", "7"],
     ["recover", "--signal", "1,2i", "--signal", "1,-1,3", "--reduced"],
     ["recover", "--l1", "3", "--l2", "3", "--snr-db", "20", "--seed", "1"],
+    # an end coefficient negligible next to the largest: the message and
+    # exit status 2 of the rejection
+    ["zeros", "--signal", "1,1e-300", "--signal", "1,2"],
+    ["ambiguities", "--signal", "1,1e-12", "--signal", "1,1"],
 ]
 # `--signal=` binds a leading minus sign as a value in every revision.
 for _x1, _x2 in README_PAIRS + CERTIFY_PAIRS:
