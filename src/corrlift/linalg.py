@@ -2,6 +2,9 @@
 
 Contents
 --------
+- _eigh, _eigvalsh           : `np.linalg.eigh` and `np.linalg.eigvalsh` (lower
+                               triangle) without NumPy's per-call wrapper;
+                               every eigendecomposition in corrlift runs here
 - hermitian_part             : symmetrization (A + A^H) / 2
 - EigDecomposition, herm_eig : full Hermitian eigendecomposition with a
                                deterministic ordering and phase convention
@@ -12,18 +15,54 @@ Contents
 
 All routines operate on dense ndarrays; matrices here stay small (N of order
 tens), so no sparsity or blocking is attempted.
+
+`_eigh` and `_eigvalsh` call the gufuncs `np.linalg.eigh` and
+`np.linalg.eigvalsh` run, `numpy.linalg._umath_linalg.eigh_lo` and
+`eigvalsh_lo`, which pick the same LAPACK loop (`d->dd` or `D->dD`) for
+float64 or complex128 input, so their output is the same bytes.  At the
+solver's N = 6 NumPy's wrapper (an `errstate` context, dtype dispatch and
+result wrapping) costs about a third of the call, and `solve` runs one
+`_eigh` per iteration.  The gufunc signals a failed LAPACK call by NaN
+eigenvalues and NumPy's "invalid value" RuntimeWarning; the helpers turn a
+NaN first eigenvalue into the LinAlgError "Eigenvalues did not converge"
+that NumPy raises.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 ComplexMatrix = np.ndarray
 HermitianMatrix = np.ndarray
 
 DEFAULT_RANK_TOL = 1e-8
+
+
+def _eigh(a: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """`np.linalg.eigh(a)` of a float64 or complex128 matrix, bit for bit.
+
+    Reads the lower triangle.  A NaN first eigenvalue, the gufunc's mark of
+    a failed LAPACK call, raises LinAlgError.
+    """
+    w, v = _umath_linalg.eigh_lo(a)
+    if math.isnan(w[0]):
+        raise LinAlgError("Eigenvalues did not converge")
+    return w, v
+
+
+def _eigvalsh(a: HermitianMatrix) -> np.ndarray:
+    """`np.linalg.eigvalsh(a)` of a float64 or complex128 matrix, bit for bit.
+
+    Reads the lower triangle and fails as `_eigh` does.
+    """
+    w = _umath_linalg.eigvalsh_lo(a)
+    if math.isnan(w[0]):
+        raise LinAlgError("Eigenvalues did not converge")
+    return w
 
 
 def hermitian_part(a: ComplexMatrix) -> HermitianMatrix:
@@ -49,7 +88,7 @@ def herm_eig(a: HermitianMatrix) -> EigDecomposition:
     rotated eigenvectors on (Re, Im) pairs, which makes the output
     deterministic even for degenerate spectra.
     """
-    w, v = np.linalg.eigh(hermitian_part(a))
+    w, v = _eigh(hermitian_part(a))
     v = _pin_phase(v)
     # lexsort's primary key is the last row: w, then Re v0, Im v0, Re v1, ...
     parts = np.stack([v.real, v.imag], axis=1).reshape(2 * w.size, w.size)
@@ -68,15 +107,15 @@ def _pin_phase(v: np.ndarray) -> np.ndarray:
 def psd_project(a: HermitianMatrix) -> HermitianMatrix:
     """Frobenius-nearest positive semidefinite matrix.
 
-    `a` must be Hermitian: it is not symmetrized (`eigh` reads its lower
-    triangle only), so a caller whose matrix is Hermitian only up to
-    rounding passes `hermitian_part(a)`.  Clips negative eigenvalues to zero
+    `a` must be a Hermitian float64 or complex128 matrix: it is not
+    symmetrized (`_eigh` reads its lower triangle only), so a caller whose
+    matrix is Hermitian only up to rounding passes `hermitian_part(a)`.  Clips negative eigenvalues to zero
     and rebuilds; an input that is already PSD comes back as itself.  The
     result is exactly Hermitian and the operation is idempotent and
     1-Lipschitz in Frobenius norm.  The rebuild is invariant to eigenvector
-    phase and order, so plain `eigh` suffices.
+    phase and order, so plain `_eigh` suffices.
     """
-    w, v = np.linalg.eigh(a)
+    w, v = _eigh(a)
     if w[0] >= 0.0:
         return a
     np.maximum(w, 0.0, out=w)

@@ -126,9 +126,12 @@ def roots(x: Signal, name: str = "x") -> np.ndarray:
     The zeros are the reciprocals of the roots of the w-polynomial, counted
     with multiplicity.  An end coefficient within _TRIM_TOL = 1e-12 of the
     largest magnitude takes a zero out of reach; then a ValueError names the
-    signal by `name`.  The zero signal raises ValueError too.
+    signal by `name`, as it does for a non-finite coefficient.  The zero
+    signal raises ValueError too.
     """
     x = as_signal(x)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} has a non-finite coefficient")
     mags = np.abs(x)
     scale = float(mags.max())
     if scale == 0.0:

@@ -20,8 +20,12 @@ takes a Hermitian matrix as is.  The adjoint returns m + m^H, real-scalar
 combinations keep that symmetry exactly, and the projection's output is
 exactly Hermitian, so only the first step's input, built from the spectral
 start c v v* (Hermitian up to rounding), is symmetrized.  `extract_rank1`
-reads the estimate from one `eigh`, pinning the top column's phase by
-`linalg.herm_eig`'s rule; the solver keeps no eigen routine of its own.
+reads the estimate from one `linalg._eigh`, pinning the top column's phase
+by `linalg.herm_eig`'s rule, and decomposes again with `herm_eig` only when
+the top eigenvalue is exactly tied.  Every decomposition here (the spectral
+start, each projection, the final eigenvalues and the extraction) runs
+through `linalg._eigh` or `_eigvalsh`; the solver keeps no eigen routine of
+its own.
 
 Every solve ends for a stated reason (`SolverResult.stop_reason`): the
 relative residual reaches REL_TOL ("converged", as noiseless data do), the
@@ -47,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _pin_phase, herm_eig, hermitian_part, psd_project
+from .linalg import _eigh, _eigvalsh, _pin_phase, herm_eig, hermitian_part, psd_project
 from .poly import Signal, as_signal
 from .sensing import Measurements, SensingSet, adjoint, build_sensing, forward_stacked
 from .sylvester import _pow2_scale, certificate_multipliers
@@ -142,7 +146,7 @@ def _spectral_start(s: SensingSet, b: Measurements) -> tuple[np.ndarray, float]:
     from the data, v its eigenvector for the smallest eigenvalue and
     c = a11[l1-1] + a22[l2-1] (clipped at 0) the energy ||x||^2.
     """
-    w, v = np.linalg.eigh(adjoint(s, certificate_multipliers(b)))
+    w, v = _eigh(adjoint(s, certificate_multipliers(b)))
     margin = float(w[1] / w[-1]) if w[-1] > 0.0 else 0.0
     energy = max(float(b.a11[s.l1 - 1].real + b.a22[s.l2 - 1].real), 0.0)
     return energy * np.outer(v[:, 0], v[:, 0].conj()), margin
@@ -262,7 +266,7 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
             iters_done, stop_reason = k, "stalled"
             break
 
-    eigenvalues = np.linalg.eigvalsh(x)
+    eigenvalues = _eigvalsh(x)
     lam1 = float(eigenvalues[-1])
     lam2 = float(eigenvalues[-2])
     gap = 0.0 if lam1 <= 0.0 else max(lam2, 0.0) / lam1
@@ -281,7 +285,7 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
 def extract_rank1(x_mat: np.ndarray) -> np.ndarray:
     """Best rank-1 signal estimate sqrt(lam1) * v1 from a solution matrix.
 
-    v1 is one `eigh`'s top column with `herm_eig`'s phase rule, bit for bit
+    v1 is one `_eigh`'s top column with `herm_eig`'s phase rule, bit for bit
     `herm_eig`'s top column (an exactly tied top eigenvalue calls `herm_eig`).
     A nonpositive top eigenvalue yields the zero signal (with a warning when
     the matrix itself is nonzero); a relative spectral tie at the top means
@@ -289,7 +293,7 @@ def extract_rank1(x_mat: np.ndarray) -> np.ndarray:
     deterministic first eigenvector is returned.
     """
     x_mat = np.asarray(x_mat, dtype=complex)
-    w, v = np.linalg.eigh(hermitian_part(x_mat))
+    w, v = _eigh(hermitian_part(x_mat))
     lam1 = float(w[-1])
     if lam1 <= 0.0:
         if np.any(x_mat != 0):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import numeric_rank
+from .linalg import _eigvalsh, numeric_rank
 from .poly import Signal, as_signal, require_c00
 from .sensing import Measurements, adjoint, build_sensing, measure
 
@@ -175,7 +175,7 @@ def certificate_report(x1: Signal, x2: Signal) -> CertificateReport:
     dev = float(np.abs(adjoint(build_sensing(x1.size, x2.size), lam) - w).max())
     return CertificateReport(
         null_residual=null_residual,
-        min_eig=float(np.linalg.eigvalsh(w)[0]),
+        min_eig=float(_eigvalsh(w)[0]),
         rank=_balanced_rank(s, x1, x2),
         in_range=dev <= MULTIPLIER_TOL * float(np.abs(w).max()),
         lam=lam,

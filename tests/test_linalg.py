@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from corrlift.linalg import (
+    _eigvalsh,
     herm_eig,
     hermitian_part,
     numeric_rank,
     psd_project,
 )
+from corrlift.solver import extract_rank1
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -134,6 +137,16 @@ def test_psd_project_nonexpansive():
         b = random_hermitian(rng, 6)
         lhs = np.linalg.norm(psd_project(a) - psd_project(b))
         assert lhs <= np.linalg.norm(a - b) + 1e-12
+
+
+@pytest.mark.parametrize("decompose", [psd_project, herm_eig, extract_rank1, _eigvalsh])
+def test_nan_matrix_raises_linalg_error(decompose):
+    # The gufunc marks a failed LAPACK call by NaN eigenvalues and NumPy's
+    # "invalid value" warning; the helpers turn it into NumPy's LinAlgError.
+    a = np.full((4, 4), np.nan, dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            decompose(a)
 
 
 def test_numeric_rank_planted():

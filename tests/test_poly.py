@@ -104,6 +104,21 @@ def test_roots_rejects_a_negligible_end_coefficient(x, resolvable):
         roots(x)
 
 
+@pytest.mark.parametrize(
+    "x",
+    [
+        [1, float("nan")],
+        [float("nan"), 1, 2],
+        [1, float("inf"), 2],
+        [float("-inf"), 1],
+        [1, complex(1, float("nan"))],
+    ],
+)
+def test_roots_rejects_a_non_finite_coefficient(x):
+    with pytest.raises(ValueError, match="^sig has a non-finite coefficient$"):
+        roots(x, "sig")
+
+
 def test_roots_matches_numpy_oracle():
     rng = np.random.default_rng(4)
     for _ in range(15):

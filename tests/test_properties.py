@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from corrlift.linalg import hermitian_part
+from corrlift.linalg import _eigh, _eigvalsh, hermitian_part
 from corrlift.poly import conj_time_reverse
 from corrlift.sensing import (
     Measurements,
@@ -42,6 +42,30 @@ def signals(max_len: int):
 
 def hermitian_matrices(n: int):
     return arrays(complex, (n, n), elements=entries).map(hermitian_part)
+
+
+@st.composite
+def eig_inputs(draw):
+    """A Hermitian matrix of size 1-16, complex128 or real float64.
+
+    Besides dense draws it builds exactly degenerate spectra: a multiple of
+    the identity, a diagonal over three values, or r copies of one block
+    (kron(I_r, H)).
+    """
+    n = draw(st.integers(min_value=1, max_value=16))
+    kind = draw(st.sampled_from(["dense", "dense", "dense", "identity", "diagonal", "blocks"]))
+    if kind == "identity":
+        a = draw(st.sampled_from([1.0, 0.0, -2.5])) * np.eye(n, dtype=complex)
+    elif kind == "diagonal":
+        values = draw(st.lists(st.sampled_from([-1.0, 0.0, 2.0]), min_size=n, max_size=n))
+        a = np.diag(values).astype(complex)
+    elif kind == "blocks":
+        copies = draw(st.sampled_from([r for r in range(1, n + 1) if n % r == 0]))
+        a = np.kron(np.eye(copies), draw(hermitian_matrices(n // copies)))
+    else:
+        a = draw(hermitian_matrices(n))
+    # the real part of a Hermitian matrix is real symmetric
+    return a.real.copy() if draw(st.booleans()) else a
 
 
 def hermitian_basis(n: int) -> np.ndarray:
@@ -190,3 +214,13 @@ def test_spectral_start_equivariance(x1, x2, sigma, phase, theta, scale):
     assert err <= 1e-12 * np.abs(modulated_clean).max()
     modulated_start, _ = _spectral_start(s, scale_segments(b, u))
     assert np.linalg.norm(modulated_start - lift_d * x_start) <= tol
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(a=eig_inputs())
+def test_eigen_helpers_are_bytewise_numpy(a):
+    w, v = _eigh(a)
+    want_w, want_v = np.linalg.eigh(a)
+    for got, want in ((w, want_w), (v, want_v), (_eigvalsh(a), np.linalg.eigvalsh(a))):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()

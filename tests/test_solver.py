@@ -392,6 +392,16 @@ def _oracle_cases():
     yield 3, 3, measure(x1, x2), SolverOptions(max_iters=1500)
 
 
+def _assert_same_solve(got, want):
+    assert got.x_mat.tobytes() == want.x_mat.tobytes()
+    assert (got.iters, got.restarts, got.stop_reason) == (
+        want.iters, want.restarts, want.stop_reason
+    )
+    assert got.residual.hex() == want.residual.hex()
+    assert got.rank1_gap.hex() == want.rank1_gap.hex()
+    assert got.margin.hex() == want.margin.hex()
+
+
 def test_solve_matches_the_symmetrizing_projection_bitwise(monkeypatch):
     # Only the first projection input needs symmetrizing: every later one is
     # exactly Hermitian, so the solve is bit for bit the one that
@@ -401,12 +411,24 @@ def test_solve_matches_the_symmetrizing_projection_bitwise(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr("corrlift.solver.psd_project", _symmetrizing_psd_project)
             want = solve(b, opts)
-        assert got.x_mat.tobytes() == want.x_mat.tobytes()
-        assert (got.iters, got.restarts, got.stop_reason) == (
-            want.iters, want.restarts, want.stop_reason
-        )
-        assert got.residual.hex() == want.residual.hex()
-        assert got.rank1_gap.hex() == want.rank1_gap.hex()
+        _assert_same_solve(got, want)
+
+
+def test_solve_matches_numpy_eigh_bitwise(monkeypatch):
+    # `linalg._eigh` and `_eigvalsh` call NumPy's gufuncs without its
+    # wrapper; every decomposition of a solve and its extraction is
+    # bit for bit the one np.linalg.eigh and eigvalsh give.
+    for l1, l2, b, opts in _oracle_cases():
+        got = solve(b, opts)
+        got_est = extract_rank1(got.x_mat)
+        with monkeypatch.context() as m:
+            m.setattr("corrlift.linalg._eigh", np.linalg.eigh)
+            m.setattr("corrlift.solver._eigh", np.linalg.eigh)
+            m.setattr("corrlift.solver._eigvalsh", np.linalg.eigvalsh)
+            want = solve(b, opts)
+            want_est = extract_rank1(want.x_mat)
+        _assert_same_solve(got, want)
+        assert got_est.tobytes() == want_est.tobytes()
 
 
 def test_projection_inputs_after_the_first_are_hermitian(monkeypatch):

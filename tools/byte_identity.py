@@ -24,7 +24,9 @@ The commands are README's sweep example (all of whose options are
 ``corrlift sweep``'s defaults), the acceptance suite's criterion-10 sweep,
 README's other command-line examples but the one whose ``--signal`` value
 starts with a minus sign (older revisions exit 2 on it), a noisy
-``recover`` (which ends on the stall stop), ``zeros`` and ``ambiguities``
+``recover`` (which ends on the stall stop), a noiseless ``recover`` of
+README's shared-factor pair (a solution that is not rank-1), a noisy
+``recover`` at shape (6, 6), ``zeros`` and ``ambiguities``
 rejecting a pair with a negligible end coefficient, and ``certify``,
 ``ambiguities`` and ``zeros`` on README's pairs and on three
 certify-ambiguity benchmark pairs (seed 1: shape (8, 9) with no common
@@ -94,6 +96,10 @@ COMMANDS = [
     ["recover", "--l1", "2", "--l2", "3", "--seed", "7"],
     ["recover", "--signal", "1,2i", "--signal", "1,-1,3", "--reduced"],
     ["recover", "--l1", "3", "--l2", "3", "--snr-db", "20", "--seed", "1"],
+    # README's shared-factor pair, noiseless: 6799 iterations and a solution
+    # that is not rank-1 for `extract_rank1`; then 12 x 12 noisy projections
+    ["recover", "--signal", "1,-3,2", "--signal", "1,-2"],
+    ["recover", "--l1", "6", "--l2", "6", "--snr-db", "30", "--seed", "3"],
     # an end coefficient negligible next to the largest: the message and
     # exit status 2 of the rejection
     ["zeros", "--signal", "1,1e-300", "--signal", "1,2"],
