@@ -589,7 +589,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(_bind_signal_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,6 +5,8 @@ Contents
 - _eigh, _eigvalsh           : `np.linalg.eigh` and `np.linalg.eigvalsh` (lower
                                triangle) without NumPy's per-call wrapper;
                                every eigendecomposition in corrlift runs here
+- _eigvals                   : `np.linalg.eigvals` of a general complex matrix,
+                               likewise; the start of `poly`'s root finder
 - hermitian_part             : symmetrization (A + A^H) / 2
 - EigDecomposition, herm_eig : full Hermitian eigendecomposition with a
                                deterministic ordering and phase convention
@@ -19,10 +21,11 @@ tens), so no sparsity or blocking is attempted.
 `_eigh` and `_eigvalsh` call the gufuncs `np.linalg.eigh` and
 `np.linalg.eigvalsh` run, `numpy.linalg._umath_linalg.eigh_lo` and
 `eigvalsh_lo`, which pick the same LAPACK loop (`d->dd` or `D->dD`) for
-float64 or complex128 input, so their output is the same bytes.  At the
-solver's N = 6 NumPy's wrapper (an `errstate` context, dtype dispatch and
-result wrapping) costs about a third of the call, and `solve` runs one
-`_eigh` per iteration.  The gufunc signals a failed LAPACK call by NaN
+float64 or complex128 input, so their output is the same bytes; `_eigvals`
+calls `eigvals`, whose `D->D` loop `np.linalg.eigvals` runs on complex128
+input.  At the solver's N = 6 NumPy's wrapper (an `errstate` context, dtype
+dispatch and result wrapping) costs about a third of the call, and `solve`
+runs one `_eigh` per iteration.  The gufunc signals a failed LAPACK call by NaN
 eigenvalues and NumPy's "invalid value" RuntimeWarning; the helpers turn a
 NaN first eigenvalue into the LinAlgError "Eigenvalues did not converge"
 that NumPy raises.
@@ -30,6 +33,7 @@ that NumPy raises.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import NamedTuple
 
@@ -61,6 +65,17 @@ def _eigvalsh(a: HermitianMatrix) -> np.ndarray:
     """
     w = _umath_linalg.eigvalsh_lo(a)
     if math.isnan(w[0]):
+        raise LinAlgError("Eigenvalues did not converge")
+    return w
+
+
+def _eigvals(a: ComplexMatrix) -> np.ndarray:
+    """`np.linalg.eigvals(a)` of a finite complex128 matrix, bit for bit.
+
+    Fails as `_eigh` does.
+    """
+    w = _umath_linalg.eigvals(a)
+    if cmath.isnan(w[0]):
         raise LinAlgError("Eigenvalues did not converge")
     return w
 

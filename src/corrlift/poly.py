@@ -9,7 +9,9 @@ zeta_k of X are the reciprocals of the roots of the w-polynomial.
 Contents
 --------
 - convolve, conj_time_reverse, correlate     : ring operations
-- roots, from_roots                          : root-domain codec
+- roots, from_roots                          : root-domain codec; roots are
+                                               companion-matrix eigenvalues
+                                               polished by Aberth iteration
 - poly_gcd                                   : numeric Euclid GCD
 - is_self_reciprocal                         : symmetry test
 - gsd                                        : greatest self-reciprocal divisor
@@ -18,8 +20,12 @@ Contents
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.polynomial import polynomial as npoly
+
+from .linalg import _eigvals
 
 Signal = np.ndarray
 
@@ -72,13 +78,18 @@ def _horner(c: list, z: np.ndarray) -> np.ndarray:
 def _aberth(coeffs: np.ndarray, max_iter: int = 200, update_tol: float = 1e-13) -> np.ndarray:
     """All roots of an ascending-order w-polynomial with c_0, c_m != 0.
 
-    Aberth-Ehrlich simultaneous iteration: the starting points sit on a
-    slightly perturbed circle whose radius is the geometric mean |c_0/c_m|^(1/m)
-    of the root magnitudes, and each step applies the coupled Newton
-    correction.  Stops when every update is below `update_tol` relative to
-    the root magnitude; after the iteration cap the roots are accepted only
-    if every relative residual is small (multiple roots stall their updates
-    at the usual sqrt-eps cluster radius while their residuals stay tiny).
+    The start is the eigenvalues of the companion matrix of c / max|c|
+    (ones below the diagonal, last column -c[:m] / c[m]), from one LAPACK
+    call through `linalg._eigvals`: backward-stable root estimates (Edelman
+    and Murakami, Math. Comp. 1995).  Aberth-Ehrlich simultaneous iteration
+    then polishes them, each step applying the coupled Newton correction;
+    from this start it usually stops after one step (Bini, Numer.
+    Algorithms 1996).  It stops when every update is below `update_tol`
+    relative to the root magnitude; after the iteration cap the roots are
+    accepted only if every relative residual is small (multiple roots stall
+    their updates at the usual sqrt-eps cluster radius while their residuals
+    stay tiny).  A residual that is not finite, as when p overflows near a
+    huge root, fails too, and without NumPy's overflow warnings.
 
     p and p' are evaluated by Horner loops over coefficient lists made once
     per call, in `npoly.polyval`'s operation order, so every iterate is bit
@@ -90,31 +101,36 @@ def _aberth(coeffs: np.ndarray, max_iter: int = 200, update_tol: float = 1e-13) 
     c = coeffs / np.abs(coeffs).max()
     c_list = c.tolist()
     dc_list = (c[1:] * np.arange(1, m + 1)).tolist()  # npoly.polyder(c)'s bytes
-    radius = float(np.abs(c[0] / c[m]) ** (1.0 / m))
-    angles = 2.0 * np.pi * (np.arange(m) + 0.3127) / m + 0.6
-    z = radius * np.exp(1j * angles)
-    for _ in range(max_iter):
-        p = _horner(c_list, z)
-        dp = _horner(dc_list, z)
-        # Newton correction with a guard against a vanishing derivative.
-        if not dp.all():
-            dp[dp == 0] = 1e-300
-        newton = p / dp
-        diff = z[:, None] - z
-        diff.flat[:: m + 1] = 1.0
-        inv = 1.0 / diff
-        inv.flat[:: m + 1] = 0.0
-        denom = 1.0 - newton * inv.sum(axis=1)
-        if not denom.all():
-            denom[denom == 0] = 1e-300
-        delta = newton / denom
-        z = z - delta
-        if (np.abs(delta) <= update_tol * np.maximum(1.0, np.abs(z))).all():
-            break
-    res = np.abs(_horner(c_list, z)) / (
-        np.abs(c).sum() * np.maximum(1.0, np.abs(z)) ** m
-    )
+    companion = np.eye(m, k=-1, dtype=complex)
+    companion[:, -1] -= c[:-1] / c[m]
+    z = _eigvals(companion)
+    # p can overflow near a huge root; the NaNs that follow fail the
+    # residual check, which reports them, so NumPy's warnings are muted.
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            p = _horner(c_list, z)
+            dp = _horner(dc_list, z)
+            # Newton correction with a guard against a vanishing derivative.
+            if not dp.all():
+                dp[dp == 0] = 1e-300
+            newton = p / dp
+            diff = z[:, None] - z
+            diff.flat[:: m + 1] = 1.0
+            inv = 1.0 / diff
+            inv.flat[:: m + 1] = 0.0
+            denom = 1.0 - newton * inv.sum(axis=1)
+            if not denom.all():
+                denom[denom == 0] = 1e-300
+            delta = newton / denom
+            z = z - delta
+            if (np.abs(delta) <= update_tol * np.maximum(1.0, np.abs(z))).all():
+                break
+        res = np.abs(_horner(c_list, z)) / (
+            np.abs(c).sum() * np.maximum(1.0, np.abs(z)) ** m
+        )
     worst = float(res.max())
+    if not math.isfinite(worst):
+        raise RuntimeError("root finding did not converge: a residual is not finite")
     if worst > 1e-10:
         raise RuntimeError(f"root finding did not converge: worst relative residual {worst:.3e}")
     return z

@@ -281,16 +281,17 @@ def test_main_ambiguities_stdout_is_pinned(capsys):
 
 def test_main_zeros_and_ambiguities_stdout_pinned_on_a_complex_pair(capsys):
     # complex coefficients carry every last bit of the Aberth iterates and
-    # of the batched expansion into the printed digits
+    # of the batched expansion into the printed digits (each of the
+    # companion-started zeros below lies within 8.1e-17 of the exact one)
     pair = ["--signal", "1+2j,-0.5j,0.3-1j", "--signal", "2-1j,1j"]
     assert main(["zeros", *pair]) == 0
     assert capsys.readouterr().out == (
         "which,re,im,multiplicity\n"
         "x1,-0.5429325914024077,-0.2066365466713874,1\n"
-        "x1,0.7429325914024076,0.3066365466713874,1\n"
+        "x1,0.7429325914024076,0.30663654667138734,1\n"
         "x2,0.2,-0.4,1\n"
         "product,-0.5429325914024076,-0.20663654667138734,1\n"
-        "product,0.20000000000000007,-0.4,1\n"
+        "product,0.19999999999999998,-0.4,1\n"
         "product,0.7429325914024076,0.3066365466713874,1\n"
     )
     assert main(["ambiguities", *pair]) == 0
@@ -300,11 +301,11 @@ def test_main_zeros_and_ambiguities_stdout_pinned_on_a_complex_pair(capsys):
         "classes=3\n"
         "class0_x1=(4+3j),(-0.4481792744045314+3.4553439608927725j),"
         "(-1.292501729476203+0.1296594980596329j)\n"
-        "class0_x2=(1+0j),(-0.7429325914024076-0.3066365466713874j)\n"
-        "class1_x1=(4+3j),(-0.4999999999999998-1j),(-0.4000000000000002-2.3000000000000003j)\n"
+        "class0_x2=(1+0j),(-0.7429325914024076-0.30663654667138734j)\n"
+        "class1_x1=(4+3j),(-0.4999999999999998-1j),(-0.4000000000000003-2.3000000000000003j)\n"
         "class1_x2=(1+0j),(-0.2+0.4j)\n"
         "class2_x1=(4+3j),(-4.051820725595468-2.4553439608927725j),"
-        "(1.7925017294762027-0.12965949805963284j)\n"
+        "(1.7925017294762027-0.12965949805963295j)\n"
         "class2_x2=(1+0j),(0.5429325914024077+0.2066365466713874j)\n"
     )
 
@@ -408,6 +409,17 @@ def test_main_ambiguities_rejects_unresolvable_zeros(capsys):
         cmd_ambiguities([1, 1e-12], [1, 1])
     assert main(["ambiguities", "--signal", "1,1e-12", "--signal", "1,1"]) == 2
     assert "resolvable zeros" in capsys.readouterr().err
+
+
+def test_main_zeros_rejects_a_non_finite_residual(capsys):
+    # the roots of x1 * x2 overflow in the polish, which used to print NaN
+    # zeros and exit 0
+    x1 = "1,0.3,-0.2,0.5,0.1,0.7,-0.4,0.2,0.9,-0.3,0.6,0.1,-0.8,0.4,0.3,"
+    x1 += "-0.2,0.5,0.1,0.7,-0.4,0.2,0.9,-0.3,0.6,0.1,-0.8,0.4,0.3,-0.5,2e-12"
+    assert main(["zeros", "--signal", x1, "--signal", "1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: root finding did not converge: a residual is not finite\n"
 
 
 @pytest.mark.filterwarnings("error")

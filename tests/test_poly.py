@@ -140,9 +140,9 @@ def _polyval_aberth(coeffs, max_iter=200, update_tol=1e-13):
         return np.zeros(0, dtype=complex)
     c = coeffs / np.abs(coeffs).max()
     dc = npoly.polyder(c)
-    radius = float(np.abs(c[0] / c[m]) ** (1.0 / m))
-    angles = 2.0 * np.pi * (np.arange(m) + 0.3127) / m + 0.6
-    z = radius * np.exp(1j * angles)
+    companion = np.eye(m, k=-1, dtype=complex)
+    companion[:, -1] -= c[:-1] / c[m]
+    z = np.linalg.eigvals(companion)
     for _ in range(max_iter):
         p = npoly.polyval(z, c)
         dp = npoly.polyval(z, dc)
@@ -232,14 +232,58 @@ def test_roots_order_is_sorted_by_real_then_imaginary_part(monkeypatch):
     assert tied > len(signals) // 2
 
 
+def _ill_scaled_signals():
+    # 3000 complex signals of length 2-21 whose coefficient magnitudes are
+    # spread by 10^u, u uniform in [-s, s] for s = 0, 2, 4, 6 in turn; an
+    # end coefficient within roots' trim threshold of the largest is drawn
+    # again, so every zero is resolvable
+    rng = np.random.default_rng(87)
+    signals = []
+    for i in range(3000):
+        n = int(rng.integers(2, 22))
+        s = (0, 2, 4, 6)[i % 4]
+        while True:
+            x = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-s, s, n)
+            mags = np.abs(x)
+            if min(mags[0], mags[-1]) > poly._TRIM_TOL * mags.max():
+                break
+        signals.append(x)
+    return signals
+
+
+def test_roots_of_ill_scaled_signals_rebuild_them():
+    # The companion eigenvalues alone fail the residual check on two of
+    # these signals (1.7e-9 and 1.3e-9) and leave reconstruction errors up
+    # to 1.5e-3; after the Aberth polish every error is below 1.6e-12.
+    worst = 0.0
+    for x in _ill_scaled_signals():
+        back = from_roots(x[0], [roots(x)])[:, 0]
+        worst = max(worst, float(np.linalg.norm(back - x) / np.linalg.norm(x)))
+    assert worst <= 1e-11
+
+
 def test_aberth_fails_like_the_polyval_oracle():
-    # two iterations cannot converge: the same error, residual digits included
-    c = random_signal(np.random.default_rng(82), 9)
+    # an ill-scaled signal whose companion eigenvalues alone miss the
+    # residual bound: with no polish step, the same error, residual digits
+    # included
+    c = _ill_scaled_signals()[555]
     with pytest.raises(RuntimeError) as oracle:
-        _polyval_aberth(c, max_iter=2)
-    with pytest.raises(RuntimeError, match="did not converge") as mine:
-        poly._aberth(c, max_iter=2)
+        _polyval_aberth(c, max_iter=0)
+    with pytest.raises(RuntimeError, match="worst relative residual 1.7") as mine:
+        poly._aberth(c, max_iter=0)
     assert str(mine.value) == str(oracle.value)
+    # one polish step resolves it
+    assert poly._aberth(c, max_iter=1).tobytes() == _polyval_aberth(c, max_iter=1).tobytes()
+
+
+def test_roots_rejects_a_non_finite_residual():
+    # x has a w-root near 2.5e11 (its last coefficient is 2e-12, the one
+    # before -0.5), and p overflows there in the polish of x * (1 + w)'s
+    # roots; the NaN residual used to pass the check and gave NaN zeros.
+    x = [1, 0.3, -0.2, 0.5, 0.1, 0.7, -0.4, 0.2, 0.9, -0.3, 0.6, 0.1, -0.8, 0.4, 0.3]
+    x = x + [-0.2, 0.5, 0.1, 0.7, -0.4, 0.2, 0.9, -0.3, 0.6, 0.1, -0.8, 0.4, 0.3, -0.5, 2e-12]
+    with pytest.raises(RuntimeError, match="^root finding did not converge: a residual is not finite$"):
+        roots(convolve(x, [1, 1]))
 
 
 def test_aberth_derivative_is_polyder_byte_for_byte(monkeypatch):

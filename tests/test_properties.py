@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from corrlift.linalg import _eigh, _eigvalsh, hermitian_part
+from corrlift.linalg import _eigh, _eigvals, _eigvalsh, hermitian_part
 from corrlift.poly import conj_time_reverse
 from corrlift.sensing import (
     Measurements,
@@ -221,6 +221,12 @@ def test_spectral_start_equivariance(x1, x2, sigma, phase, theta, scale):
 def test_eigen_helpers_are_bytewise_numpy(a):
     w, v = _eigh(a)
     want_w, want_v = np.linalg.eigh(a)
-    for got, want in ((w, want_w), (v, want_v), (_eigvalsh(a), np.linalg.eigvalsh(a))):
+    pairs = [(w, want_w), (v, want_v), (_eigvalsh(a), np.linalg.eigvalsh(a))]
+    # _eigvals takes complex input, Hermitian or not (a strictly upper
+    # triangle made imaginary breaks the symmetry)
+    general = a.astype(complex)
+    for g in (general, general + 1j * np.triu(a.real, 1)):
+        pairs.append((_eigvals(g), np.linalg.eigvals(g)))
+    for got, want in pairs:
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert got.tobytes() == want.tobytes()

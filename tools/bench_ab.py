@@ -14,7 +14,8 @@ gives the per-layer metrics.  Every run takes the run length that
 ``BENCHMARK.json`` sets.
 
 The output file holds, per workload, each end-to-end metric's runs, median
-and quartiles on both sides, the change's median relative to the base's, the
+and quartiles on both sides, the change's median relative to the base's,
+every pair's change/base ratio with their median, minimum and maximum, the
 number of pairs the change won (ties count for neither side), whether the
 worsening stays within the metric's bound, and whether a gain would meet the
 claim rule (won at least nine tenths of the pairs, the medians differ by
@@ -124,6 +125,10 @@ def compare(spec, base_side, change_side):
     )
     base, change = summary(base_runs), summary(change_runs)
     wins = sum((c > b) if higher else (c < b) for b, c in zip(base_runs, change_runs))
+    # Each pair's runs share a seed, so their ratio leaves out the spread
+    # between workload seeds that the medians and quartiles carry.
+    pair_ratios = [c / b if b else None for b, c in zip(base_runs, change_runs)]
+    known = [r for r in pair_ratios if r is not None]
     ratio = change["median"] / base["median"] if base["median"] else None
     worse_by = None if ratio is None else (1.0 - ratio if higher else ratio - 1.0)
     gap = change["median"] - base["median"]
@@ -134,6 +139,12 @@ def compare(spec, base_side, change_side):
         "base": base,
         "change": change,
         "change_over_base": ratio,
+        "pair_ratios": {
+            "runs": pair_ratios,
+            "median": statistics.median(known) if known else None,
+            "min": min(known, default=None),
+            "max": max(known, default=None),
+        },
         "change_wins": wins,
         "pairs": len(base_runs),
         "within_bound": worse_by is not None and worse_by <= spec["bound"],
@@ -175,6 +186,10 @@ def bench_workload(trees, command, name, metric_specs, args, seconds):
     return {"end_to_end": end_to_end, "runs": runs, "per_layer": per_layer}
 
 
+def _fmt(value) -> str:
+    return "-" if value is None else f"{value:.4g}"
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -214,11 +229,15 @@ def main(argv=None) -> int:
     for name, w in report["workloads"].items():
         failed = {side: sum(r["failed"] for r in runs) for side, runs in w["runs"].items()}
         for metric, c in w["end_to_end"].items():
+            ratios = c["pair_ratios"]
             print(
                 f"{name} {metric}: base {c['base']['median']:.6g} "
                 f"[{c['base']['q1']:.6g}, {c['base']['q3']:.6g}] -> change "
                 f"{c['change']['median']:.6g} [{c['change']['q1']:.6g}, "
-                f"{c['change']['q3']:.6g}]; wins {c['change_wins']}/{c['pairs']}, "
+                f"{c['change']['q3']:.6g}]; pair ratios "
+                f"{' '.join(map(_fmt, ratios['runs']))} "
+                f"(median {_fmt(ratios['median'])}, min {_fmt(ratios['min'])}, "
+                f"max {_fmt(ratios['max'])}); wins {c['change_wins']}/{c['pairs']}, "
                 f"within bound {c['within_bound']}, gain rule {c['gain_rule_met']}; "
                 f"failed operations base {failed['base']}, change {failed['change']}"
             )

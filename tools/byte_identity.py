@@ -27,7 +27,9 @@ starts with a minus sign (older revisions exit 2 on it), a noisy
 ``recover`` (which ends on the stall stop), a noiseless ``recover`` of
 README's shared-factor pair (a solution that is not rank-1), a noisy
 ``recover`` at shape (6, 6), ``zeros`` and ``ambiguities``
-rejecting a pair with a negligible end coefficient, and ``certify``,
+rejecting a pair with a negligible end coefficient, ``zeros`` on a pair
+whose product's root polish overflows (a rejection since the residual
+check rejects a non-finite residual), and ``certify``,
 ``ambiguities`` and ``zeros`` on README's pairs and on three
 certify-ambiguity benchmark pairs (seed 1: shape (8, 9) with no common
 zero, (7, 8) with one, (6, 6) with two), written as ``--signal`` literals.
@@ -104,6 +106,13 @@ COMMANDS = [
     # exit status 2 of the rejection
     ["zeros", "--signal", "1,1e-300", "--signal", "1,2"],
     ["ambiguities", "--signal", "1,1e-12", "--signal", "1,1"],
+    # a product whose root polish overflows: older revisions print NaN zeros
+    [
+        "zeros", "--signal",
+        "1,0.3,-0.2,0.5,0.1,0.7,-0.4,0.2,0.9,-0.3,0.6,0.1,-0.8,0.4,0.3,"
+        "-0.2,0.5,0.1,0.7,-0.4,0.2,0.9,-0.3,0.6,0.1,-0.8,0.4,0.3,-0.5,2e-12",
+        "--signal", "1,1",
+    ],
 ]
 # `--signal=` binds a leading minus sign as a value in every revision.
 for _x1, _x2 in README_PAIRS + CERTIFY_PAIRS:
