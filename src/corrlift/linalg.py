@@ -33,7 +33,6 @@ that NumPy raises.
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import NamedTuple
 
@@ -75,7 +74,7 @@ def _eigvals(a: ComplexMatrix) -> np.ndarray:
     Fails as `_eigh` does.
     """
     w = _umath_linalg.eigvals(a)
-    if cmath.isnan(w[0]):
+    if math.isnan(w[0].real):
         raise LinAlgError("Eigenvalues did not converge")
     return w
 

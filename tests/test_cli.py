@@ -281,8 +281,8 @@ def test_main_ambiguities_stdout_is_pinned(capsys):
 
 def test_main_zeros_and_ambiguities_stdout_pinned_on_a_complex_pair(capsys):
     # complex coefficients carry every last bit of the Aberth iterates and
-    # of the batched expansion into the printed digits (each of the
-    # companion-started zeros below lies within 8.1e-17 of the exact one)
+    # of the batched expansion into the printed digits (each zero below
+    # lies within 1e-16 of the exact one)
     pair = ["--signal", "1+2j,-0.5j,0.3-1j", "--signal", "2-1j,1j"]
     assert main(["zeros", *pair]) == 0
     assert capsys.readouterr().out == (

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from corrlift.linalg import (
+    _eigvals,
     _eigvalsh,
     herm_eig,
     hermitian_part,
@@ -139,7 +140,7 @@ def test_psd_project_nonexpansive():
         assert lhs <= np.linalg.norm(a - b) + 1e-12
 
 
-@pytest.mark.parametrize("decompose", [psd_project, herm_eig, extract_rank1, _eigvalsh])
+@pytest.mark.parametrize("decompose", [psd_project, herm_eig, extract_rank1, _eigvalsh, _eigvals])
 def test_nan_matrix_raises_linalg_error(decompose):
     # The gufunc marks a failed LAPACK call by NaN eigenvalues and NumPy's
     # "invalid value" warning; the helpers turn it into NumPy's LinAlgError.

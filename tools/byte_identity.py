@@ -27,9 +27,8 @@ starts with a minus sign (older revisions exit 2 on it), a noisy
 ``recover`` (which ends on the stall stop), a noiseless ``recover`` of
 README's shared-factor pair (a solution that is not rank-1), a noisy
 ``recover`` at shape (6, 6), ``zeros`` and ``ambiguities``
-rejecting a pair with a negligible end coefficient, ``zeros`` on a pair
-whose product's root polish overflows (a rejection since the residual
-check rejects a non-finite residual), and ``certify``,
+rejecting a pair with a negligible end coefficient, ``zeros`` rejecting
+a pair whose product's root polish overflows, and ``certify``,
 ``ambiguities`` and ``zeros`` on README's pairs and on three
 certify-ambiguity benchmark pairs (seed 1: shape (8, 9) with no common
 zero, (7, 8) with one, (6, 6) with two), written as ``--signal`` literals.
