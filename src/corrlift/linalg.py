@@ -11,8 +11,9 @@ Contents
 - EigDecomposition, herm_eig : full Hermitian eigendecomposition with a
                                deterministic ordering and phase convention
 - psd_project                : Frobenius-nearest PSD matrix of a Hermitian
-                               input; the solver's projection, run once per
-                               iteration
+                               input and its eigenpairs; the solver's
+                               projection, run once per iteration, whose
+                               last eigenpairs give the solver's estimate
 - numeric_rank               : singular-value-threshold rank of a dense matrix
 
 All routines operate on dense ndarrays; matrices here stay small (N of order
@@ -25,7 +26,7 @@ float64 or complex128 input, so their output is the same bytes; `_eigvals`
 calls `eigvals`, whose `D->D` loop `np.linalg.eigvals` runs on complex128
 input.  At the solver's N = 6 NumPy's wrapper (an `errstate` context, dtype
 dispatch and result wrapping) costs about a third of the call, and `solve`
-runs one `_eigh` per iteration.  The gufunc signals a failed LAPACK call by NaN
+runs one `_eigh` per projection.  The gufunc signals a failed LAPACK call by NaN
 eigenvalues and NumPy's "invalid value" RuntimeWarning; the helpers turn a
 NaN first eigenvalue into the LinAlgError "Eigenvalues did not converge"
 that NumPy raises.
@@ -118,23 +119,29 @@ def _pin_phase(v: np.ndarray) -> np.ndarray:
     return v * np.array([np.conj(p) / abs(p) for p in pivots])
 
 
-def psd_project(a: HermitianMatrix) -> HermitianMatrix:
-    """Frobenius-nearest positive semidefinite matrix.
+def psd_project(a: HermitianMatrix) -> tuple[HermitianMatrix, np.ndarray, np.ndarray]:
+    """Frobenius-nearest positive semidefinite matrix, with its eigenpairs.
 
     `a` must be a Hermitian float64 or complex128 matrix: it is not
     symmetrized (`_eigh` reads its lower triangle only), so a caller whose
-    matrix is Hermitian only up to rounding passes `hermitian_part(a)`.  Clips negative eigenvalues to zero
-    and rebuilds; an input that is already PSD comes back as itself.  The
-    result is exactly Hermitian and the operation is idempotent and
-    1-Lipschitz in Frobenius norm.  The rebuild is invariant to eigenvector
-    phase and order, so plain `_eigh` suffices.
+    matrix is Hermitian only up to rounding passes `hermitian_part(a)`.
+    Clips negative eigenvalues to zero and rebuilds; an input that is
+    already PSD comes back as itself.  The result is exactly Hermitian and
+    the operation is idempotent and 1-Lipschitz in Frobenius norm.  The
+    rebuild is invariant to eigenvector phase and order, so plain `_eigh`
+    suffices.
+
+    Returns ``(p, w, v)``: the projection p, the clipped eigenvalues w
+    (ascending, nonnegative) and `_eigh`'s eigenvector columns v, so that
+    p = v diag(w) v^H (exactly when nothing was clipped, up to rounding
+    otherwise) and callers read p's spectrum without decomposing it again.
     """
     w, v = _eigh(a)
     if w[0] >= 0.0:
-        return a
+        return a, w, v
     np.maximum(w, 0.0, out=w)
     out = (v * w) @ v.conj().T
-    return 0.5 * (out + out.conj().T)
+    return 0.5 * (out + out.conj().T), w, v
 
 
 def numeric_rank(a: ComplexMatrix) -> int:

@@ -142,8 +142,9 @@ def roots(x: Signal, name: str = "x") -> np.ndarray:
     The zeros are the reciprocals of the roots of the w-polynomial, counted
     with multiplicity.  An end coefficient within _TRIM_TOL = 1e-12 of the
     largest magnitude takes a zero out of reach; then a ValueError names the
-    signal by `name`, as it does for a non-finite coefficient.  The zero
-    signal raises ValueError too.
+    signal by `name`, as it does for a non-finite coefficient, and the
+    RuntimeError of a failed root polish does too.  The zero signal raises
+    ValueError as well.
     """
     x = as_signal(x)
     if not np.all(np.isfinite(x)):
@@ -159,7 +160,10 @@ def roots(x: Signal, name: str = "x") -> np.ndarray:
             f"{name} has {resolvable} resolvable zeros instead of "
             f"{x.size - 1}: an end coefficient is negligible next to the largest"
         )
-    z = 1.0 / _aberth(x)
+    try:
+        z = 1.0 / _aberth(x)
+    except RuntimeError as err:
+        raise RuntimeError(f"{name}: {err}") from None
     return z[np.lexsort((z.imag, z.real))]
 
 

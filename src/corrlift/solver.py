@@ -19,13 +19,17 @@ Each iteration projects onto the PSD cone with `linalg.psd_project`, which
 takes a Hermitian matrix as is.  The adjoint returns m + m^H, real-scalar
 combinations keep that symmetry exactly, and the projection's output is
 exactly Hermitian, so only the first step's input, built from the spectral
-start c v v* (Hermitian up to rounding), is symmetrized.  `extract_rank1`
-reads the estimate from one `linalg._eigh`, pinning the top column's phase
-by `linalg.herm_eig`'s rule, and decomposes again with `herm_eig` only when
-the top eigenvalue is exactly tied.  Every decomposition here (the spectral
-start, each projection, the final eigenvalues and the extraction) runs
-through `linalg._eigh` or `_eigvalsh`; the solver keeps no eigen routine of
-its own.
+start c v v* (Hermitian up to rounding), is symmetrized.  The projection
+also returns the eigenpairs it computed, and `solve` reads the estimate
+`SolverResult.x_est` and `rank1_gap` from those of the last accepted
+iterate: the top column with `linalg.herm_eig`'s phase rule, scaled by the
+square root of its eigenvalue.  So a noiseless coprime solve runs two
+decompositions (the spectral start and one projection), a noisy one 1 +
+iters + restarts, and none follows the loop; `herm_eig` decomposes again
+only when the top eigenvalue is exactly tied.  `extract_rank1` applies the
+same rules to any matrix, from one `linalg._eigh` of its Hermitian part.
+Every decomposition here runs through `linalg._eigh`; the solver keeps no
+eigen routine of its own.
 
 Every solve ends for a stated reason (`SolverResult.stop_reason`): the
 relative residual reaches REL_TOL ("converged", as noiseless data do), the
@@ -51,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _eigh, _eigvalsh, _pin_phase, herm_eig, hermitian_part, psd_project
+from .linalg import _eigh, _pin_phase, herm_eig, hermitian_part, psd_project
 from .poly import Signal, as_signal
 from .sensing import Measurements, SensingSet, adjoint, build_sensing, forward_stacked
 from .sylvester import _pow2_scale, certificate_multipliers
@@ -102,9 +106,12 @@ class SolverOptions:
 class SolverResult:
     """The one record of a solve: solution matrix and its diagnostics.
 
-    `residual` is ||A(X) - b|| / ||b||; `rank1_gap` is the ratio of the
-    second to the first eigenvalue of the solution matrix (0 for the zero
-    matrix), small exactly when the solution is numerically rank-1.
+    `x_est` is the stacked rank-1 estimate sqrt(lam1) * v1 of the solution
+    matrix (`extract_rank1`'s rules, read from the last projection's
+    eigenpairs).  `residual` is ||A(X) - b|| / ||b||; `rank1_gap` is the
+    ratio of the second to the first eigenvalue of the solution matrix (0
+    for the zero matrix), small exactly when the solution is numerically
+    rank-1.
     `margin` is the identifiability margin lam2(W) / lam_max(W) of the
     data-only certificate W: about 0 when the pair shares a factor.
     `stop_reason` is "converged", "stalled" or "max_iters" (see the module
@@ -112,6 +119,7 @@ class SolverResult:
     """
 
     x_mat: np.ndarray
+    x_est: np.ndarray
     iters: int
     residual: float
     rank1_gap: float
@@ -178,6 +186,7 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
     if norm_b == 0.0:
         return SolverResult(
             x_mat=np.zeros((n, n), dtype=complex),
+            x_est=np.zeros(n, dtype=complex),
             iters=0,
             residual=0.0,
             rank1_gap=0.0,
@@ -188,11 +197,11 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
 
     lam = np.zeros(4 * n - 4, dtype=complex)
 
-    def objective(v: np.ndarray) -> float:
-        # float(np.linalg.norm(v - b_vec) ** 2), the same arithmetic without
-        # the wrapper.
+    def misfit(v: np.ndarray) -> float:
+        # float(np.linalg.norm(v - b_vec)), the same arithmetic without the
+        # wrapper; the objective is its square.
         r = v - b_vec
-        return math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag)) ** 2
+        return math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag))
 
     def gradient(v: np.ndarray) -> np.ndarray:
         # nabla ||A(X) - b||^2 = adjoint(conj(A(X) - b)); adjoint output is
@@ -208,7 +217,7 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
     x, margin = _spectral_start(s, b)
     v_x = forward_stacked(s, x)[:m_count]
     x_prev, v_prev = x, v_x
-    obj_prev = objective(v_x)
+    obj_prev = misfit(v_x) ** 2
     t = 1.0
     beta = 0.0
     bad_streak = 0
@@ -226,9 +235,10 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
         a = y - step * gradient(v_y)
         # Only the first input carries the start's rounding asymmetry; at
         # k = 2 beta is still 0, so it never reaches a later one.
-        x_new = psd_project(hermitian_part(a) if k == 1 else a)
+        x_new, w_new, u_new = psd_project(hermitian_part(a) if k == 1 else a)
         v_new = forward_stacked(s, x_new)[:m_count]
-        obj = objective(v_new)
+        dist = misfit(v_new)
+        obj = dist**2
 
         if obj > obj_prev:
             # Adaptive restart: drop momentum and redo as a plain projected
@@ -237,9 +247,10 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
             t = 1.0
             if beta > 0.0:
                 restarts += 1
-                x_new = psd_project(x - step * gradient(v_x))
+                x_new, w_new, u_new = psd_project(x - step * gradient(v_x))
                 v_new = forward_stacked(s, x_new)[:m_count]
-                obj = objective(v_new)
+                dist = misfit(v_new)
+                obj = dist**2
         if obj > obj_prev:
             bad_streak += 1
             if bad_streak >= 10:
@@ -266,16 +277,15 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
             iters_done, stop_reason = k, "stalled"
             break
 
-    eigenvalues = _eigvalsh(x)
-    lam1 = float(eigenvalues[-1])
-    lam2 = float(eigenvalues[-2])
-    gap = 0.0 if lam1 <= 0.0 else max(lam2, 0.0) / lam1
-    residual = float(np.linalg.norm(v_x - b_vec)) / norm_b
+    # The loop ran at least once and ends on x = x_new: w_new and u_new are
+    # its clipped (nonnegative) eigenvalues and eigenvectors, dist its misfit.
+    lam1 = float(w_new[-1])
     return SolverResult(
         x_mat=x,
+        x_est=_rank1_estimate(w_new, u_new, x),
         iters=iters_done,
-        residual=residual,
-        rank1_gap=gap,
+        residual=dist / norm_b,
+        rank1_gap=0.0 if lam1 <= 0.0 else float(w_new[-2]) / lam1,
         margin=margin,
         stop_reason=stop_reason,
         restarts=restarts,
@@ -294,13 +304,20 @@ def extract_rank1(x_mat: np.ndarray) -> np.ndarray:
     """
     x_mat = np.asarray(x_mat, dtype=complex)
     w, v = _eigh(hermitian_part(x_mat))
+    return _rank1_estimate(w, v, x_mat)
+
+
+def _rank1_estimate(w: np.ndarray, v: np.ndarray, x_mat: np.ndarray) -> np.ndarray:
+    # `extract_rank1`'s rules, given eigenvalues w (ascending) and eigenvector
+    # columns v of x_mat's Hermitian part.  The warnings name the caller of
+    # `extract_rank1` or `solve`.
     lam1 = float(w[-1])
     if lam1 <= 0.0:
         if np.any(x_mat != 0):
             warnings.warn(
                 "top eigenvalue is nonpositive; returning the zero signal",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
         return np.zeros(x_mat.shape[0], dtype=complex)
     lam2 = float(w[-2])
@@ -309,7 +326,7 @@ def extract_rank1(x_mat: np.ndarray) -> np.ndarray:
             "top eigenvalue is numerically degenerate; rank-1 estimate is "
             "not unique",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     top = herm_eig(x_mat).eigenvectors[:, -1] if lam1 == lam2 else _pin_phase(v[:, -1:])[:, 0]
     return math.sqrt(lam1) * top
@@ -347,14 +364,13 @@ def recover(
     b: Measurements,
     opts: SolverOptions | None = None,
 ) -> tuple[np.ndarray, np.ndarray, SolverResult]:
-    """Recover the signal pair from correlations: solve, extract, split.
+    """Recover the signal pair from correlations: solve, then split.
 
-    The stacked rank-1 estimate is split at `x1_len`; the third item is the
-    `SolverResult` of the solve, whose `non_unique` flags a solution that is
-    not numerically rank-1.
+    The solve's stacked rank-1 estimate `x_est` is split at `x1_len`; the
+    third item is the `SolverResult` of the solve, whose `non_unique` flags
+    a solution that is not numerically rank-1.
     """
     if b.l1 != x1_len or b.l2 != x2_len:
         raise ValueError("measurements are inconsistent with the stated lengths")
     result = solve(b, opts)
-    x_est = extract_rank1(result.x_mat)
-    return x_est[:x1_len], x_est[x1_len:], result
+    return result.x_est[:x1_len], result.x_est[x1_len:], result

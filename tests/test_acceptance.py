@@ -366,8 +366,8 @@ def test_criterion_09_numerical_foundations():
         assert float(np.linalg.norm(rebuilt - a)) <= 1e-9 * float(
             np.linalg.norm(a)
         )
-        projected = psd_project(a)
-        twice = psd_project(projected)
+        projected = psd_project(a)[0]
+        twice = psd_project(projected)[0]
         scale = max(float(np.linalg.norm(projected)), 1.0)
         assert float(np.linalg.norm(twice - projected)) <= 1e-10 * scale
         instances += 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import math
 
@@ -14,6 +15,7 @@ from corrlift.cli import (
     CSV_FIELDS,
     ExperimentConfig,
     TrialRecord,
+    _mse_per_dim_db,
     _parse_complex,
     _parse_signal,
     _sigma_for,
@@ -178,9 +180,14 @@ def test_write_records_header_and_rows():
     for row, record in zip(parsed, records):
         assert row["failed"] == "false"
         assert float(row["mse"]) == record.mse
-    # the noiseless solve is exact, and an exact recovery reads -inf dB
-    assert records[0].mse == 0.0
-    assert float(parsed[0]["mse_per_dim_db"]) == -math.inf
+    # the noiseless solve is exact to rounding, and an exact recovery reads
+    # -inf dB
+    assert records[0].mse <= 1e-15
+    exact = dataclasses.replace(records[0], mse=0.0, mse_per_dim_db=_mse_per_dim_db(0.0, 4))
+    buf = io.StringIO()
+    write_records([exact], buf)
+    (row,) = csv.DictReader(io.StringIO(buf.getvalue()))
+    assert float(row["mse_per_dim_db"]) == -math.inf
     # mse_per_dim_db = 10 log10(mse / n) with n = l1 + l2
     assert records[1].mse > 0.0
     expect = 10.0 * math.log10(records[1].mse / 4)
@@ -419,7 +426,7 @@ def test_main_zeros_rejects_a_non_finite_residual(capsys):
     assert main(["zeros", "--signal", x1, "--signal", "1,1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: root finding did not converge: a residual is not finite\n"
+    assert captured.err == "error: product: root finding did not converge: a residual is not finite\n"
 
 
 @pytest.mark.filterwarnings("error")

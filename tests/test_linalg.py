@@ -102,16 +102,32 @@ def test_herm_eig_phase_convention():
 
 def test_psd_project_clips_negative_eigenvalues():
     a = np.diag([2.0, -3.0]).astype(complex)
-    p = psd_project(a)
+    p = psd_project(a)[0]
     assert np.allclose(p, np.diag([2.0, 0.0]))
+
+
+def test_psd_project_returns_the_eigenpairs_of_its_result():
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        a = random_hermitian(rng, 6)
+        p, w, v = psd_project(a)
+        assert np.all(w >= 0.0) and np.all(np.diff(w) >= 0.0)
+        assert np.linalg.norm((v * w) @ v.conj().T - p) <= 1e-12 * np.linalg.norm(p)
+        # a PSD input comes back as itself, with its own decomposition
+        g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        pd = g @ g.conj().T + np.eye(6)
+        q, wq, vq = psd_project(pd)
+        want_w, want_v = np.linalg.eigh(pd)
+        assert q is pd
+        assert (wq.tobytes(), vq.tobytes()) == (want_w.tobytes(), want_v.tobytes())
 
 
 def test_psd_project_idempotent():
     rng = np.random.default_rng(11)
     for _ in range(20):
         a = random_hermitian(rng, 7)
-        p = psd_project(a)
-        again = psd_project(p)
+        p = psd_project(a)[0]
+        again = psd_project(p)[0]
         assert np.linalg.norm(again - p) <= 1e-10 * max(np.linalg.norm(p), 1.0)
 
 
@@ -121,7 +137,7 @@ def test_psd_project_is_metric_projection():
     rng = np.random.default_rng(12)
     for _ in range(10):
         a = random_hermitian(rng, 5)
-        p = psd_project(a)
+        p = psd_project(a)[0]
         w = np.linalg.eigvalsh(p)
         assert w.min() >= -1e-12 * max(1.0, np.linalg.norm(p))
         for _ in range(5):
@@ -136,7 +152,7 @@ def test_psd_project_nonexpansive():
     for _ in range(10):
         a = random_hermitian(rng, 6)
         b = random_hermitian(rng, 6)
-        lhs = np.linalg.norm(psd_project(a) - psd_project(b))
+        lhs = np.linalg.norm(psd_project(a)[0] - psd_project(b)[0])
         assert lhs <= np.linalg.norm(a - b) + 1e-12
 
 

@@ -282,8 +282,9 @@ def test_roots_rejects_a_non_finite_residual():
     # roots; the NaN residual used to pass the check and gave NaN zeros.
     x = [1, 0.3, -0.2, 0.5, 0.1, 0.7, -0.4, 0.2, 0.9, -0.3, 0.6, 0.1, -0.8, 0.4, 0.3]
     x = x + [-0.2, 0.5, 0.1, 0.7, -0.4, 0.2, 0.9, -0.3, 0.6, 0.1, -0.8, 0.4, 0.3, -0.5, 2e-12]
-    with pytest.raises(RuntimeError, match="^root finding did not converge: a residual is not finite$"):
-        roots(convolve(x, [1, 1]))
+    message = "^product: root finding did not converge: a residual is not finite$"
+    with pytest.raises(RuntimeError, match=message):
+        roots(convolve(x, [1, 1]), "product")
 
 
 def test_aberth_derivative_is_polyder_byte_for_byte(monkeypatch):

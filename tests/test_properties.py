@@ -6,6 +6,8 @@ draws are derandomized so the suite stays deterministic.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,13 @@ from corrlift.sensing import (
     forward_stacked,
     measure,
 )
-from corrlift.solver import _spectral_start, aligned_mse, extract_rank1
+from corrlift.solver import (
+    SolverOptions,
+    _spectral_start,
+    aligned_mse,
+    extract_rank1,
+    solve,
+)
 from corrlift.sylvester import certificate_multipliers
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
@@ -214,6 +222,32 @@ def test_spectral_start_equivariance(x1, x2, sigma, phase, theta, scale):
     assert err <= 1e-12 * np.abs(modulated_clean).max()
     modulated_start, _ = _spectral_start(s, scale_segments(b, u))
     assert np.linalg.norm(modulated_start - lift_d * x_start) <= tol
+
+
+@PROPERTY_SETTINGS
+@given(
+    x1=signals(5),
+    x2=signals(5),
+    sigma=st.one_of(st.just(0.0), st.floats(min_value=1e-4, max_value=0.3)),
+)
+def test_solve_estimate_matches_a_fresh_decomposition(x1, x2, sigma):
+    # `solve` reads x_est and rank1_gap from the last projection's
+    # eigenpairs, those of the matrix before its rebuild; a fresh
+    # decomposition of the rebuilt x_mat agrees to rounding.  The
+    # eigenvector moves by about eps * n * lam1 / (lam1 - lam2), the
+    # eigenvalues by about eps * n * lam1.  The cap keeps pairs that (nearly)
+    # share a factor, which would spend the whole budget, short.
+    b = add_noise(measure(x1, x2), NoiseModel(sigma=sigma, seed=7))
+    result = solve(b, SolverOptions(max_iters=300))
+    n = result.x_mat.shape[0]
+    eps = np.finfo(float).eps
+    w = _eigvalsh(result.x_mat)
+    lam1, lam2 = float(w[-1]), float(w[-2])
+    assert abs(result.rank1_gap - max(lam2, 0.0) / lam1) <= 10.0 * eps * n
+    fresh = extract_rank1(result.x_mat)
+    _, phi = aligned_mse(fresh, result.x_est)
+    err = float(np.linalg.norm(np.exp(1j * phi) * result.x_est - fresh))
+    assert err <= 10.0 * eps * n * math.sqrt(lam1) * lam1 / (lam1 - lam2)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
@@ -368,14 +369,15 @@ def test_max_iters_stop_and_restart_count(monkeypatch):
 
 def _symmetrizing_psd_project(a):
     # The projection as it was before `psd_project` took its input as
-    # Hermitian: symmetrize every input, clip with np.clip.
+    # Hermitian: symmetrize every input, clip with np.clip.  It returns the
+    # eigenpairs with the projection, as `psd_project` does.
     a = 0.5 * (a + a.conj().T)
     w, v = np.linalg.eigh(a)
     if w[0] >= 0.0:
-        return a
+        return a, w, v
     np.clip(w, 0.0, None, out=w)
     out = (v * w) @ v.conj().T
-    return 0.5 * (out + out.conj().T)
+    return 0.5 * (out + out.conj().T), w, v
 
 
 def _oracle_cases():
@@ -394,6 +396,7 @@ def _oracle_cases():
 
 def _assert_same_solve(got, want):
     assert got.x_mat.tobytes() == want.x_mat.tobytes()
+    assert got.x_est.tobytes() == want.x_est.tobytes()
     assert (got.iters, got.restarts, got.stop_reason) == (
         want.iters, want.restarts, want.stop_reason
     )
@@ -415,20 +418,67 @@ def test_solve_matches_the_symmetrizing_projection_bitwise(monkeypatch):
 
 
 def test_solve_matches_numpy_eigh_bitwise(monkeypatch):
-    # `linalg._eigh` and `_eigvalsh` call NumPy's gufuncs without its
-    # wrapper; every decomposition of a solve and its extraction is
-    # bit for bit the one np.linalg.eigh and eigvalsh give.
+    # `linalg._eigh` calls NumPy's gufunc without its wrapper; every
+    # decomposition of a solve and of an extraction is bit for bit the one
+    # np.linalg.eigh gives.
     for l1, l2, b, opts in _oracle_cases():
         got = solve(b, opts)
         got_est = extract_rank1(got.x_mat)
         with monkeypatch.context() as m:
             m.setattr("corrlift.linalg._eigh", np.linalg.eigh)
             m.setattr("corrlift.solver._eigh", np.linalg.eigh)
-            m.setattr("corrlift.solver._eigvalsh", np.linalg.eigvalsh)
             want = solve(b, opts)
             want_est = extract_rank1(want.x_mat)
         _assert_same_solve(got, want)
         assert got_est.tobytes() == want_est.tobytes()
+
+
+def _count_decompositions(monkeypatch):
+    # Every Hermitian decomposition of a solve or a recovery: `_eigh` as
+    # `solver` and `linalg` (`psd_project`, `herm_eig`) call it, and
+    # `_eigvalsh` wherever it is bound.
+    calls = []
+
+    def counting(fn):
+        def wrapper(a):
+            calls.append(1)
+            return fn(a)
+
+        return wrapper
+
+    for module in ("corrlift.solver", "corrlift.linalg"):
+        for name in ("_eigh", "_eigvalsh"):
+            # `solver` binds no `_eigvalsh`: nothing there to count
+            original = getattr(import_module(module), name, None)
+            if original is not None:
+                monkeypatch.setattr(f"{module}.{name}", counting(original))
+    return calls
+
+
+def test_noiseless_recover_decomposes_twice(monkeypatch):
+    # The spectral start and the one projection: the estimate and the
+    # rank-1 gap are read from that projection's eigenpairs.
+    calls = _count_decompositions(monkeypatch)
+    rng = np.random.default_rng(102)
+    for l1, l2 in [(1, 1), (2, 3), (3, 3), (4, 2)]:
+        x1, x2 = random_signal(rng, l1), random_signal(rng, l2)
+        del calls[:]
+        _, _, result = recover(l1, l2, measure(x1, x2))
+        assert (result.iters, result.restarts) == (1, 0)
+        assert len(calls) == 2
+
+
+def test_noisy_solve_decomposes_once_per_projection(monkeypatch):
+    # The start, then one per iteration and one per restart; none follows
+    # the loop.
+    calls = _count_decompositions(monkeypatch)
+    rng = np.random.default_rng(103)
+    for snr_db in (10.0, 40.0):
+        _, noisy = noisy_pair(rng, 3, 3, snr_db)
+        del calls[:]
+        result = solve(noisy)
+        assert result.restarts > 0
+        assert len(calls) == 1 + result.iters + result.restarts
 
 
 def test_projection_inputs_after_the_first_are_hermitian(monkeypatch):

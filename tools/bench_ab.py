@@ -21,7 +21,9 @@ worsening stays within the metric's bound, and whether a gain would meet the
 claim rule (won at least nine tenths of the pairs, the medians differ by
 more than the base's interquartile range, and every change run is correct
 and fails no more operations than its paired base run).  It also holds
-every run's correctness and failure counts and the two traced metric sets.
+every run's correctness, attempted and failed operation counts, each
+side's median attempted count (printed next to ``peak_rss_mb``, which rises
+with it), and the two traced metric sets.
 
 Uses only the standard library.
 """
@@ -175,6 +177,9 @@ def bench_workload(trees, command, name, metric_specs, args, seconds):
     end_to_end = {
         spec["name"]: compare(spec, runs["base"], runs["change"]) for spec in metric_specs
     }
+    # perfbench keeps a few dozen bytes per operation, so peak RSS rises
+    # with the number of operations a run attempts.
+    attempted = {side: statistics.median(r["attempted"] for r in runs[side]) for side in runs}
     per_layer = {}
     for side, tree in trees.items():
         traced = run_once(tree, command, name, args.seed, seconds, 1)
@@ -183,7 +188,12 @@ def bench_workload(trees, command, name, metric_specs, args, seconds):
             "failed": traced["failed"],
             "metrics": {k: v["value"] for k, v in traced["metrics"].items()},
         }
-    return {"end_to_end": end_to_end, "runs": runs, "per_layer": per_layer}
+    return {
+        "end_to_end": end_to_end,
+        "median_attempted": attempted,
+        "runs": runs,
+        "per_layer": per_layer,
+    }
 
 
 def _fmt(value) -> str:
@@ -228,8 +238,14 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     for name, w in report["workloads"].items():
         failed = {side: sum(r["failed"] for r in runs) for side, runs in w["runs"].items()}
+        attempted = w["median_attempted"]
         for metric, c in w["end_to_end"].items():
             ratios = c["pair_ratios"]
+            ops = (
+                f"; median attempted base {attempted['base']:g}, change {attempted['change']:g}"
+                if metric == "peak_rss_mb"
+                else ""
+            )
             print(
                 f"{name} {metric}: base {c['base']['median']:.6g} "
                 f"[{c['base']['q1']:.6g}, {c['base']['q3']:.6g}] -> change "
@@ -239,7 +255,7 @@ def main(argv=None) -> int:
                 f"(median {_fmt(ratios['median'])}, min {_fmt(ratios['min'])}, "
                 f"max {_fmt(ratios['max'])}); wins {c['change_wins']}/{c['pairs']}, "
                 f"within bound {c['within_bound']}, gain rule {c['gain_rule_met']}; "
-                f"failed operations base {failed['base']}, change {failed['change']}"
+                f"failed operations base {failed['base']}, change {failed['change']}{ops}"
             )
     return 0
 
