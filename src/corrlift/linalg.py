@@ -132,9 +132,11 @@ def psd_project(a: HermitianMatrix) -> tuple[HermitianMatrix, np.ndarray, np.nda
     suffices.
 
     Returns ``(p, w, v)``: the projection p, the clipped eigenvalues w
-    (ascending, nonnegative) and `_eigh`'s eigenvector columns v, so that
-    p = v diag(w) v^H (exactly when nothing was clipped, up to rounding
-    otherwise) and callers read p's spectrum without decomposing it again.
+    (ascending, nonnegative) and `_eigh`'s eigenvector columns v.  When
+    nothing was clipped they are `_eigh`'s decomposition of p itself (p is
+    then `a`); otherwise p is v diag(w) v^H up to the rounding of the
+    rebuild.  Either way callers read p's spectrum without decomposing it
+    again.
     """
     w, v = _eigh(a)
     if w[0] >= 0.0:
