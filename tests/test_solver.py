@@ -448,7 +448,7 @@ def _count_decompositions(monkeypatch):
 
     for module in ("corrlift.solver", "corrlift.linalg"):
         for name in ("_eigh", "_eigvalsh"):
-            # `solver` binds no `_eigvalsh`: nothing there to count
+            # a module that binds no `_eigvalsh` has none to count
             original = getattr(import_module(module), name, None)
             if original is not None:
                 monkeypatch.setattr(f"{module}.{name}", counting(original))

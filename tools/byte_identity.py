@@ -98,7 +98,7 @@ COMMANDS = [
     ["recover", "--signal", "1,2i", "--signal", "1,-1,3", "--reduced"],
     ["recover", "--l1", "3", "--l2", "3", "--snr-db", "20", "--seed", "1"],
     # README's shared-factor pair, noiseless: 6799 iterations and a solution
-    # that is not rank-1 for `extract_rank1`; then 12 x 12 noisy projections
+    # that is not rank-1; then 12 x 12 noisy projections
     ["recover", "--signal", "1,-3,2", "--signal", "1,-2"],
     ["recover", "--l1", "6", "--l2", "6", "--snr-db", "30", "--seed", "3"],
     # an end coefficient negligible next to the largest: the message and
