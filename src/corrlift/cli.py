@@ -377,10 +377,6 @@ def _parse_snr_list(text: str) -> tuple[float, ...]:
     return tuple(float(t) for t in tokens)
 
 
-def _solver_options(args: argparse.Namespace) -> SolverOptions:
-    return SolverOptions(max_iters=args.max_iters)
-
-
 def _signal_pair(args: argparse.Namespace) -> tuple[Signal, Signal]:
     if args.signal is None or len(args.signal) != 2:
         raise ValueError(
@@ -403,7 +399,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=args.seed,
         reduced=args.reduced,
-        solver=_solver_options(args),
+        solver=SolverOptions(max_iters=args.max_iters),
     )
     # Opened before the first trial, so an unwritable path fails at once.
     with _open_out(args.out) as stream:
@@ -449,7 +445,9 @@ def _run_recover(args: argparse.Namespace) -> int:
             raise ValueError("recover accepts a single --snr-db value")
         snr_db = snrs[0]
         _check_snr(snr_db)
-    sigma, outcome = _trial(x1, x2, snr_db, args.seed, args.reduced, _solver_options(args))
+    sigma, outcome = _trial(
+        x1, x2, snr_db, args.seed, args.reduced, SolverOptions(max_iters=args.max_iters)
+    )
     print(f"l1={len(x1)}")
     print(f"l2={len(x2)}")
     print(f"sigma={sigma!r}")

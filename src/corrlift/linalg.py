@@ -9,7 +9,9 @@ Contents
                                likewise; the start of `poly`'s root finder
 - hermitian_part             : symmetrization (A + A^H) / 2
 - EigDecomposition, herm_eig : full Hermitian eigendecomposition with a
-                               deterministic ordering and phase convention
+                               deterministic ordering and phase convention;
+                               no library caller, acceptance criterion 09
+                               tests it
 - psd_project                : Frobenius-nearest PSD matrix of a Hermitian
                                input and its eigenpairs; the solver's
                                projection, run once per iteration, whose

@@ -32,6 +32,8 @@ Signal = np.ndarray
 # The relative tolerance of the GCD, symmetry and factorization checks.
 DEFAULT_GCD_TOL = 1e-8
 _TRIM_TOL = 1e-12
+# `_aberth` stops once every update is below this, relative to the root.
+_ABERTH_UPDATE_TOL = 1e-13
 
 
 def as_signal(x) -> Signal:
@@ -75,7 +77,7 @@ def _horner(c: list, z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _aberth(coeffs: np.ndarray, max_iter: int = 200, update_tol: float = 1e-13) -> np.ndarray:
+def _aberth(coeffs: np.ndarray, max_iter: int = 200) -> np.ndarray:
     """All roots of an ascending-order w-polynomial with c_0, c_m != 0.
 
     The start is the eigenvalues of the companion matrix of c / max|c|
@@ -84,12 +86,13 @@ def _aberth(coeffs: np.ndarray, max_iter: int = 200, update_tol: float = 1e-13) 
     and Murakami, Math. Comp. 1995).  Aberth-Ehrlich simultaneous iteration
     then polishes them, each step applying the coupled Newton correction;
     from this start it usually stops after one step (Bini, Numer.
-    Algorithms 1996).  It stops when every update is below `update_tol`
-    relative to the root magnitude; after the iteration cap the roots are
-    accepted only if every relative residual is small (multiple roots stall
-    their updates at the usual sqrt-eps cluster radius while their residuals
-    stay tiny).  A residual that is not finite, as when p overflows near a
-    huge root, fails too, and without NumPy's overflow warnings.
+    Algorithms 1996).  It stops when every update is below
+    _ABERTH_UPDATE_TOL (1e-13) relative to the root magnitude; after the
+    iteration cap the roots are accepted only if every relative residual is
+    small (multiple roots stall their updates at the usual sqrt-eps cluster
+    radius while their residuals stay tiny).  A residual that is not
+    finite, as when p overflows near a huge root, fails too, and without
+    NumPy's overflow warnings.
 
     p and p' are evaluated by Horner loops over coefficient lists made once
     per call, in `npoly.polyval`'s operation order, so every iterate is bit
@@ -123,7 +126,7 @@ def _aberth(coeffs: np.ndarray, max_iter: int = 200, update_tol: float = 1e-13) 
                 denom[denom == 0] = 1e-300
             delta = newton / denom
             z = z - delta
-            if (np.abs(delta) <= update_tol * np.maximum(1.0, np.abs(z))).all():
+            if (np.abs(delta) <= _ABERTH_UPDATE_TOL * np.maximum(1.0, np.abs(z))).all():
                 break
         res = np.abs(_horner(c_list, z)) / (
             np.abs(c).sum() * np.maximum(1.0, np.abs(z)) ** m

@@ -22,14 +22,16 @@ exactly Hermitian, so only the first step's input, built from the spectral
 start c v v* (Hermitian up to rounding), is symmetrized.  The projection
 also returns the eigenpairs it computed, and `solve` reads the estimate
 `SolverResult.x_est` and `rank1_gap` from those of the last accepted
-iterate: the top column with `linalg.herm_eig`'s phase rule, scaled by the
-square root of its eigenvalue.  So a noiseless coprime solve runs two
+iterate.  The read-out rule: with lam1 the top (clipped, so nonnegative)
+eigenvalue, `x_est` is sqrt(lam1) times the top eigenvector, whose phase
+`linalg._pin_phase` fixes (its largest-magnitude entry real and positive),
+and the zero signal when lam1 is 0 (then X is 0).  The estimate is unique
+exactly when the solution is rank one; `SolverResult.non_unique` (the
+rank-1 gap above NONUNIQUE_GAP_TOL) is the one report that it is not, as
+for a pair with a shared zero.  So a noiseless coprime solve runs two
 decompositions (the spectral start and one projection), a noisy one 1 +
-iters + restarts, and none follows the loop; `herm_eig` decomposes again
-only when the top eigenvalue is exactly tied.  `extract_rank1` applies the
-same rules to any matrix, from one `linalg._eigh` of its Hermitian part.
-Every decomposition here runs through `linalg._eigh`; the solver keeps no
-eigen routine of its own.
+iters + restarts, and none follows the loop.  Every decomposition here runs
+through `linalg._eigh`; the solver keeps no eigen routine of its own.
 
 Every solve ends for a stated reason (`SolverResult.stop_reason`): the
 relative residual reaches REL_TOL ("converged", as noiseless data do), the
@@ -49,13 +51,12 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _eigh, _pin_phase, herm_eig, hermitian_part, psd_project
+from .linalg import _eigh, _pin_phase, hermitian_part, psd_project
 from .poly import Signal, as_signal
 from .sensing import Measurements, SensingSet, adjoint, build_sensing, forward_stacked
 from .sylvester import _pow2_scale, certificate_multipliers
@@ -63,10 +64,6 @@ from .sylvester import _pow2_scale, certificate_multipliers
 # A solution whose second eigenvalue exceeds this fraction of the first is
 # not meaningfully rank-1; recovery then reflects a non-unique program.
 NONUNIQUE_GAP_TOL = 1e-6
-
-# Relative spectral-gap threshold below which the top eigenvector of the
-# solution matrix is treated as degenerate (tie between eigenvalues).
-RANK1_TIE_TOL = 1e-12
 
 # Fraction of the exact step 1/L taken each iteration.
 STEP_SAFETY = 0.95
@@ -107,11 +104,13 @@ class SolverResult:
     """The one record of a solve: solution matrix and its diagnostics.
 
     `x_est` is the stacked rank-1 estimate sqrt(lam1) * v1 of the solution
-    matrix (`extract_rank1`'s rules, read from the last projection's
-    eigenpairs).  `residual` is ||A(X) - b|| / ||b||; `rank1_gap` is the
-    ratio of the second to the first eigenvalue of the solution matrix (0
-    for the zero matrix), small exactly when the solution is numerically
-    rank-1.
+    matrix, read from the last projection's eigenpairs: v1 the top
+    eigenvector with the phase `linalg._pin_phase` fixes, and the zero
+    signal when lam1 is 0.  `residual` is ||A(X) - b|| / ||b||;
+    `rank1_gap` is the ratio of the second to the first eigenvalue of the
+    solution matrix (0 for the zero matrix), small exactly when the
+    solution is numerically rank-1.  `non_unique` reads the gap, and is the
+    one report that the estimate is not unique; the solve raises no warning.
     `margin` is the identifiability margin lam2(W) / lam_max(W) of the
     data-only certificate W: about 0 when the pair shares a factor.
     `stop_reason` is "converged", "stalled" or "max_iters" (see the module
@@ -280,56 +279,21 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
     # The loop ran at least once and ends on x = x_new: w_new and u_new are
     # its clipped (nonnegative) eigenvalues and eigenvectors, dist its misfit.
     lam1 = float(w_new[-1])
+    if lam1 > 0.0:
+        x_est = math.sqrt(lam1) * _pin_phase(u_new[:, -1:])[:, 0]
+        rank1_gap = float(w_new[-2]) / lam1
+    else:
+        x_est, rank1_gap = np.zeros(n, dtype=complex), 0.0
     return SolverResult(
         x_mat=x,
-        x_est=_rank1_estimate(w_new, u_new, x),
+        x_est=x_est,
         iters=iters_done,
         residual=dist / norm_b,
-        rank1_gap=0.0 if lam1 <= 0.0 else float(w_new[-2]) / lam1,
+        rank1_gap=rank1_gap,
         margin=margin,
         stop_reason=stop_reason,
         restarts=restarts,
     )
-
-
-def extract_rank1(x_mat: np.ndarray) -> np.ndarray:
-    """Best rank-1 signal estimate sqrt(lam1) * v1 from a solution matrix.
-
-    v1 is one `_eigh`'s top column with `herm_eig`'s phase rule, bit for bit
-    `herm_eig`'s top column (an exactly tied top eigenvalue calls `herm_eig`).
-    A nonpositive top eigenvalue yields the zero signal (with a warning when
-    the matrix itself is nonzero); a relative spectral tie at the top means
-    the estimate is not unique, which is also warned about while the
-    deterministic first eigenvector is returned.
-    """
-    x_mat = np.asarray(x_mat, dtype=complex)
-    w, v = _eigh(hermitian_part(x_mat))
-    return _rank1_estimate(w, v, x_mat)
-
-
-def _rank1_estimate(w: np.ndarray, v: np.ndarray, x_mat: np.ndarray) -> np.ndarray:
-    # `extract_rank1`'s rules, given eigenvalues w (ascending) and eigenvector
-    # columns v of x_mat's Hermitian part.  The warnings name the caller of
-    # `extract_rank1` or `solve`.
-    lam1 = float(w[-1])
-    if lam1 <= 0.0:
-        if np.any(x_mat != 0):
-            warnings.warn(
-                "top eigenvalue is nonpositive; returning the zero signal",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return np.zeros(x_mat.shape[0], dtype=complex)
-    lam2 = float(w[-2])
-    if lam1 - lam2 <= RANK1_TIE_TOL * lam1:
-        warnings.warn(
-            "top eigenvalue is numerically degenerate; rank-1 estimate is "
-            "not unique",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    top = herm_eig(x_mat).eigenvectors[:, -1] if lam1 == lam2 else _pin_phase(v[:, -1:])[:, 0]
-    return math.sqrt(lam1) * top
 
 
 def aligned_mse(x_true: Signal, x_est: Signal) -> tuple[float, float]:

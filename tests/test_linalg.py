@@ -13,7 +13,6 @@ from corrlift.linalg import (
     numeric_rank,
     psd_project,
 )
-from corrlift.solver import extract_rank1
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -156,7 +155,7 @@ def test_psd_project_nonexpansive():
         assert lhs <= np.linalg.norm(a - b) + 1e-12
 
 
-@pytest.mark.parametrize("decompose", [psd_project, herm_eig, extract_rank1, _eigvalsh, _eigvals])
+@pytest.mark.parametrize("decompose", [psd_project, herm_eig, _eigvalsh, _eigvals])
 def test_nan_matrix_raises_linalg_error(decompose):
     # The gufunc marks a failed LAPACK call by NaN eigenvalues and NumPy's
     # "invalid value" warning; the helpers turn it into NumPy's LinAlgError.

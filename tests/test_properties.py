@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from corrlift.linalg import _eigh, _eigvals, _eigvalsh, hermitian_part
+from corrlift.linalg import _eigh, _eigvals, _eigvalsh, herm_eig, hermitian_part
 from corrlift.poly import conj_time_reverse
 from corrlift.sensing import (
     Measurements,
@@ -29,7 +29,6 @@ from corrlift.solver import (
     SolverOptions,
     _spectral_start,
     aligned_mse,
-    extract_rank1,
     solve,
 )
 from corrlift.sylvester import certificate_multipliers
@@ -50,6 +49,12 @@ def signals(max_len: int):
 
 def hermitian_matrices(n: int):
     return arrays(complex, (n, n), elements=entries).map(hermitian_part)
+
+
+def rank1_oracle(x_mat: np.ndarray) -> np.ndarray:
+    """sqrt(lam1) * v1 from `herm_eig` of a matrix with a positive top eigenvalue."""
+    eig = herm_eig(x_mat)
+    return math.sqrt(float(eig.eigenvalues[-1])) * eig.eigenvectors[:, -1]
 
 
 @st.composite
@@ -178,7 +183,7 @@ def test_spectral_start_alone_recovers_noiseless_coprime_pair(x1, x2, reduced):
     x_start, margin = _spectral_start(build_sensing(l1, l2), b)
     # a (near-)shared factor leaves the null space more than one-dimensional
     assume(margin > 1e-4)
-    est = extract_rank1(x_start)
+    est = rank1_oracle(x_start)
     x = np.concatenate([x1, x2])
     _, phi = aligned_mse(x, est)
     assert np.linalg.norm(np.exp(1j * phi) * est - x) <= 1e-10 * np.linalg.norm(x)
@@ -244,7 +249,7 @@ def test_solve_estimate_matches_a_fresh_decomposition(x1, x2, sigma):
     w = _eigvalsh(result.x_mat)
     lam1, lam2 = float(w[-1]), float(w[-2])
     assert abs(result.rank1_gap - max(lam2, 0.0) / lam1) <= 10.0 * eps * n
-    fresh = extract_rank1(result.x_mat)
+    fresh = rank1_oracle(result.x_mat)
     _, phi = aligned_mse(fresh, result.x_est)
     err = float(np.linalg.norm(np.exp(1j * phi) * result.x_est - fresh))
     assert err <= 10.0 * eps * n * math.sqrt(lam1) * lam1 / (lam1 - lam2)

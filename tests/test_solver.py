@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from importlib import import_module
 from pathlib import Path
 
@@ -27,7 +28,6 @@ from corrlift.solver import (
     SolverOptions,
     SolverResult,
     aligned_mse,
-    extract_rank1,
     measurement_norm,
     recover,
     solve,
@@ -70,6 +70,19 @@ def test_zero_measurements_give_zero_solution():
     assert result.rank1_gap == 0.0
     assert (result.margin, result.stop_reason, result.restarts) == (0.0, "converged", 0)
     assert np.array_equal(result.x_mat, np.zeros((4, 4), dtype=complex))
+
+
+def test_zero_fit_gives_the_zero_estimate_without_warning():
+    # Negative autocorrelations at shape (1, 1): the nearest PSD fit is the
+    # zero matrix, whose top eigenvalue is 0, so the estimate is the zero
+    # signal and the gap 0; no warning accompanies it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = solve(Measurements([-1], [-1], [0], [0]))
+    assert np.array_equal(result.x_mat, np.zeros((2, 2), dtype=complex))
+    assert result.x_est.tobytes() == np.zeros(2, dtype=complex).tobytes()
+    assert result.rank1_gap == 0.0
+    assert not result.non_unique
 
 
 def test_noiseless_solve_small():
@@ -132,69 +145,6 @@ def test_gradient_matches_finite_differences():
             fd = (objective(x_mat + eps * h) - objective(x_mat - eps * h)) / (2.0 * eps)
             analytic = float(np.real(np.vdot(grad, h)))
             assert abs(fd - analytic) <= 1e-5 * max(abs(fd), 1.0)
-
-
-def test_extract_rank1_exact_outer_product():
-    rng = np.random.default_rng(86)
-    x = random_signal(rng, 4)
-    est = extract_rank1(np.outer(x, x.conj()))
-    mse, _ = aligned_mse(x, est)
-    assert mse <= 1e-24
-
-
-def test_extract_rank1_identity_perturbation():
-    rng = np.random.default_rng(87)
-    x = random_signal(rng, 4)
-    for eps in (1e-6, 1e-4, 1e-2):
-        est = extract_rank1(np.outer(x, x.conj()) + eps * np.eye(4))
-        mse, phi = aligned_mse(x, est)
-        assert np.linalg.norm(np.exp(1j * phi) * est - x) <= eps
-
-
-def test_extract_rank1_zero_and_negative():
-    zero = np.zeros((3, 3), dtype=complex)
-    assert np.array_equal(extract_rank1(zero), np.zeros(3, dtype=complex))
-
-    with pytest.warns(RuntimeWarning):
-        est = extract_rank1(-np.eye(3, dtype=complex))
-    assert np.array_equal(est, np.zeros(3, dtype=complex))
-
-
-def test_extract_rank1_degenerate_top_warns():
-    with pytest.warns(RuntimeWarning):
-        est = extract_rank1(np.eye(3, dtype=complex))
-    assert np.linalg.norm(est) == pytest.approx(1.0)
-
-
-def _herm_eig_top(x_mat):
-    eig = herm_eig(x_mat)
-    return math.sqrt(float(eig.eigenvalues[-1])) * eig.eigenvectors[:, -1]
-
-
-def test_extract_rank1_matches_herm_eig_top_column_bytewise():
-    rng = np.random.default_rng(89)
-    for trial in range(300):
-        n = int(rng.integers(2, 13))
-        g = rng.standard_normal((n, 1 + trial % n)) + 1j * rng.standard_normal((n, 1 + trial % n))
-        x_mat = g @ g.conj().T
-        if trial % 2:
-            # not exactly Hermitian: both read its Hermitian part
-            x_mat = x_mat + 1e-3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        got = extract_rank1(x_mat)
-        assert got.tobytes() == _herm_eig_top(x_mat).tobytes()
-
-
-def test_extract_rank1_exact_top_tie_falls_back_to_herm_eig():
-    # eigh returns the tied eigenvalue 3 exactly; its columns e0 and e2
-    # come back in index order, and herm_eig's lexicographic order puts e0
-    # last, so the top column of a plain eigh would be e2.
-    x_mat = np.diag([3.0, 1.0, 3.0]).astype(complex)
-    w, v = np.linalg.eigh(x_mat)
-    assert w[-1] == w[-2] and np.array_equal(np.abs(v[:, -1]), [0.0, 0.0, 1.0])
-    with pytest.warns(RuntimeWarning, match="numerically degenerate"):
-        got = extract_rank1(x_mat)
-    assert got.tobytes() == _herm_eig_top(x_mat).tobytes()
-    assert np.array_equal(got, [math.sqrt(3.0), 0.0, 0.0])
 
 
 def test_aligned_mse_examples():
@@ -419,24 +369,41 @@ def test_solve_matches_the_symmetrizing_projection_bitwise(monkeypatch):
 
 def test_solve_matches_numpy_eigh_bitwise(monkeypatch):
     # `linalg._eigh` calls NumPy's gufunc without its wrapper; every
-    # decomposition of a solve and of an extraction is bit for bit the one
+    # decomposition of a solve, and so its estimate, is bit for bit the one
     # np.linalg.eigh gives.
     for l1, l2, b, opts in _oracle_cases():
         got = solve(b, opts)
-        got_est = extract_rank1(got.x_mat)
         with monkeypatch.context() as m:
             m.setattr("corrlift.linalg._eigh", np.linalg.eigh)
             m.setattr("corrlift.solver._eigh", np.linalg.eigh)
             want = solve(b, opts)
-            want_est = extract_rank1(want.x_mat)
         _assert_same_solve(got, want)
-        assert got_est.tobytes() == want_est.tobytes()
+
+
+def test_estimate_is_the_top_herm_eig_column_of_the_last_projection_input(monkeypatch):
+    # `solve` reads x_est from the last projection's eigenpairs: bit for bit
+    # sqrt(lam1) times the top column of `herm_eig` of that projection's
+    # input, the decomposition with a deterministic phase and order.
+    inputs = []
+
+    def recording(a):
+        inputs.append(a)
+        return psd_project(a)
+
+    monkeypatch.setattr("corrlift.solver.psd_project", recording)
+    for l1, l2, b, opts in _oracle_cases():
+        result = solve(b, opts)
+        eig = herm_eig(inputs[-1])
+        lam1 = float(eig.eigenvalues[-1])
+        assert lam1 > 0.0
+        want = math.sqrt(lam1) * eig.eigenvectors[:, -1]
+        assert result.x_est.tobytes() == want.tobytes()
 
 
 def _count_decompositions(monkeypatch):
     # Every Hermitian decomposition of a solve or a recovery: `_eigh` as
-    # `solver` and `linalg` (`psd_project`, `herm_eig`) call it, and
-    # `_eigvalsh` wherever it is bound.
+    # `solver` (the spectral start) and `linalg` (`psd_project`) call it,
+    # and `_eigvalsh` wherever it is bound.
     calls = []
 
     def counting(fn):

@@ -26,10 +26,11 @@ README's other command-line examples but the one whose ``--signal`` value
 starts with a minus sign (older revisions exit 2 on it), a noisy
 ``recover`` (which ends on the stall stop), a noiseless ``recover`` of
 README's shared-factor pair (a solution that is not rank-1), a noisy
-``recover`` at shape (6, 6), ``zeros`` and ``ambiguities``
-rejecting a pair with a negligible end coefficient, ``zeros`` rejecting
-a pair whose product's root polish overflows, and ``certify``,
-``ambiguities`` and ``zeros`` on README's pairs and on three
+``recover`` at shape (6, 6), a ``recover`` at shape (1, 1) and -20 dB
+whose fit is the zero matrix (the zero estimate), ``zeros`` and
+``ambiguities`` rejecting a pair with a negligible end coefficient,
+``zeros`` rejecting a pair whose product's root polish overflows, and
+``certify``, ``ambiguities`` and ``zeros`` on README's pairs and on three
 certify-ambiguity benchmark pairs (seed 1: shape (8, 9) with no common
 zero, (7, 8) with one, (6, 6) with two), written as ``--signal`` literals.
 
@@ -101,6 +102,8 @@ COMMANDS = [
     # that is not rank-1; then 12 x 12 noisy projections
     ["recover", "--signal", "1,-3,2", "--signal", "1,-2"],
     ["recover", "--l1", "6", "--l2", "6", "--snr-db", "30", "--seed", "3"],
+    # noise that leaves no PSD fit but the zero matrix: x1_est=0j, x2_est=0j
+    ["recover", "--l1", "1", "--l2", "1", "--snr-db", "-20", "--seed", "43"],
     # an end coefficient negligible next to the largest: the message and
     # exit status 2 of the rejection
     ["zeros", "--signal", "1,1e-300", "--signal", "1,2"],
