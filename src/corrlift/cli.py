@@ -186,14 +186,15 @@ def _trial(
     noise_seed: int,
     reduced: bool,
     opts: SolverOptions,
-) -> tuple[float, RuntimeError | tuple[np.ndarray, np.ndarray, SolverResult, float]]:
+) -> tuple[float, SolverResult | RuntimeError, float]:
     """Measure the pair, add noise at `snr_db`, recover it and score the estimate.
 
-    Returns ``(sigma, outcome)``.  ``outcome`` is ``(x1_est, x2_est, result,
-    mse)``, with ``mse`` the phase-aligned error of the stacked pair, or the
-    RuntimeError of a failed solve, which is data rather than a configuration
-    error.  Configuration errors raise ValueError; nothing is printed here, so
-    they leave no partial output.
+    Returns ``(sigma, outcome, mse)``.  ``outcome`` is the `SolverResult` of
+    the solve, or the RuntimeError of a failed solve, which is data rather
+    than a configuration error.  ``mse`` is the phase-aligned error of the
+    stacked estimate ``outcome.x_est``, and NaN when the solve failed.
+    Configuration errors raise ValueError; nothing is printed here, so they
+    leave no partial output.
     """
     clean = measure(x1, x2, reduced=reduced)
     stacked = clean.stacked
@@ -204,13 +205,25 @@ def _trial(
     sigma = _sigma_for(snr_db, measurement_norm(stacked) ** 2, stacked.size)
     noisy = add_noise(clean, NoiseModel(sigma=sigma, seed=noise_seed))
     try:
-        est1, est2, result = recover(len(x1), len(x2), noisy, opts)
+        _, _, result = recover(len(x1), len(x2), noisy, opts)
     except RuntimeError as exc:
-        return sigma, exc
-    mse, _ = aligned_mse(
-        np.concatenate([x1, x2]), np.concatenate([est1, est2])
-    )
-    return sigma, (est1, est2, result, mse)
+        return sigma, exc, math.nan
+    mse, _ = aligned_mse(np.concatenate([x1, x2]), result.x_est)
+    return sigma, result, mse
+
+
+# The solver fields of a failed trial's row: a solve that raised leaves no
+# iterate to report.
+_FAILED_SOLVE = SolverResult(
+    x_mat=np.zeros((0, 0), dtype=complex),
+    x_est=np.zeros(0, dtype=complex),
+    iters=0,
+    residual=math.nan,
+    rank1_gap=math.nan,
+    margin=math.nan,
+    stop_reason="diverged",
+    restarts=0,
+)
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
@@ -230,33 +243,16 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
             x1 = gen_signal(cfg.l1, rng)
             x2 = gen_signal(cfg.l2, rng)
             noise_seed = int(rng.integers(0, 2**63))
-            sigma, outcome = _trial(x1, x2, snr_db, noise_seed, cfg.reduced, cfg.solver)
-            base = {
-                "trial": trial_index,
-                "l1": cfg.l1,
-                "l2": cfg.l2,
-                "rsnr_db": snr_db,
-                "sigma": sigma,
-                "seed": cfg.seed,
-            }
-            if isinstance(outcome, RuntimeError):
-                records.append(
-                    TrialRecord(
-                        mse=math.nan,
-                        mse_per_dim_db=math.nan,
-                        iters=0,
-                        stop_reason="diverged",
-                        restarts=0,
-                        residual=math.nan,
-                        rank1_gap=math.nan,
-                        failed=True,
-                        **base,
-                    )
-                )
-                continue
-            _, _, result, mse = outcome
+            sigma, outcome, mse = _trial(x1, x2, snr_db, noise_seed, cfg.reduced, cfg.solver)
+            failed = isinstance(outcome, RuntimeError)
+            result = _FAILED_SOLVE if failed else outcome
             records.append(
                 TrialRecord(
+                    trial=trial_index,
+                    l1=cfg.l1,
+                    l2=cfg.l2,
+                    rsnr_db=snr_db,
+                    sigma=sigma,
                     mse=mse,
                     mse_per_dim_db=_mse_per_dim_db(mse, n),
                     iters=result.iters,
@@ -264,8 +260,8 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
                     restarts=result.restarts,
                     residual=result.residual,
                     rank1_gap=result.rank1_gap,
-                    failed=False,
-                    **base,
+                    seed=cfg.seed,
+                    failed=failed,
                 )
             )
     return records
@@ -432,6 +428,8 @@ def _run_lines(args: argparse.Namespace) -> int:
 
 
 def _run_recover(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ValueError("seed must be nonnegative")
     if args.signal is not None:
         x1, x2 = _signal_pair(args)
     else:
@@ -445,17 +443,16 @@ def _run_recover(args: argparse.Namespace) -> int:
             raise ValueError("recover accepts a single --snr-db value")
         snr_db = snrs[0]
         _check_snr(snr_db)
-    sigma, outcome = _trial(
+    sigma, result, mse = _trial(
         x1, x2, snr_db, args.seed, args.reduced, SolverOptions(max_iters=args.max_iters)
     )
     print(f"l1={len(x1)}")
     print(f"l2={len(x2)}")
     print(f"sigma={sigma!r}")
-    if isinstance(outcome, RuntimeError):
+    if isinstance(result, RuntimeError):
         print("failed=true")
-        print(f"reason={outcome}")
+        print(f"reason={result}")
         return 0
-    est1, est2, result, mse = outcome
     print("failed=false")
     print(f"mse={mse!r}")
     print(f"iters={result.iters}")
@@ -464,8 +461,8 @@ def _run_recover(args: argparse.Namespace) -> int:
     print(f"residual={result.residual!r}")
     print(f"rank1_gap={result.rank1_gap!r}")
     print(f"non_unique={_fmt_bool(result.non_unique)}")
-    print(f"x1_est={_fmt_complex_vec(est1)}")
-    print(f"x2_est={_fmt_complex_vec(est2)}")
+    print(f"x1_est={_fmt_complex_vec(result.x_est[:len(x1)])}")
+    print(f"x2_est={_fmt_complex_vec(result.x_est[len(x1):])}")
     print(f"margin={result.margin!r}")
     return 0
 

@@ -33,14 +33,24 @@ decompositions (the spectral start and one projection), a noisy one 1 +
 iters + restarts, and none follows the loop.  Every decomposition here runs
 through `linalg._eigh`; the solver keeps no eigen routine of its own.
 
-Every solve ends for a stated reason (`SolverResult.stop_reason`): the
-relative residual reaches REL_TOL ("converged", as noiseless data do), the
-objective falls by no more than STALL_RTOL of itself over STALL_WINDOW
-iterations ("stalled", as noisy data do, whose least-squares fit keeps a
-positive residual), or the `max_iters` cap is spent ("max_iters").  The
-adaptive restart of O'Donoghue & Candes (FoCM 2015) makes the accepted
-objectives fall geometrically, so a short look-back (20 iterations) with a
-proportionally tight tolerance (1e-10) sees a stall soon after it sets in.
+Every solve ends for a stated reason (`SolverResult.stop_reason`), tested
+after each accepted iterate k:
+
+- "converged": the relative residual ||A(X) - b|| / ||b|| is at most
+  REL_TOL, as on noiseless data.
+- "stalled": k > STALL_WINDOW and the objective has fallen by no more than
+  STALL_RTOL of its current value since iterate k - STALL_WINDOW, as on
+  noisy data, whose least-squares fit keeps a positive residual.  The rule
+  is relative, so it is invariant under scaling b.  The adaptive restart of
+  O'Donoghue & Candes (FoCM 2015) makes the accepted objectives fall
+  geometrically, so a short look-back (20 iterations) with a proportionally
+  tight tolerance (1e-10, 5e-12 of the objective per iteration) sees a
+  stall soon after it sets in.
+- "max_iters": the `max_iters` cap is spent.
+
+An accepted objective above the one before it, restart and all, counts
+toward the divergence guard: ten in a row raise RuntimeError with the
+recent objectives.
 
 `SolverResult` is the one record of a solve's diagnostics: `recover` returns
 the result `solve` built, and the command line's output and sweep CSV read
@@ -71,16 +81,8 @@ STEP_SAFETY = 0.95
 # The default iteration cap of `solve` (`SolverOptions.max_iters`).
 MAX_ITERS = 20000
 
-# Convergence stop: the solve ends once the relative residual
-# ||A(X) - b|| / ||b|| is at most REL_TOL.
+# The convergence and stall stops; the module docstring states the rules.
 REL_TOL = 1e-10
-
-# Stall stop: the solve ends once the accepted objective has fallen by no
-# more than STALL_RTOL of its current value over the last STALL_WINDOW
-# iterations.  The rule is relative, so it is invariant under scaling b.
-# The look-back is short, so a stall ends the solve within STALL_WINDOW
-# iterations of setting in; the tolerance is tight in proportion, 5e-12 of
-# the objective per iteration.
 STALL_WINDOW = 20
 STALL_RTOL = 1e-10
 
@@ -103,10 +105,9 @@ class SolverOptions:
 class SolverResult:
     """The one record of a solve: solution matrix and its diagnostics.
 
-    `x_est` is the stacked rank-1 estimate sqrt(lam1) * v1 of the solution
-    matrix, read from the last projection's eigenpairs: v1 the top
-    eigenvector with the phase `linalg._pin_phase` fixes, and the zero
-    signal when lam1 is 0.  `residual` is ||A(X) - b|| / ||b||;
+    `x_est` is the stacked rank-1 estimate of the solution matrix, read
+    from the last projection's eigenpairs by the rule of the module
+    docstring.  `residual` is ||A(X) - b|| / ||b||;
     `rank1_gap` is the ratio of the second to the first eigenvalue of the
     solution matrix (0 for the zero matrix), small exactly when the
     solution is numerically rank-1.  `non_unique` reads the gap, and is the
@@ -165,14 +166,10 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
     A is the (cached) sensing set of b's segment lengths.  Starts from the
     spectral estimate of `_spectral_start` and takes the step STEP_SAFETY / L
     with L = 2 max(l1, l2).  Momentum restarts whenever the objective would
-    increase (the restart redoes the step without momentum from the last
-    accepted iterate, so accepted objectives are non-increasing whenever the
-    step bound holds).  Terminates once the relative measurement residual
-    drops below REL_TOL (1e-10) ("converged"), once the objective has fallen
-    by at most STALL_RTOL (1e-10) of itself over the last STALL_WINDOW (20)
-    iterations ("stalled"), or after `max_iters` iterations ("max_iters").
-    Ten consecutive objective increases after restarts raise RuntimeError
-    with the recent objective trace.
+    increase: the restart takes the same projected-gradient step again,
+    without momentum, from the last accepted iterate, so accepted objectives
+    are non-increasing whenever the step bound holds.  Stops, and raises on
+    divergence, by the rules of the module docstring.
     """
     opts = SolverOptions() if opts is None else opts
     s = build_sensing(b.l1, b.l2)
@@ -213,44 +210,45 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
     # of the larger autocorrelation block).
     step = STEP_SAFETY / (2.0 * max(s.l1, s.l2))
 
+    def projected_step(y: np.ndarray, v_y: np.ndarray) -> tuple:
+        # The projected-gradient step from y, whose forward image is v_y:
+        # the new iterate, its clipped eigenpairs, its image and its misfit.
+        # Only the first input carries the start's rounding asymmetry: a
+        # restart needs beta > 0, and beta is still 0 at k = 2.
+        a = y - step * gradient(v_y)
+        x_new, w, u = psd_project(hermitian_part(a) if k == 1 else a)
+        v_new = forward_stacked(s, x_new)[:m_count]
+        return x_new, w, u, v_new, misfit(v_new)
+
     x, margin = _spectral_start(s, b)
     v_x = forward_stacked(s, x)[:m_count]
     x_prev, v_prev = x, v_x
-    obj_prev = misfit(v_x) ** 2
     t = 1.0
     beta = 0.0
     bad_streak = 0
     restarts = 0
-    # The last STALL_WINDOW + 1 accepted objectives, oldest first.
-    recent: deque = deque(maxlen=STALL_WINDOW + 1)
-    iters_done = opts.max_iters
-    stop_reason = "max_iters"
+    # The last STALL_WINDOW + 1 objectives of the start and the accepted
+    # iterates, oldest first.
+    recent = deque([misfit(v_x) ** 2], maxlen=STALL_WINDOW + 1)
 
     for k in range(1, opts.max_iters + 1):
         # A is linear, so the forward image of the momentum point is the
         # same combination of the stored images (saves one transform).
-        v_y = v_x + beta * (v_x - v_prev)
-        y = x + beta * (x - x_prev)
-        a = y - step * gradient(v_y)
-        # Only the first input carries the start's rounding asymmetry; at
-        # k = 2 beta is still 0, so it never reaches a later one.
-        x_new, w_new, u_new = psd_project(hermitian_part(a) if k == 1 else a)
-        v_new = forward_stacked(s, x_new)[:m_count]
-        dist = misfit(v_new)
+        x_new, w_new, u_new, v_new, dist = projected_step(
+            x + beta * (x - x_prev), v_x + beta * (v_x - v_prev)
+        )
         obj = dist**2
 
-        if obj > obj_prev:
+        if obj > recent[-1]:
             # Adaptive restart: drop momentum and redo as a plain projected
             # gradient step from the last accepted iterate.  A step taken
             # with beta = 0 already is that plain step: it is not redone.
             t = 1.0
             if beta > 0.0:
                 restarts += 1
-                x_new, w_new, u_new = psd_project(x - step * gradient(v_x))
-                v_new = forward_stacked(s, x_new)[:m_count]
-                dist = misfit(v_new)
+                x_new, w_new, u_new, v_new, dist = projected_step(x, v_x)
                 obj = dist**2
-        if obj > obj_prev:
+        if obj > recent[-1]:
             bad_streak += 1
             if bad_streak >= 10:
                 raise RuntimeError(
@@ -262,7 +260,6 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
 
         x_prev, v_prev = x, v_x
         x, v_x = x_new, v_new
-        obj_prev = obj
         recent.append(obj)
 
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
@@ -270,11 +267,13 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
         t = t_next
 
         if math.sqrt(obj) <= REL_TOL * norm_b:
-            iters_done, stop_reason = k, "converged"
+            stop_reason = "converged"
             break
-        if len(recent) > STALL_WINDOW and recent[0] - obj <= STALL_RTOL * obj:
-            iters_done, stop_reason = k, "stalled"
+        if k > STALL_WINDOW and recent[0] - obj <= STALL_RTOL * obj:
+            stop_reason = "stalled"
             break
+    else:
+        stop_reason = "max_iters"
 
     # The loop ran at least once and ends on x = x_new: w_new and u_new are
     # its clipped (nonnegative) eigenvalues and eigenvectors, dist its misfit.
@@ -287,7 +286,7 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
     return SolverResult(
         x_mat=x,
         x_est=x_est,
-        iters=iters_done,
+        iters=k,
         residual=dist / norm_b,
         rank1_gap=rank1_gap,
         margin=margin,

@@ -501,6 +501,17 @@ def test_near_merge_warning_points_at_the_caller():
     assert [(w.filename, w.lineno) for w in record] == [(__file__, line)]
 
 
+def test_circle_parity_warning_points_at_the_caller():
+    # The zero 1 + 0.75e-6 lies within the clustering threshold (about 1e-6)
+    # of the unit circle, but 1.5e-6 from its mirror: neither merges, so the
+    # circle holds two zeros of multiplicity one.
+    odd = "unit-circle zero of the autocorrelation has odd multiplicity"
+    with pytest.warns(RuntimeWarning, match=odd) as record:
+        line = inspect.currentframe().f_lineno + 1
+        enumerate_autocorr_ambiguities([1, -(1 + 0.75e-6)])
+    assert [(w.filename, w.lineno) for w in record] == [(__file__, line)]
+
+
 def _bend_one_class(monkeypatch, which, k):
     # Wrap `from_roots` so that class k of the `which`-th family built (0:
     # the left factors, 1: the right ones) is 1e-6 relative off.

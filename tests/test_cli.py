@@ -605,6 +605,12 @@ def test_main_recover_tiny_pair_scores_its_zero_estimate(capsys):
     assert (kv["mse"], kv["stop_reason"], kv["x1_est"]) == ("1.0", "converged", "0j")
 
 
+def test_main_recover_rejects_a_negative_seed(capsys):
+    assert main(["recover", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: seed must be nonnegative\n")
+
+
 def test_main_recover_solver_failure_exits_zero(monkeypatch, capsys):
     def boom(l1, l2, b, opts):
         raise RuntimeError("diverged")

@@ -317,6 +317,22 @@ def test_max_iters_stop_and_restart_count(monkeypatch):
     assert len(calls) == 1 + result.iters + result.restarts
 
 
+def test_solve_raises_when_the_objective_keeps_rising(monkeypatch):
+    # A projection that doubles its output overshoots the fit, so every
+    # accepted objective, restart and all, rises and the guard ends the solve.
+    def doubling(a):
+        p, w, v = psd_project(a)
+        return 2.0 * p, 2.0 * w, v
+
+    monkeypatch.setattr("corrlift.solver.psd_project", doubling)
+    _, noisy = noisy_pair(np.random.default_rng(100), 3, 3, 20.0)
+    with pytest.raises(
+        RuntimeError,
+        match="^solver diverged: objective rose on 10 consecutive post-restart iterations; ",
+    ):
+        solve(noisy)
+
+
 def _symmetrizing_psd_project(a):
     # The projection as it was before `psd_project` took its input as
     # Hermitian: symmetrize every input, clip with np.clip.  It returns the

@@ -24,9 +24,10 @@ The commands are README's sweep example (all of whose options are
 ``corrlift sweep``'s defaults), the acceptance suite's criterion-10 sweep,
 README's other command-line examples but the one whose ``--signal`` value
 starts with a minus sign (older revisions exit 2 on it), a noisy
-``recover`` (which ends on the stall stop), a noiseless ``recover`` of
-README's shared-factor pair (a solution that is not rank-1), a noisy
-``recover`` at shape (6, 6), a ``recover`` at shape (1, 1) and -20 dB
+``recover`` (which ends on the stall stop), the same ``recover`` with
+``--max-iters 40`` (which ends on the iteration cap), a noiseless
+``recover`` of README's shared-factor pair (a solution that is not rank-1),
+a noisy ``recover`` at shape (6, 6), a ``recover`` at shape (1, 1) and -20 dB
 whose fit is the zero matrix (the zero estimate), ``zeros`` and
 ``ambiguities`` rejecting a pair with a negligible end coefficient,
 ``zeros`` rejecting a pair whose product's root polish overflows, and
@@ -102,6 +103,11 @@ COMMANDS = [
     # that is not rank-1; then 12 x 12 noisy projections
     ["recover", "--signal", "1,-3,2", "--signal", "1,-2"],
     ["recover", "--l1", "6", "--l2", "6", "--snr-db", "30", "--seed", "3"],
+    # a noisy solve cut by its iteration cap: iters=40, stop_reason=max_iters
+    [
+        "recover", "--l1", "3", "--l2", "3", "--snr-db", "20", "--seed", "1",
+        "--max-iters", "40",
+    ],
     # noise that leaves no PSD fit but the zero matrix: x1_est=0j, x2_est=0j
     ["recover", "--l1", "1", "--l2", "1", "--snr-db", "-20", "--seed", "43"],
     # an end coefficient negligible next to the largest: the message and
