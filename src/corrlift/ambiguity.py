@@ -12,16 +12,21 @@ A convolution family is a read-only `np.recarray`: row `c` is one class
 factors.  An autocorrelation family is a read-only (k, n) array, one signal
 per row.  `bool(family)` raises for more than one row: test `len(family)`.
 
-Each family is built as one batch: the zero choices of all its members
-form one array, `poly.from_roots` expands every member in one pass, into
-(l, K) tables with one member per column, and one batched product along
-that class axis (`_reconvolution_errors`) checks every member against the
-source convolution or autocorrelation.  The convolution classes gather
-their zeros through index tables that depend only on the shape and are
-built once per shape; the subset filter for repeated zeros runs only when a
-cluster holds more than one zero.  Their tables are copied once, into the
-record array.  The autocorrelation family's scale comes from the same
-product against a zero target, and its table is transposed once, to rows.
+Members are built in batches: the zero choices of a batch form one array,
+`poly.from_roots` expands them in one pass, into (l, K) tables with one
+member per column, and one product along that class axis
+(`_reconvolution_errors`) checks every member against the source
+convolution or autocorrelation.  The convolution classes gather their
+zeros through index tables that depend only on the shape and are built
+once per shape; the subset filter for repeated zeros runs only when a
+cluster holds more than one zero.  They are built in blocks of `_BLOCK`
+classes into a record array allocated first: each block is expanded,
+checked and copied into its rows before the next is gathered, so the
+enumeration holds one block's tables besides its output, and a failing
+check raises at the first block that holds a failing class.  The
+autocorrelation family (at most 2^12 members) is one batch: its scale
+comes from the same product against a zero target, and its table is
+transposed once, to rows.
 """
 
 from __future__ import annotations
@@ -49,6 +54,11 @@ MAX_CONVOLUTION_ZEROS = 16
 MAX_AUTOCORR_ZEROS = 12
 
 _RECONVOLVE_TOL = 1e-7
+
+# Convolution classes built and checked per block: the block's (l, K)
+# tables, not the whole family's, are what the enumeration holds besides
+# its output.  Smaller blocks pay NumPy's per-call cost more often.
+_BLOCK = 512
 
 
 def cluster_zeros(zs, threshold: float) -> list:
@@ -151,20 +161,22 @@ def enumerate_convolution_ambiguities(x1: Signal, x2: Signal) -> np.recarray:
         keep = ~(mask[:, 1:] & ~mask[:, :-1] & ~starts[1:]).any(axis=1)
         left, right = left[keep], right[keep]
     zs = np.repeat([z for z, _ in clusters], [m for _, m in clusters])
-    # Gathered class axis last, so `from_roots` reads contiguous columns,
-    # and expanded to (l, K) tables: one signal per column.
-    x1_cols = from_roots(unit, zs[left.T].T)
-    x2_cols = from_roots(1.0, zs[right.T].T)
-    if np.any(_reconvolution_errors(x1_cols, x2_cols, conv) > _RECONVOLVE_TOL * conv_norm):
-        raise RuntimeError(
-            "clustered zeros fail to reproduce the convolution within "
-            f"{_RECONVOLVE_TOL:g} relative; distinct zeros were merged at "
-            f"the clustering tolerance {DEFAULT_CLUSTER_TOL:g}"
-        )
     dtype = [("x1_rep", complex, (l1,)), ("x2_rep", complex, (l2,))]
     classes = np.empty(len(left), dtype=dtype).view(np.recarray)
-    classes.x1_rep.T[...] = x1_cols
-    classes.x2_rep.T[...] = x2_cols
+    for start in range(0, len(left), _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        # Gathered class axis last, so `from_roots` reads contiguous
+        # columns, and expanded to (l, K) tables: one signal per column.
+        x1_cols = from_roots(unit, zs[left[rows].T].T)
+        x2_cols = from_roots(1.0, zs[right[rows].T].T)
+        if np.any(_reconvolution_errors(x1_cols, x2_cols, conv) > _RECONVOLVE_TOL * conv_norm):
+            raise RuntimeError(
+                "clustered zeros fail to reproduce the convolution within "
+                f"{_RECONVOLVE_TOL:g} relative; distinct zeros were merged at "
+                f"the clustering tolerance {DEFAULT_CLUSTER_TOL:g}"
+            )
+        classes.x1_rep[rows].T[...] = x1_cols
+        classes.x2_rep[rows].T[...] = x2_cols
     classes.flags.writeable = False
     return classes
 
@@ -172,8 +184,9 @@ def enumerate_convolution_ambiguities(x1: Signal, x2: Signal) -> np.recarray:
 def _reconvolution_errors(a: np.ndarray, b: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Per column k, the norm of convolve(a[:, k], b[:, k]) - target.
 
-    a and b are (la, K) and (lb, K) tables, one signal per column.  Each of
-    the la steps is one product over all K classes, written into one
+    a and b are (la, K) and (lb, K) tables, one signal per column: a block
+    of convolution classes, or the whole autocorrelation family.  Each of
+    the la steps is one product over the K columns, written into one
     scratch table reused across the steps.
     """
     la, lb = a.shape[0], b.shape[0]

@@ -564,16 +564,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _bind_signal_values(argv: Sequence[str]) -> list[str]:
-    """Join each `--signal V` whose V starts with one "-" into `--signal=V`.
+def _bind_dash_values(argv: Sequence[str]) -> list[str]:
+    """Join each `--signal V` or `--snr-db V` whose V starts with one "-" into `--flag=V`.
 
     argparse reads an argument such as "-1,2" (a negative first coefficient)
-    as an option, not as the value of the `--signal` before it.
+    or "-10,0" (a negative SNR grid) as an option, not as the value of the
+    flag before it.
     """
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--signal" and arg.startswith("-") and not arg.startswith("--"):
-            out[-1] = f"--signal={arg}"
+        dash_value = arg.startswith("-") and not arg.startswith("--")
+        if out and out[-1] in ("--signal", "--snr-db") and dash_value:
+            out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
     return out
@@ -581,7 +583,7 @@ def _bind_signal_values(argv: Sequence[str]) -> list[str]:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_bind_signal_values(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_bind_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
     except (ValueError, OSError, RuntimeError) as exc:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,11 +294,17 @@ def _assert_rows_match(got, want):
         assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
-def _assert_matches_loop(x1, x2):
-    classes = enumerate_convolution_ambiguities(x1, x2)
+def _assert_matches_loop(monkeypatch, x1, x2):
+    # Built one class per block, in 7-class blocks with a ragged tail, and
+    # in the default blocks: the same bytes, which match the loop.
+    built = []
+    for block in (1, 7, 512):
+        monkeypatch.setattr(ambiguity, "_BLOCK", block)
+        built.append(enumerate_convolution_ambiguities(x1, x2))
+    assert [c.tobytes() for c in built[1:]] == [c.tobytes() for c in built[:-1]]
     want = _loop_convolution_classes(x1, x2)
-    _assert_rows_match([c.x1_rep for c in classes], [w1 for w1, _ in want])
-    _assert_rows_match([c.x2_rep for c in classes], [w2 for _, w2 in want])
+    _assert_rows_match(list(built[0].x1_rep), [w1 for w1, _ in want])
+    _assert_rows_match(list(built[0].x2_rep), [w2 for _, w2 in want])
     _assert_rows_match(enumerate_autocorr_ambiguities(x1), _loop_autocorr(x1))
 
 
@@ -311,28 +318,28 @@ def _planted_pair(l1, l2, common, seed):
 
 
 @pytest.mark.parametrize("l1,l2", [(1, 1), (1, 3), (3, 1), (1, 6), (6, 1)])
-def test_batched_enumeration_matches_loop_one_sided(l1, l2):
-    _assert_matches_loop(*_planted_pair(l1, l2, 0, 11))
+def test_batched_enumeration_matches_loop_one_sided(monkeypatch, l1, l2):
+    _assert_matches_loop(monkeypatch, *_planted_pair(l1, l2, 0, 11))
 
 
 @pytest.mark.parametrize(
     "l1,l2",
     [(3, 3), (3, 4), (4, 4), (4, 5), (5, 5), (5, 6), (6, 6), (6, 7), (7, 7), (7, 8), (8, 8), (8, 9)],
 )
-def test_batched_enumeration_matches_loop_certify_shapes(l1, l2):
+def test_batched_enumeration_matches_loop_certify_shapes(monkeypatch, l1, l2):
     for common in (0, 1, 2):
-        _assert_matches_loop(*_planted_pair(l1, l2, common, 12))
+        _assert_matches_loop(monkeypatch, *_planted_pair(l1, l2, common, 12))
 
 
-def test_batched_enumeration_matches_loop_repeated_zeros():
+def test_batched_enumeration_matches_loop_repeated_zeros(monkeypatch):
     # a triple zero at 2, two of it in x1: of the C(5, 3) = 10 subsets
     # only 4 count splits remain
     x1 = convolve(convolve([1.0, -2.0], [1.0, -2.0]), [1.0, 0.5j])
     x2 = convolve([1.0, -2.0], [1.0, 3.0])
     assert len(enumerate_convolution_ambiguities(x1, x2)) == 4
-    _assert_matches_loop(x1, x2)
-    _assert_matches_loop(x2, x1)
-    _assert_matches_loop(np.array([1.0, -1.0]), np.array([1.0, -1.0]))
+    _assert_matches_loop(monkeypatch, x1, x2)
+    _assert_matches_loop(monkeypatch, x2, x1)
+    _assert_matches_loop(monkeypatch, np.array([1.0, -1.0]), np.array([1.0, -1.0]))
 
 
 def test_batched_autocorr_matches_loop_on_reflection_cases():
@@ -460,13 +467,13 @@ def test_singleton_skip_matches_the_filtered_path(l1, l2):
     assert _assert_bytes_match_filtered(x1, x2) == l1 + l2 - 2
 
 
-def test_filtered_path_on_repeated_zeros_matches_loop_and_oracle():
+def test_filtered_path_on_repeated_zeros_matches_loop_and_oracle(monkeypatch):
     # a double zero at 2 and a triple zero at -1, split across the factors
     x1 = convolve(convolve([1.0, -2.0], [1.0, -2.0]), convolve([1.0, 1.0], [1.0, 0.5j]))
     x2 = convolve(convolve([1.0, 1.0], [1.0, 1.0]), [1.0, 3.0])
     for a, b in ((x1, x2), (x2, x1)):
         assert _assert_bytes_match_filtered(a, b) < len(a) + len(b) - 2
-        _assert_matches_loop(a, b)
+        _assert_matches_loop(monkeypatch, a, b)
     for common in (1, 2):
         x1, x2 = _planted_pair(6, 7, common, 14)
         assert _assert_bytes_match_filtered(x1, x2) == 11 - common
@@ -513,14 +520,18 @@ def test_circle_parity_warning_points_at_the_caller():
 
 
 def _bend_one_class(monkeypatch, which, k):
-    # Wrap `from_roots` so that class k of the `which`-th family built (0:
-    # the left factors, 1: the right ones) is 1e-6 relative off.
+    # Wrap `from_roots` so that class k of the `which` factor tables (0: the
+    # left factors, 1: the right ones) is 1e-6 relative off, whichever block
+    # builds it.  Each block builds its left table, then its right one.
     calls = []
+    built = [0, 0]
 
     def bent(unit, zeros):
         out = from_roots(unit, zeros)
-        if len(calls) == which:
-            out[:, k] *= 1.0 + 1e-6
+        side = len(calls) % 2
+        if side == which and built[side] <= k < built[side] + out.shape[1]:
+            out[:, k - built[side]] *= 1.0 + 1e-6
+        built[side] += out.shape[1]
         calls.append(out.shape)
         return out
 
@@ -529,16 +540,47 @@ def _bend_one_class(monkeypatch, which, k):
 
 
 def test_reconvolution_check_covers_every_class(monkeypatch):
-    x1, x2 = _planted_pair(4, 5, 0, 16)
-    want = enumerate_convolution_ambiguities(x1, x2)
-    count = len(want)
-    assert count == math.comb(7, 3)
-    # unbent, the wrapped build passes with the same bytes
-    calls = _bend_one_class(monkeypatch, 2, 0)
-    assert enumerate_convolution_ambiguities(x1, x2).tobytes() == want.tobytes()
-    assert len(calls) == 2
-    for which in (0, 1):
-        for k in (0, count // 2, count - 1):
-            _bend_one_class(monkeypatch, which, k)
-            with pytest.raises(RuntimeError, match="fail to reproduce the convolution"):
-                enumerate_convolution_ambiguities(x1, x2)
+    # One block of 35 classes, and the seed-1 certify-ambiguity pair at
+    # (8, 9) with no common zero (`perfbench/workloads.py`, shape index 11):
+    # 6435 classes, 12 full blocks and a 291-class tail.
+    rng = np.random.default_rng(np.random.SeedSequence([1, 11, 0]))
+    c = gen_signal(1, rng)
+    certify_pair = (np.convolve(gen_signal(8, rng), c), np.convolve(gen_signal(9, rng), c))
+    for (x1, x2), count in (
+        (_planted_pair(4, 5, 0, 16), math.comb(7, 3)),
+        (certify_pair, math.comb(15, 7)),
+    ):
+        monkeypatch.setattr(ambiguity, "from_roots", from_roots)
+        want = enumerate_convolution_ambiguities(x1, x2)
+        assert len(want) == count
+        # unbent, the wrapped build passes with the same bytes
+        calls = _bend_one_class(monkeypatch, 2, 0)
+        assert enumerate_convolution_ambiguities(x1, x2).tobytes() == want.tobytes()
+        assert len(calls) == 2 * math.ceil(count / ambiguity._BLOCK)
+        for which in (0, 1):
+            for k in (0, count // 2, count - 1):
+                calls = _bend_one_class(monkeypatch, which, k)
+                with pytest.raises(RuntimeError, match="fail to reproduce the convolution"):
+                    enumerate_convolution_ambiguities(x1, x2)
+                # raised at the block that holds class k, before any later one
+                assert len(calls) == 2 * (k // ambiguity._BLOCK + 1)
+
+
+def test_enumeration_peak_memory_stays_within_a_block_budget():
+    # The guard's largest family, C(16, 8) = 12870 classes at (9, 9).  Besides
+    # its output the build holds one block's tables: its gathered zeros, its
+    # two factor tables (and the previous block's, until they are replaced)
+    # and the reconvolution's two scratch tables, under 5 (l1 + l2) complex
+    # entries per class.  Building whole-family tables holds 5.8 MB over the
+    # 3.7 MB output; the budget is 0.74 MB.
+    x1, x2 = _planted_pair(9, 9, 0, 17)
+    enumerate_convolution_ambiguities(x1, x2)  # the cached subset tables
+    budget = ambiguity._BLOCK * 5 * (9 + 9) * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        classes = enumerate_convolution_ambiguities(x1, x2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(classes) == math.comb(16, 8)
+    assert peak - classes.nbytes <= budget

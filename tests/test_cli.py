@@ -379,7 +379,7 @@ def test_parse_signal_rejects_non_finite(capsys):
 def test_main_rejects_snr_outside_float_range(capsys):
     for command in ("recover", "sweep"):
         for snr in ("1e6", "-1e6"):
-            assert main([command, "--l1", "1", "--l2", "1", f"--snr-db={snr}"]) == 2
+            assert main([command, "--l1", "1", "--l2", "1", "--snr-db", snr]) == 2
             assert "outside the floating-point range" in capsys.readouterr().err
     with pytest.raises(ValueError):
         _config(snr_db_list=(30.0, 1e6))
@@ -654,6 +654,21 @@ def test_main_signal_without_a_value_still_exits_2(capsys):
         main(["certify", "--signal", "--signal", "1,1"])
     assert excinfo.value.code == 2
     assert "expected one argument" in capsys.readouterr().err
+
+
+def test_main_snr_db_with_a_leading_minus_is_the_flags_value(tmp_path, capsys):
+    # "-10,0" after --snr-db is the SNR grid, not an unknown option
+    path = tmp_path / "neg.csv"
+    assert main(["sweep", "--snr-db", "-10,0", "--trials", "1", "--out", str(path)]) == 0
+    with path.open(newline="") as fh:
+        assert [row["rsnr_db"] for row in csv.DictReader(fh)] == ["-10.0", "0.0"]
+    capsys.readouterr()
+    # the same output as the --snr-db=-2.5e1 spelling
+    assert main(["recover", "--l1", "2", "--l2", "2", "--snr-db=-2.5e1"]) == 0
+    bound = capsys.readouterr()
+    assert main(["recover", "--l1", "2", "--l2", "2", "--snr-db", "-2.5e1"]) == 0
+    assert capsys.readouterr() == bound
+    assert "sigma=" in bound.out and not bound.err
 
 
 @pytest.mark.parametrize(

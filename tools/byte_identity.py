@@ -22,9 +22,9 @@ fails, so that a declaration says what the change does.
 
 The commands are README's sweep example (all of whose options are
 ``corrlift sweep``'s defaults), the acceptance suite's criterion-10 sweep,
-README's other command-line examples but the one whose ``--signal`` value
-starts with a minus sign (older revisions exit 2 on it), a noisy
-``recover`` (which ends on the stall stop), the same ``recover`` with
+README's other command-line examples but the two whose ``--signal`` or
+``--snr-db`` value starts with a minus sign (older revisions exit 2 on
+them), a noisy ``recover`` (which ends on the stall stop), the same ``recover`` with
 ``--max-iters 40`` (which ends on the iteration cap), a noiseless
 ``recover`` of README's shared-factor pair (a solution that is not rank-1),
 a noisy ``recover`` at shape (6, 6), a ``recover`` at shape (1, 1) and -20 dB
