@@ -5,7 +5,11 @@ Y(z) together with one overall unit; every admissible split of those zeros
 between the two factors is an equally valid factorization.  Likewise an
 autocorrelation only determines zeros up to swaps across reflections at the
 unit circle.  This module enumerates canonical representatives of both
-ambiguity families.
+ambiguity families, each built from the clustered zeros so that its
+members are distinct by construction: a convolution class splits every
+cluster's count between the factors, and an autocorrelation member picks,
+for every group of a cluster and the cluster at its reflection, how many
+of the group's zeros sit at the reflection.
 
 A convolution family is a read-only `np.recarray`: row `c` is one class
 (`c.x1_rep`, `c.x2_rep`) and `family.x1_rep` the (K, l1) column of left
@@ -24,9 +28,9 @@ classes into a record array allocated first: each block is expanded,
 checked and copied into its rows before the next is gathered, so the
 enumeration holds one block's tables besides its output, and a failing
 check raises at the first block that holds a failing class.  The
-autocorrelation family (at most 2^12 members) is one batch: its scale
-comes from the same product against a zero target, and its table is
-transposed once, to rows.
+autocorrelation family (at most 2^12 members) is one batch: one row of
+zeros per combination of group counts, its scale from the same product
+against a zero target, and its table transposed once, to rows.
 """
 
 from __future__ import annotations
@@ -227,15 +231,22 @@ def _subset_tables(d: int, k: int) -> tuple:
 
 
 def enumerate_autocorr_ambiguities(x: Signal) -> np.ndarray:
-    """All signals sharing correlate(x, x), one per conjugate-inverse choice.
+    """All signals sharing correlate(x, x), one per reflection choice.
 
     Every zero zeta of x pairs with 1/conj(zeta) in the autocorrelation's
-    zero set; picking either member of each pair and rescaling to match the
-    autocorrelation norm exhausts the ambiguity family (at most 2^{N-1}
-    signals).  Outputs are canonicalized to a real positive leading
-    coefficient and deduplicated; the original signal appears among them up
-    to global phase.  Returns them as the rows of one read-only (k, n)
-    array, (1, 1) for n = 1.
+    zero set.  The zeros are clustered at DEFAULT_CLUSTER_TOL * max(1,
+    max |zeta|), as for the convolution classes, so zeros within that
+    threshold count as one repeated zero.  Each cluster c joins the later
+    cluster at 1/conj(c), if any, in a group of t zeros.  A cluster within
+    the threshold of its reflection lies on the unit circle and has one
+    choice; any other group has t + 1: k = 0..t of its zeros at 1/conj(c),
+    the rest at c.  Each combination of choices is one member (at most
+    2^{N-1}, distinct by construction), ordered as `itertools.product`
+    over the groups in their first cluster's (re, im) order, k ascending.
+    Members are scaled to the autocorrelation's norm with a real positive
+    leading coefficient; the original signal is among them up to global
+    phase.  Returns them as the rows of one read-only (k, n) array, (1, 1)
+    for n = 1.
     """
     x = require_c00(x)
     n = x.size
@@ -245,22 +256,37 @@ def enumerate_autocorr_ambiguities(x: Signal) -> np.ndarray:
         )
     acf = correlate(x, x)
     acf_norm = float(np.linalg.norm(acf))
-    # For n = 1 there are no zeros: one candidate, (sqrt(acf_norm)).
+    # For n = 1 there are no zeros: one member, (sqrt(acf_norm)).
     zeros = roots(x)
     threshold = DEFAULT_CLUSTER_TOL * max([1.0, *(abs(z) for z in zeros)])
+    clusters = cluster_zeros(zeros, threshold)
+    _warn_if_near_merge(clusters, threshold)
 
     choice_sets = []
-    for z in zeros:
-        mirror = 1.0 / np.conj(z)
-        if abs(z - mirror) <= threshold:
-            # unit-circle zero: the reflection is itself, no choice to make
-            choice_sets.append((z,))
-        else:
-            choice_sets.append((z, mirror))
+    while clusters:
+        c, t = clusters.pop(0)
+        mirror = 1.0 / np.conj(c)
+        if abs(c - mirror) <= threshold:
+            choice_sets.append([(c,) * t])
+            continue
+        for j, (d, s) in enumerate(clusters):
+            if abs(d - mirror) <= threshold:
+                del clusters[j]
+                t += s
+                break
+        # The autocorrelation holds c and 1/conj(c) t times each; near the
+        # circle they would merge into one cluster, so an odd t there flags
+        # a borderline clustering.
+        if t % 2 and abs(abs(c) - 1.0) <= threshold:
+            warnings.warn(
+                "unit-circle zero of the autocorrelation has odd multiplicity; "
+                "swap enumeration near the circle is unstable at this tolerance",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        choice_sets.append([(c,) * (t - k) + (mirror,) * k for k in range(t + 1)])
 
-    _check_circle_parity(choice_sets, threshold)
-
-    y0 = from_roots(1.0, list(itertools.product(*choice_sets)))
+    y0 = from_roots(1.0, [sum(combo, ()) for combo in itertools.product(*choice_sets)])
     auto0_norms = _reconvolution_errors(y0, np.conj(y0[::-1]), np.zeros(acf.size))
     y = np.sqrt(acf_norm / auto0_norms) * y0
     if np.any(_reconvolution_errors(y, np.conj(y[::-1]), acf) > _RECONVOLVE_TOL * acf_norm):
@@ -269,55 +295,6 @@ def enumerate_autocorr_ambiguities(x: Signal) -> np.ndarray:
             "distinct zeros were merged at the clustering tolerance "
             f"{DEFAULT_CLUSTER_TOL:g}"
         )
-    y = y.T
-    family = y[_first_distinct(y)]
+    family = y.T.copy()
     family.flags.writeable = False
     return family
-
-
-def _first_distinct(y: np.ndarray) -> np.ndarray:
-    """Mask of the rows of y kept by the dedup, scanning in row order.
-
-    A row is kept unless an earlier kept row lies within 1e-7 of it in
-    every coefficient, relative to that row's largest coefficient.  Such a
-    row is within 1e-7 * max(peak) of it in any one real part, so only the
-    kept rows whose real part in one fixed column (the one that spreads the
-    rows most) lies in a window of twice that width, found by bisection in
-    the sorted column, are compared.
-    """
-    peaks = np.abs(y).max(axis=1)
-    column = np.ptp(y.real, axis=0).argmax()
-    key = y[:, column].real
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    width = 2e-7 * peaks.max()
-    lo = np.searchsorted(sorted_key, key - width, side="left")
-    hi = np.searchsorted(sorted_key, key + width, side="right")
-    if np.all(hi - lo == 1):
-        # every window holds only its own row: nothing to compare
-        return np.ones(len(y), dtype=bool)
-    kept = np.zeros(len(y), dtype=bool)
-    for i in range(len(y)):
-        near = order[lo[i] : hi[i]]
-        near = near[kept[near]]
-        kept[i] = not np.any(np.abs(y[near] - y[i]).max(axis=1) <= 1e-7 * peaks[near])
-    return kept
-
-
-def _check_circle_parity(choice_sets, threshold: float) -> None:
-    # The autocorrelation's zero multiset holds each pair member once; on
-    # the unit circle members coincide, so circle zeros must arrive with
-    # even multiplicity.  Odd counts flag a borderline clustering.
-    members = []
-    for cs in choice_sets:
-        members.extend(cs if len(cs) == 2 else (cs[0], cs[0]))
-    for centroid, mult in cluster_zeros(members, threshold):
-        if abs(abs(centroid) - 1.0) <= threshold and mult % 2:
-            warnings.warn(
-                "unit-circle zero of the autocorrelation has odd multiplicity; "
-                "swap enumeration near the circle is unstable at this tolerance",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return
-

@@ -129,10 +129,6 @@ def _pow2_scale(a: np.ndarray) -> float:
     return float(np.ldexp(1.0, min(-int(exponent), 1023)))
 
 
-def _pow2_normalized(a: np.ndarray) -> np.ndarray:
-    return a * _pow2_scale(a)
-
-
 def _balanced_rank(s: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> int:
     # Numeric rank of the pair's S (from `build_padded`) with its x2 columns
     # and its x1 columns each rescaled by the power of two that brings that
@@ -167,8 +163,9 @@ def certificate_report(x1: Signal, x2: Signal) -> CertificateReport:
         )
     # The residual is a ratio of norms, so it is computed on copies rescaled
     # by powers of two (exact), where neither W x nor a norm can overflow.
-    w_unit = _pow2_normalized(w)
-    x_unit = _pow2_normalized(np.concatenate([x1, x2]))
+    w_unit = w * _pow2_scale(w)
+    x = np.concatenate([x1, x2])
+    x_unit = x * _pow2_scale(x)
     denom = float(np.linalg.norm(w_unit)) * float(np.linalg.norm(x_unit))
     null_residual = float(np.linalg.norm(w_unit @ x_unit)) / denom if denom > 0 else 0.0
     lam = certificate_multipliers(measure(x1, x2))

@@ -6,6 +6,7 @@ import inspect
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -267,23 +268,31 @@ def _loop_convolution_classes(x1, x2):
 
 
 def _loop_autocorr(x):
-    """One output per zero-or-mirror choice, dropping near-duplicates."""
+    """One output per count of reflected zeros in each reflection group."""
     acf = correlate(x, x)
     acf_norm = float(np.linalg.norm(acf))
-    if len(x) == 1:
-        return [np.array([math.sqrt(acf_norm)], dtype=complex)]
-    zeros = roots(x)
-    threshold = DEFAULT_CLUSTER_TOL * max(max(abs(z) for z in zeros), 1.0)
-    choice_sets = []
-    for z in zeros:
-        mirror = 1.0 / np.conj(z)
-        choice_sets.append((z,) if abs(z - mirror) <= threshold else (z, mirror))
+    zeros = roots(x).tolist()
+    threshold = DEFAULT_CLUSTER_TOL * max([1.0, *(abs(z) for z in zeros)])
+    clusters = cluster_zeros(zeros, threshold)
+    paired = set()
+    choices = []
+    for i, (c, t) in enumerate(clusters):
+        if i in paired:
+            continue
+        mirror = 1.0 / np.conj(c)
+        if abs(c - mirror) <= threshold:
+            choices.append([[c] * t])
+            continue
+        for j in range(i + 1, len(clusters)):
+            if j not in paired and abs(clusters[j][0] - mirror) <= threshold:
+                paired.add(j)
+                t += clusters[j][1]
+                break
+        choices.append([[c] * (t - k) + [mirror] * k for k in range(t + 1)])
     outputs = []
-    for combo in itertools.product(*choice_sets):
-        y0 = _loop_from_roots(1.0, combo)
-        y = math.sqrt(acf_norm / float(np.linalg.norm(correlate(y0, y0)))) * y0
-        if not any(np.abs(y - prev).max() <= 1e-7 * np.abs(prev).max() for prev in outputs):
-            outputs.append(y)
+    for combo in itertools.product(*choices):
+        y0 = _loop_from_roots(1.0, [z for group in combo for z in group])
+        outputs.append(math.sqrt(acf_norm / float(np.linalg.norm(correlate(y0, y0)))) * y0)
     return outputs
 
 
@@ -348,18 +357,6 @@ def test_batched_autocorr_matches_loop_on_reflection_cases():
         _assert_rows_match(enumerate_autocorr_ambiguities(x), _loop_autocorr(x))
 
 
-def _quadratic_first_distinct(y):
-    # Reference dedup: every candidate against every kept row.
-    kept = []
-    peaks = np.abs(y).max(axis=1)
-    for i in range(len(y)):
-        if not np.any(np.abs(y[kept] - y[i]).max(axis=1) <= 1e-7 * peaks[kept]):
-            kept.append(i)
-    mask = np.zeros(len(y), dtype=bool)
-    mask[kept] = True
-    return mask
-
-
 def _dedup_signals():
     rng = np.random.default_rng(71)
     z = 0.6 + 0.3j
@@ -376,29 +373,58 @@ def _dedup_signals():
     return signals
 
 
-def test_autocorr_dedup_matches_quadratic_loop(monkeypatch):
-    got = [enumerate_autocorr_ambiguities(x) for x in _dedup_signals()]
-    monkeypatch.setattr(ambiguity, "_first_distinct", _quadratic_first_distinct)
-    want = [enumerate_autocorr_ambiguities(x) for x in _dedup_signals()]
-    assert [len(g) for g in got] == [len(w) for w in want]
-    assert any(len(g) < 2 ** (len(x) - 1) for g, x in zip(got, _dedup_signals()))
-    for g, w in zip(got, want):
-        assert np.array(g).tobytes() == np.array(w).tobytes()
+def test_autocorr_members_are_distinct():
+    # No two members within 1e-7 of the larger peak, and as many members as
+    # the post-hoc dedup of one product per zero-or-reflection choice kept.
+    families = [enumerate_autocorr_ambiguities(x) for x in _dedup_signals()]
+    assert [len(f) for f in families] == [2, 4, 16, 128, 1024, 8, 64, 6, 3, 6, 5, 2]
+    for family in families:
+        peaks = np.abs(family).max(axis=1)
+        gaps = np.abs(family[:, None] - family[None]).max(axis=2)
+        close = gaps <= 1e-7 * np.maximum(peaks[:, None], peaks[None])
+        assert np.array_equal(close, np.eye(len(family), dtype=bool))
 
 
-def test_first_distinct_at_the_tolerance_edge():
-    # rows 1e-7 * peak apart, just inside and outside, in one coefficient
-    # or spread over several, and a huge-magnitude family
-    rng = np.random.default_rng(72)
-    for scale in (1.0, 1e-200, 1e200):
-        base = scale * (rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5)))
-        rows = [base]
-        for f in (0.5, 0.999, 1.0, 1.001, 2.0):
-            step = f * 1e-7 * np.abs(base).max(axis=1, keepdims=True)
-            rows.append(base + step * np.exp(2j * np.pi * rng.random(base.shape)))
-            rows.append(base + step * (rng.random(base.shape) < 0.3))
-        y = np.concatenate(rows)[rng.permutation(66)]
-        assert np.array_equal(ambiguity._first_distinct(y), _quadratic_first_distinct(y))
+def _exact_autocorr_family(zeros, acf_norm):
+    # One signal per distinct multiset of exact zero-or-reflection choices.
+    choice_sets = [(z,) if abs(abs(z) - 1.0) < 1e-15 else (z, 1.0 / np.conj(z)) for z in zeros]
+    multisets = {
+        tuple(sorted((round(z.real, 9), round(z.imag, 9)) for z in combo)): combo
+        for combo in itertools.product(*choice_sets)
+    }
+    family = []
+    for combo in multisets.values():
+        y0 = _loop_from_roots(1.0, combo)
+        family.append(math.sqrt(acf_norm / float(np.linalg.norm(correlate(y0, y0)))) * y0)
+    return family
+
+
+def test_autocorr_members_are_exact_factors_on_repeated_and_reflected_zeros():
+    z = 0.6 + 0.3j
+    cases = [
+        [2.0, 2.0, -0.5j],  # a double zero
+        [2.0, 0.5],  # a reflection pair
+        [z, z, 1.0 / np.conj(z), 1.0 / np.conj(z)],  # a double reflection pair
+        [2.0, 2.0, 0.5],  # a double zero and its reflection
+        [1j, 1j, -1j, -1j, -2j],  # double unit-circle zeros
+        [1.0, 1.0],  # a double zero on the circle
+    ]
+    for zeros in cases:
+        x = _loop_from_roots(1.0, zeros)
+        family = enumerate_autocorr_ambiguities(x)
+        exact = _exact_autocorr_family(zeros, float(np.linalg.norm(correlate(x, x))))
+        assert len(family) == len(exact)
+        nearest = [min(range(len(exact)), key=lambda i: np.abs(y - exact[i]).max()) for y in family]
+        assert sorted(nearest) == list(range(len(exact)))
+        for y, i in zip(family, nearest):
+            assert np.abs(y - exact[i]).max() <= 1e-7 * np.abs(exact[i]).max()
+
+
+def test_autocorr_merges_zeros_within_the_clustering_threshold():
+    # 2 and 2(1 + 5e-7) lie 1e-6 apart, within the threshold 2e-6: one
+    # double zero, so k = 0, 1 or 2 of it taken at 1/2
+    family = enumerate_autocorr_ambiguities(convolve([1.0, -2.0], [1.0, -2.0 * (1.0 + 5e-7)]))
+    assert len(family) == 3
 
 
 def test_bad_merge_fails_reconvolution(monkeypatch):
@@ -479,23 +505,6 @@ def test_filtered_path_on_repeated_zeros_matches_loop_and_oracle(monkeypatch):
         assert _assert_bytes_match_filtered(x1, x2) == 11 - common
 
 
-def test_first_distinct_fast_path_matches_quadratic_loop():
-    rng = np.random.default_rng(73)
-    for k, n in ((1, 3), (2, 2), (64, 5), (256, 8)):
-        # generic candidates: every search window holds its own row only
-        y = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
-        got = ambiguity._first_distinct(y)
-        assert got.all()
-        assert np.array_equal(got, _quadratic_first_distinct(y))
-        # planted near-duplicates, half a tolerance away from their source
-        picks = rng.integers(0, k, size=max(k // 4, 1))
-        step = 0.5e-7 * np.abs(y[picks]).max(axis=1, keepdims=True)
-        y = np.concatenate([y, y[picks] + step])[rng.permutation(k + len(picks))]
-        got = ambiguity._first_distinct(y)
-        assert got.sum() == k
-        assert np.array_equal(got, _quadratic_first_distinct(y))
-
-
 # --- the near-merge warning and the class-axis check ------------------------
 
 
@@ -505,6 +514,11 @@ def test_near_merge_warning_points_at_the_caller():
     with pytest.warns(RuntimeWarning, match="within a factor two of merging") as record:
         line = inspect.currentframe().f_lineno + 1
         enumerate_convolution_ambiguities(x1, x2)
+    assert [(w.filename, w.lineno) for w in record] == [(__file__, line)]
+    x = convolve(x1, x2)
+    with pytest.warns(RuntimeWarning, match="within a factor two of merging") as record:
+        line = inspect.currentframe().f_lineno + 1
+        enumerate_autocorr_ambiguities(x)
     assert [(w.filename, w.lineno) for w in record] == [(__file__, line)]
 
 
@@ -517,6 +531,16 @@ def test_circle_parity_warning_points_at_the_caller():
         line = inspect.currentframe().f_lineno + 1
         enumerate_autocorr_ambiguities([1, -(1 + 0.75e-6)])
     assert [(w.filename, w.lineno) for w in record] == [(__file__, line)]
+
+
+def test_autocorr_even_multiplicity_near_the_circle_does_not_warn():
+    # A double zero at 1 + 0.75e-6: the autocorrelation holds it and its
+    # mirror twice each, so the parity check stays quiet.
+    z = 1 + 0.75e-6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        family = enumerate_autocorr_ambiguities(convolve([1, -z], [1, -z]))
+    assert len(family) == 3
 
 
 def _bend_one_class(monkeypatch, which, k):

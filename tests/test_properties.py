@@ -1,4 +1,5 @@
-"""Property tests for the measurement map and the solver's closed forms.
+"""Property tests for the measurement map, the solver's closed forms and the
+autocorrelation ambiguity family.
 
 Each property is checked over signals and shapes drawn by `hypothesis`; the
 draws are derandomized so the suite stays deterministic.
@@ -13,8 +14,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from corrlift.ambiguity import enumerate_autocorr_ambiguities
 from corrlift.linalg import _eigh, _eigvals, _eigvalsh, herm_eig, hermitian_part
-from corrlift.poly import conj_time_reverse
+from corrlift.poly import conj_time_reverse, correlate, from_roots
 from corrlift.sensing import (
     Measurements,
     NoiseModel,
@@ -253,6 +255,46 @@ def test_solve_estimate_matches_a_fresh_decomposition(x1, x2, sigma):
     _, phi = aligned_mse(fresh, result.x_est)
     err = float(np.linalg.norm(np.exp(1j * phi) * result.x_est - fresh))
     assert err <= 10.0 * eps * n * math.sqrt(lam1) * lam1 / (lam1 - lam2)
+
+
+@st.composite
+def reflection_groups(draw):
+    """The zeros of 1-4 groups, and each group's count t of zeros.
+
+    A group is an off-circle zero z alone, doubled, or with its reflection
+    1/conj(z).  No zero or reflection of one group lies within 0.1 of one
+    of another, so no two groups cluster together.
+    """
+    zeros, sizes, points = [], [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        radius = draw(st.floats(min_value=0.3, max_value=0.85))
+        if draw(st.booleans()):
+            radius = 1.0 / radius
+        z = complex(radius * np.exp(1j * draw(st.floats(min_value=0.0, max_value=2 * math.pi))))
+        mirror = 1.0 / z.conjugate()
+        assume(all(abs(p - q) >= 0.1 for p in (z, mirror) for q in points))
+        group = draw(st.sampled_from([[z], [z, z], [z, mirror]]))
+        points += [z, mirror]
+        zeros += group
+        sizes.append(len(group))
+    return zeros, sizes
+
+
+@PROPERTY_SETTINGS
+@given(groups=reflection_groups())
+def test_autocorr_family_holds_one_distinct_member_per_group_count(groups):
+    # k = 0..t of each group's zeros at the reflection: prod(t + 1) members
+    zeros, sizes = groups
+    x = from_roots(1.0, [zeros])[:, 0]
+    acf = correlate(x, x)
+    family = enumerate_autocorr_ambiguities(x)
+    assert len(family) == math.prod(t + 1 for t in sizes)
+    for y in family:
+        assert np.linalg.norm(correlate(y, y) - acf) <= 1e-7 * np.linalg.norm(acf)
+    peaks = np.abs(family).max(axis=1)
+    gaps = np.abs(family[:, None] - family[None]).max(axis=2)
+    close = gaps <= 1e-7 * np.maximum(peaks[:, None], peaks[None])
+    assert np.array_equal(close, np.eye(len(family), dtype=bool))
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
