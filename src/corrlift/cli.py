@@ -81,7 +81,7 @@ class ExperimentConfig:
         if not snrs:
             raise ValueError("snr_db_list must not be empty")
         for s in snrs:
-            _check_snr(s)
+            _snr_gain(s)
         self.snr_db_list = snrs
 
 
@@ -89,9 +89,9 @@ class ExperimentConfig:
 class TrialRecord:
     """One row of sweep output, its fields in CSV column order.
 
-    ``failed`` marks solver non-convergence: the metric fields of a failed
-    trial are NaN and are exempt from the nonnegativity check, and its
-    ``stop_reason`` reads ``diverged``.
+    ``failed`` marks a diverged solve (``stop_reason`` ``diverged``): its
+    fields describe the solve's last accepted iterate, and its ``mse`` is
+    exempt from the nonnegativity check.
     """
 
     trial: int
@@ -152,10 +152,15 @@ def _mse_per_dim_db(mse: float, n: int) -> float:
 
 
 def _snr_gain(snr_db: float) -> float:
-    """The power ratio 10^(snr_db / 10) of a finite SNR.
+    """The power ratio 10^(snr_db / 10); inf for the noiseless sentinel +inf.
 
-    Raises ValueError where the ratio overflows or underflows to zero.
+    Raises ValueError for NaN and -inf, and where a finite SNR's ratio
+    overflows or underflows to zero.
     """
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError("snr values must be finite or +inf (the noiseless sentinel)")
+    if snr_db == math.inf:
+        return math.inf
     try:
         gain = 10.0 ** (snr_db / 10.0)
     except OverflowError:
@@ -165,17 +170,8 @@ def _snr_gain(snr_db: float) -> float:
     return gain
 
 
-def _check_snr(snr_db: float) -> None:
-    if math.isnan(snr_db) or snr_db == -math.inf:
-        raise ValueError("snr values must be finite or +inf (the noiseless sentinel)")
-    if math.isfinite(snr_db):
-        _snr_gain(snr_db)
-
-
 def _sigma_for(snr_db: float, power: float, m_count: int) -> float:
     """Noise level realizing the target reduced SNR for given signal power."""
-    if math.isinf(snr_db):
-        return 0.0
     return math.sqrt(power / (m_count * _snr_gain(snr_db)))
 
 
@@ -186,15 +182,13 @@ def _trial(
     noise_seed: int,
     reduced: bool,
     opts: SolverOptions,
-) -> tuple[float, SolverResult | RuntimeError, float]:
+) -> tuple[float, SolverResult, float]:
     """Measure the pair, add noise at `snr_db`, recover it and score the estimate.
 
-    Returns ``(sigma, outcome, mse)``.  ``outcome`` is the `SolverResult` of
-    the solve, or the RuntimeError of a failed solve, which is data rather
-    than a configuration error.  ``mse`` is the phase-aligned error of the
-    stacked estimate ``outcome.x_est``, and NaN when the solve failed.
-    Configuration errors raise ValueError; nothing is printed here, so they
-    leave no partial output.
+    Returns ``(sigma, result, mse)``: the noise level, the `SolverResult` of
+    the solve, whatever its stop reason, and the phase-aligned error of its
+    stacked estimate ``result.x_est``.  Configuration errors raise
+    ValueError; nothing is printed here, so they leave no partial output.
     """
     clean = measure(x1, x2, reduced=reduced)
     stacked = clean.stacked
@@ -204,30 +198,13 @@ def _trial(
         raise ValueError("measurements must be finite")
     sigma = _sigma_for(snr_db, measurement_norm(stacked) ** 2, stacked.size)
     noisy = add_noise(clean, NoiseModel(sigma=sigma, seed=noise_seed))
-    try:
-        _, _, result = recover(len(x1), len(x2), noisy, opts)
-    except RuntimeError as exc:
-        return sigma, exc, math.nan
+    _, _, result = recover(len(x1), len(x2), noisy, opts)
     mse, _ = aligned_mse(np.concatenate([x1, x2]), result.x_est)
     return sigma, result, mse
 
 
-# The solver fields of a failed trial's row: a solve that raised leaves no
-# iterate to report.
-_FAILED_SOLVE = SolverResult(
-    x_mat=np.zeros((0, 0), dtype=complex),
-    x_est=np.zeros(0, dtype=complex),
-    iters=0,
-    residual=math.nan,
-    rank1_gap=math.nan,
-    margin=math.nan,
-    stop_reason="diverged",
-    restarts=0,
-)
-
-
 def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
-    """Run the Monte-Carlo sweep; solver failures become flagged rows.
+    """Run the Monte-Carlo sweep; a diverged solve's row is flagged ``failed``.
 
     Trial (i, j) of SNR point i uses an independent child stream seeded by
     ``(cfg.seed, i, j)``, so any single trial can be reproduced without
@@ -243,9 +220,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
             x1 = gen_signal(cfg.l1, rng)
             x2 = gen_signal(cfg.l2, rng)
             noise_seed = int(rng.integers(0, 2**63))
-            sigma, outcome, mse = _trial(x1, x2, snr_db, noise_seed, cfg.reduced, cfg.solver)
-            failed = isinstance(outcome, RuntimeError)
-            result = _FAILED_SOLVE if failed else outcome
+            sigma, result, mse = _trial(x1, x2, snr_db, noise_seed, cfg.reduced, cfg.solver)
             records.append(
                 TrialRecord(
                     trial=trial_index,
@@ -261,7 +236,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
                     residual=result.residual,
                     rank1_gap=result.rank1_gap,
                     seed=cfg.seed,
-                    failed=failed,
+                    failed=result.stop_reason == "diverged",
                 )
             )
     return records
@@ -442,18 +417,14 @@ def _run_recover(args: argparse.Namespace) -> int:
         if len(snrs) != 1:
             raise ValueError("recover accepts a single --snr-db value")
         snr_db = snrs[0]
-        _check_snr(snr_db)
+        _snr_gain(snr_db)
     sigma, result, mse = _trial(
         x1, x2, snr_db, args.seed, args.reduced, SolverOptions(max_iters=args.max_iters)
     )
     print(f"l1={len(x1)}")
     print(f"l2={len(x2)}")
     print(f"sigma={sigma!r}")
-    if isinstance(result, RuntimeError):
-        print("failed=true")
-        print(f"reason={result}")
-        return 0
-    print("failed=false")
+    print(f"failed={_fmt_bool(result.stop_reason == 'diverged')}")
     print(f"mse={mse!r}")
     print(f"iters={result.iters}")
     print(f"stop_reason={result.stop_reason}")

@@ -155,9 +155,10 @@ def numeric_rank(a: ComplexMatrix) -> int:
     that is the eigenvalues of A^H A exceeding DEFAULT_RANK_TOL**2 times the
     largest; the zero matrix has rank 0.  The singular values are compared
     unsquared, so neither a huge nor a tiny scale overflows or underflows
-    the test.
+    the test.  A real matrix, such as the tangent Jacobian, keeps its real
+    SVD.
     """
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {a.shape}")
     sing = np.linalg.svd(a, compute_uv=False)

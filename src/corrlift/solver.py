@@ -34,8 +34,10 @@ iters + restarts, and none follows the loop.  Every decomposition here runs
 through `linalg._eigh`; the solver keeps no eigen routine of its own.
 
 Every solve ends for a stated reason (`SolverResult.stop_reason`), tested
-after each accepted iterate k:
+after each accepted iterate k in this order:
 
+- "diverged": the last 10 accepted objectives each rose above the one
+  before it, restart and all.
 - "converged": the relative residual ||A(X) - b|| / ||b|| is at most
   REL_TOL, as on noiseless data.
 - "stalled": k > STALL_WINDOW and the objective has fallen by no more than
@@ -48,13 +50,10 @@ after each accepted iterate k:
   stall soon after it sets in.
 - "max_iters": the `max_iters` cap is spent.
 
-An accepted objective above the one before it, restart and all, counts
-toward the divergence guard: ten in a row raise RuntimeError with the
-recent objectives.
-
-`SolverResult` is the one record of a solve's diagnostics: `recover` returns
-the result `solve` built, and the command line's output and sweep CSV read
-their diagnostics from it.
+`SolverResult` is the one record of a solve's diagnostics, and whatever the
+stop it describes the last accepted iterate: `recover` returns the result
+`solve` built, and the command line's output and sweep CSV read their
+diagnostics from it.
 """
 
 from __future__ import annotations
@@ -114,8 +113,8 @@ class SolverResult:
     one report that the estimate is not unique; the solve raises no warning.
     `margin` is the identifiability margin lam2(W) / lam_max(W) of the
     data-only certificate W: about 0 when the pair shares a factor.
-    `stop_reason` is "converged", "stalled" or "max_iters" (see the module
-    docstring); `restarts` counts the momentum restarts.
+    `stop_reason` is "converged", "stalled", "max_iters" or "diverged" (see
+    the module docstring); `restarts` counts the momentum restarts.
     """
 
     x_mat: np.ndarray
@@ -168,8 +167,8 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
     with L = 2 max(l1, l2).  Momentum restarts whenever the objective would
     increase: the restart takes the same projected-gradient step again,
     without momentum, from the last accepted iterate, so accepted objectives
-    are non-increasing whenever the step bound holds.  Stops, and raises on
-    divergence, by the rules of the module docstring.
+    are non-increasing whenever the step bound holds.  Stops by the rules of
+    the module docstring.
     """
     opts = SolverOptions() if opts is None else opts
     s = build_sensing(b.l1, b.l2)
@@ -248,15 +247,7 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
                 restarts += 1
                 x_new, w_new, u_new, v_new, dist = projected_step(x, v_x)
                 obj = dist**2
-        if obj > recent[-1]:
-            bad_streak += 1
-            if bad_streak >= 10:
-                raise RuntimeError(
-                    "solver diverged: objective rose on 10 consecutive "
-                    f"post-restart iterations; recent objectives {list(recent)[-12:]}"
-                )
-        else:
-            bad_streak = 0
+        bad_streak = bad_streak + 1 if obj > recent[-1] else 0
 
         x_prev, v_prev = x, v_x
         x, v_x = x_new, v_new
@@ -266,6 +257,9 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
         beta = (t - 1.0) / t_next
         t = t_next
 
+        if bad_streak == 10:
+            stop_reason = "diverged"
+            break
         if math.sqrt(obj) <= REL_TOL * norm_b:
             stop_reason = "converged"
             break

@@ -31,6 +31,7 @@ from corrlift.cli import (
 from corrlift.poly import convolve
 from corrlift.sensing import measure
 from corrlift.solver import SolverOptions
+from test_solver import _doubling_psd_project
 
 
 def _config(**overrides):
@@ -55,9 +56,10 @@ def test_experiment_config_validation():
         _config(l1=0)
     with pytest.raises(ValueError):
         _config(seed=-1)
-    with pytest.raises(ValueError):
+    sentinel = r"^snr values must be finite or \+inf \(the noiseless sentinel\)$"
+    with pytest.raises(ValueError, match=sentinel):
         _config(snr_db_list=(math.nan,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=sentinel):
         _config(snr_db_list=(-math.inf,))
     with pytest.raises(ValueError):
         _config(snr_db_list=())
@@ -150,17 +152,16 @@ def test_run_sweep_trial_streams_are_independent():
 
 
 def test_run_sweep_records_failures(monkeypatch):
-    def boom(l1, l2, b, opts):
-        raise RuntimeError("diverged")
-
-    monkeypatch.setattr("corrlift.cli.recover", boom)
+    monkeypatch.setattr("corrlift.solver.psd_project", _doubling_psd_project)
     records = run_sweep(_config(trials=2))
     assert len(records) == 2
     for r in records:
         assert r.failed
-        assert math.isnan(r.mse)
-        assert r.iters == 0
-        assert (r.stop_reason, r.restarts) == ("diverged", 0)
+        assert r.as_row()["failed"] == "true"
+        assert (r.stop_reason, r.iters) == ("diverged", 10)
+        # the row carries the diverged iterate's diagnostics
+        assert math.isfinite(r.mse) and r.mse > 0.0
+        assert math.isfinite(r.residual) and math.isfinite(r.rank1_gap)
 
 
 def test_write_records_header_and_rows():
@@ -398,6 +399,8 @@ def test_sigma_for_matches_closed_form():
         sigma = _sigma_for(snr, power, clean.size)
         ratio = power / (clean.size * sigma**2)
         assert ratio == pytest.approx(10.0 ** (snr / 10.0), rel=1e-12)
+    # the noiseless sentinel is no special case: sqrt(power / (M inf)) is 0
+    assert _sigma_for(math.inf, power, clean.size) == 0.0
 
 
 def test_cmd_zeros_rejects_unresolvable_zeros(capsys):
@@ -612,15 +615,16 @@ def test_main_recover_rejects_a_negative_seed(capsys):
 
 
 def test_main_recover_solver_failure_exits_zero(monkeypatch, capsys):
-    def boom(l1, l2, b, opts):
-        raise RuntimeError("diverged")
-
-    monkeypatch.setattr("corrlift.cli.recover", boom)
+    monkeypatch.setattr("corrlift.solver.psd_project", _doubling_psd_project)
     code = main(["recover", "--l1", "2", "--l2", "2"])
     assert code == 0
-    assert capsys.readouterr().out == (
-        "l1=2\nl2=2\nsigma=0.0\nfailed=true\nreason=diverged\n"
-    )
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.strip().split("\n")
+    assert lines[:4] == ["l1=2", "l2=2", "sigma=0.0", "failed=true"]
+    kv = dict(line.split("=", 1) for line in lines)
+    assert (kv["stop_reason"], kv["iters"]) == ("diverged", "10")
+    assert math.isfinite(float(kv["mse"]))
 
 
 def test_main_certify_stdout(capsys):

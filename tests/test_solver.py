@@ -317,20 +317,25 @@ def test_max_iters_stop_and_restart_count(monkeypatch):
     assert len(calls) == 1 + result.iters + result.restarts
 
 
-def test_solve_raises_when_the_objective_keeps_rising(monkeypatch):
+def _doubling_psd_project(a):
     # A projection that doubles its output overshoots the fit, so every
-    # accepted objective, restart and all, rises and the guard ends the solve.
-    def doubling(a):
-        p, w, v = psd_project(a)
-        return 2.0 * p, 2.0 * w, v
+    # accepted objective, restart and all, rises.
+    p, w, v = psd_project(a)
+    return 2.0 * p, 2.0 * w, v
 
-    monkeypatch.setattr("corrlift.solver.psd_project", doubling)
+
+def test_solve_stops_diverged_when_the_objective_keeps_rising(monkeypatch):
+    monkeypatch.setattr("corrlift.solver.psd_project", _doubling_psd_project)
     _, noisy = noisy_pair(np.random.default_rng(100), 3, 3, 20.0)
-    with pytest.raises(
-        RuntimeError,
-        match="^solver diverged: objective rose on 10 consecutive post-restart iterations; ",
-    ):
-        solve(noisy)
+    result = solve(noisy)
+    assert (result.stop_reason, result.iters) == ("diverged", 10)
+    # The result describes the last accepted iterate, as for any other stop.
+    b_vec = noisy.stacked
+    s = build_sensing(noisy.l1, noisy.l2)
+    misfit = np.linalg.norm(forward_stacked(s, result.x_mat)[: b_vec.size] - b_vec)
+    assert result.residual == pytest.approx(misfit / np.linalg.norm(b_vec), rel=1e-12)
+    top = np.linalg.eigvalsh(result.x_mat)[-1]
+    assert np.linalg.norm(result.x_est) ** 2 == pytest.approx(top, rel=1e-12)
 
 
 def _symmetrizing_psd_project(a):

@@ -315,6 +315,20 @@ def test_tangent_injectivity_coprime_vs_common():
         assert not injective and rank < 2 * n - 1
 
 
+def test_tangent_injectivity_takes_a_real_svd(monkeypatch):
+    # The Jacobian is real: its rank comes from a float64 SVD, not a complex one.
+    dtypes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        dtypes.append(a.dtype)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    assert tangent_injectivity([1, 2j], [1, -1, 3]) == (9, True)
+    assert dtypes == [np.float64]
+
+
 def test_tangent_injectivity_unit_circle_common_zero():
     # A single shared zero on the unit circle is self-inversive on its own
     # and already collapses the tangent rank by one.

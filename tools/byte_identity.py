@@ -22,10 +22,11 @@ fails, so that a declaration says what the change does.
 
 The commands are README's sweep example (all of whose options are
 ``corrlift sweep``'s defaults), the acceptance suite's criterion-10 sweep,
-README's other command-line examples but the two whose ``--signal`` or
-``--snr-db`` value starts with a minus sign (older revisions exit 2 on
-them), a noisy ``recover`` (which ends on the stall stop), the same ``recover`` with
-``--max-iters 40`` (which ends on the iteration cap), a noiseless
+README's other command-line examples, the two whose ``--signal`` or
+``--snr-db`` value starts with a minus sign among them (every revision
+since 711e203 parses them), a noisy ``recover`` (which ends on the stall
+stop), the same ``recover`` with ``--max-iters 40`` (which ends on the
+iteration cap), a noiseless
 ``recover`` of README's shared-factor pair (a solution that is not rank-1),
 a noisy ``recover`` at shape (6, 6), a ``recover`` at shape (1, 1) and -20 dB
 whose fit is the zero matrix (the zero estimate), ``zeros`` and
@@ -96,6 +97,11 @@ COMMANDS = [
     ["zeros", "--signal", "1,-1", "--signal", "1,0,-4"],
     ["certify", "--signal", "1,2i", "--signal", "1,-1,3"],
     ["ambiguities", "--signal", "1,-3,2", "--signal", "1,-2"],
+    [
+        "sweep", "--l1", "2", "--l2", "2", "--snr-db", "-10,0", "--trials", "1",
+        "--seed", "0", "--out", "neg.csv",
+    ],
+    ["certify", "--signal", "-1,2", "--signal", "1,1"],
     ["recover", "--l1", "2", "--l2", "3", "--seed", "7"],
     ["recover", "--signal", "1,2i", "--signal", "1,-1,3", "--reduced"],
     ["recover", "--l1", "3", "--l2", "3", "--snr-db", "20", "--seed", "1"],
