@@ -430,6 +430,7 @@ def _run_recover(args: argparse.Namespace) -> int:
     print(f"stop_reason={result.stop_reason}")
     print(f"restarts={result.restarts}")
     print(f"residual={result.residual!r}")
+    print(f"gap={result.gap!r}")
     print(f"rank1_gap={result.rank1_gap!r}")
     print(f"non_unique={_fmt_bool(result.non_unique)}")
     print(f"x1_est={_fmt_complex_vec(result.x_est[:len(x1)])}")
@@ -449,8 +450,11 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=MAX_ITERS,
         help=(
-            "solver iteration cap; noisy solves normally stop well below it, "
-            "once the objective stalls"
+            "solver iteration cap; solves normally stop well below it, each "
+            "for the first reason that holds, in this order: diverged, "
+            "converged (a zero-residual fit), gap (a certified duality gap, "
+            "as on noisy data), stalled (the objective stopped falling) or "
+            "max_iters"
         ),
     )
     parser.add_argument(

@@ -106,7 +106,7 @@ def herm_eig(a: HermitianMatrix) -> EigDecomposition:
     deterministic even for degenerate spectra.
     """
     w, v = _eigh(hermitian_part(a))
-    v = _pin_phase(v)
+    v = np.stack([_pin_phase(column) for column in v.T], axis=1)
     # lexsort's primary key is the last row: w, then Re v0, Im v0, Re v1, ...
     parts = np.stack([v.real, v.imag], axis=1).reshape(2 * w.size, w.size)
     order = np.lexsort(np.vstack([w, parts])[::-1])
@@ -114,11 +114,11 @@ def herm_eig(a: HermitianMatrix) -> EigDecomposition:
 
 
 def _pin_phase(v: np.ndarray) -> np.ndarray:
-    # `herm_eig`'s phase rule.  Phase factors as NumPy scalars, one per column:
-    # the vectorized abs and complex division differ in the last bit, which
-    # would move the digits of every estimate read from these eigenvectors.
-    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    return v * np.array([np.conj(p) / abs(p) for p in pivots])
+    # `herm_eig`'s phase rule on one eigenvector.  The phase factor is a NumPy
+    # scalar: the vectorized abs and complex division differ in the last
+    # bit, which would move the digits of every estimate read from it.
+    pivot = v[np.abs(v).argmax()]
+    return v * (pivot.conjugate() / abs(pivot))
 
 
 def psd_project(a: HermitianMatrix) -> tuple[HermitianMatrix, np.ndarray, np.ndarray]:
@@ -145,7 +145,9 @@ def psd_project(a: HermitianMatrix) -> tuple[HermitianMatrix, np.ndarray, np.nda
         return a, w, v
     np.maximum(w, 0.0, out=w)
     out = (v * w) @ v.conj().T
-    return 0.5 * (out + out.conj().T), w, v
+    out += out.conj().T  # conj() copies, so the sum reads no updated entry
+    out *= 0.5
+    return out, w, v
 
 
 def numeric_rank(a: ComplexMatrix) -> int:

@@ -31,7 +31,8 @@ rank-1 gap above NONUNIQUE_GAP_TOL) is the one report that it is not, as
 for a pair with a shared zero.  So a noiseless coprime solve runs two
 decompositions (the spectral start and one projection), a noisy one 1 +
 iters + restarts, and none follows the loop.  Every decomposition here runs
-through `linalg._eigh`; the solver keeps no eigen routine of its own.
+through `linalg._eigh`; the solver keeps no eigen routine of its own.  The
+duality-gap check below adds one eigenvalue-only `linalg._eigvalsh` each.
 
 Every solve ends for a stated reason (`SolverResult.stop_reason`), tested
 after each accepted iterate k in this order:
@@ -40,20 +41,41 @@ after each accepted iterate k in this order:
   before it, restart and all.
 - "converged": the relative residual ||A(X) - b|| / ||b|| is at most
   REL_TOL, as on noiseless data.
+- "gap": k is a multiple of GAP_EVERY and the relative duality gap of X is
+  at most GAP_RTOL, as on noisy data.  The dual of the fit is
+  max g(mu) = -||mu||^2 - 2 Re<mu, b> subject to adjoint(conj mu) PSD, and
+  every feasible mu bounds the optimum from below, g(mu) <= f* <= f(X)
+  (Boyd & Vandenberghe, Convex Optimization, 2004, section 5.5).  From the
+  residual r = A(X) - b the check builds mu = r + t e, where e is 1/2 at the
+  centre lags a11[l1-1] and a22[l2-1], so that adjoint(conj e) = I, and
+  t = max(0, -lam_min(adjoint(conj r))) makes mu feasible: one `adjoint` and
+  one `_eigvalsh`.  Expanding f(X) - g(mu) gives
+  2 Re<r, A(X)> + t tr X + t^2 / 2, which is computed as written: the
+  difference f - g loses its digits when ||r|| is small next to ||b||.  The
+  rule stops at gap <= GAP_RTOL f(X), certified and invariant under scaling
+  b, and cannot fire on a rising objective.
 - "stalled": k > STALL_WINDOW and the objective has fallen by no more than
-  STALL_RTOL of its current value since iterate k - STALL_WINDOW, as on
-  noisy data, whose least-squares fit keeps a positive residual.  The rule
-  is relative, so it is invariant under scaling b.  The adaptive restart of
-  O'Donoghue & Candes (FoCM 2015) makes the accepted objectives fall
-  geometrically, so a short look-back (20 iterations) with a proportionally
-  tight tolerance (1e-10, 5e-12 of the objective per iteration) sees a
-  stall soon after it sets in.
+  STALL_RTOL of its current value since iterate k - STALL_WINDOW.  It is the
+  backstop where the gap certifies late or never: above about 60 dB the
+  objective flattens long before the gap falls to GAP_RTOL f(X) (at 80 and
+  120 dB it fires first), and on noiseless data with a shared factor f* is
+  0, so no gap is small next to it.  The rule is relative, so it is
+  invariant under scaling b.  The adaptive restart of O'Donoghue &
+  Candes (FoCM 2015) makes the accepted objectives fall geometrically, so a
+  short look-back (20 iterations) with a proportionally tight tolerance
+  (1e-10, 5e-12 of the objective per iteration) sees a stall soon after it
+  sets in.
 - "max_iters": the `max_iters` cap is spent.
 
 `SolverResult` is the one record of a solve's diagnostics, and whatever the
 stop it describes the last accepted iterate: `recover` returns the result
 `solve` built, and the command line's output and sweep CSV read their
-diagnostics from it.
+diagnostics from it.  Its `gap` is the relative gap of that iterate: a
+"gap" stop reports its own check, the "stalled", "max_iters" and
+"diverged" stops run one more check at the stop unless the stopping iterate
+was just checked, and "converged" reports NaN, its residual being the
+certificate.  A noiseless coprime solve converges at iteration 1, so it runs
+no check.
 """
 
 from __future__ import annotations
@@ -65,7 +87,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _eigh, _pin_phase, hermitian_part, psd_project
+from .linalg import _eigh, _eigvalsh, _pin_phase, hermitian_part, psd_project
 from .poly import Signal, as_signal
 from .sensing import Measurements, SensingSet, adjoint, build_sensing, forward_stacked
 from .sylvester import _pow2_scale, certificate_multipliers
@@ -80,8 +102,11 @@ STEP_SAFETY = 0.95
 # The default iteration cap of `solve` (`SolverOptions.max_iters`).
 MAX_ITERS = 20000
 
-# The convergence and stall stops; the module docstring states the rules.
+# The convergence, duality-gap and stall stops; the module docstring states
+# the rules.
 REL_TOL = 1e-10
+GAP_EVERY = 10
+GAP_RTOL = 1e-4
 STALL_WINDOW = 20
 STALL_RTOL = 1e-10
 
@@ -113,8 +138,11 @@ class SolverResult:
     one report that the estimate is not unique; the solve raises no warning.
     `margin` is the identifiability margin lam2(W) / lam_max(W) of the
     data-only certificate W: about 0 when the pair shares a factor.
-    `stop_reason` is "converged", "stalled", "max_iters" or "diverged" (see
-    the module docstring); `restarts` counts the momentum restarts.
+    `stop_reason` is "diverged", "converged", "gap", "stalled" or
+    "max_iters", the stop rules in the order the module docstring tests
+    them; `restarts` counts the momentum restarts.  `gap` is the relative
+    duality gap (f(X) - g(mu)) / f(X) of the solution matrix, NaN for a
+    "converged" solve (see the module docstring).
     """
 
     x_mat: np.ndarray
@@ -125,6 +153,7 @@ class SolverResult:
     margin: float
     stop_reason: str
     restarts: int
+    gap: float
 
     @property
     def non_unique(self) -> bool:
@@ -188,6 +217,7 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
             margin=0.0,
             stop_reason="converged",
             restarts=0,
+            gap=math.nan,
         )
 
     lam = np.zeros(4 * n - 4, dtype=complex)
@@ -198,10 +228,11 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
         r = v - b_vec
         return math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag))
 
-    def gradient(v: np.ndarray) -> np.ndarray:
-        # nabla ||A(X) - b||^2 = adjoint(conj(A(X) - b)); adjoint output is
-        # Hermitian by construction, no symmetrization error to remove.
-        lam[:m_count] = np.conj(v - b_vec)
+    def gradient(r: np.ndarray) -> np.ndarray:
+        # nabla ||A(X) - b||^2 = adjoint(conj(r)) at the residual r = A(X) - b;
+        # adjoint output is Hermitian by construction, no symmetrization
+        # error to remove.
+        lam[:m_count] = np.conj(r)
         return adjoint(s, lam)
 
     # The gradient's exact Lipschitz constant: the bands tile X, and the
@@ -209,33 +240,48 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
     # of the larger autocorrelation block).
     step = STEP_SAFETY / (2.0 * max(s.l1, s.l2))
 
-    def projected_step(y: np.ndarray, v_y: np.ndarray) -> tuple:
-        # The projected-gradient step from y, whose forward image is v_y:
-        # the new iterate, its clipped eigenpairs, its image and its misfit.
-        # Only the first input carries the start's rounding asymmetry: a
-        # restart needs beta > 0, and beta is still 0 at k = 2.
-        a = y - step * gradient(v_y)
+    # A point and its forward image travel as one array z = (vec X, A(X)),
+    # which `forward_stacked` builds in one segmented sum: A is linear, so
+    # the momentum point's image is the same combination of the stored
+    # images, and the combination is one expression.  z[image] is the part
+    # of A(X) that b measures.
+    nn = n * n
+    image = slice(nn, nn + m_count)
+
+    def projected_step(y: np.ndarray) -> tuple:
+        # The projected-gradient step from the point that y carries: the
+        # new z, its point's clipped eigenpairs and its misfit.  Only the
+        # first input carries the start's rounding asymmetry: a restart
+        # needs beta > 0, and beta is still 0 at k = 2.
+        a = y[:nn].reshape(n, n) - step * gradient(y[image] - b_vec)
         x_new, w, u = psd_project(hermitian_part(a) if k == 1 else a)
-        v_new = forward_stacked(s, x_new)[:m_count]
-        return x_new, w, u, v_new, misfit(v_new)
+        z_new = forward_stacked(s, x_new, with_x=True)
+        return z_new, w, u, misfit(z_new[image])
+
+    def relative_gap(z: np.ndarray, obj: float) -> float:
+        # (f(X) - g(mu)) / f(X) at the dual point mu = r + t e of the module
+        # docstring, in its cancellation-free form.
+        v = z[image]
+        r = v - b_vec
+        shift = max(0.0, -float(_eigvalsh(gradient(r))[0]))  # t
+        trace = float(v[s.l1 - 1].real + v[2 * s.l1 + s.l2 - 2].real)  # a11 + a22 centres
+        fit = float(r.real.dot(v.real) + r.imag.dot(v.imag))  # Re<r, A(X)>
+        return (2.0 * fit + shift * trace + 0.5 * shift * shift) / obj
 
     x, margin = _spectral_start(s, b)
-    v_x = forward_stacked(s, x)[:m_count]
-    x_prev, v_prev = x, v_x
+    z = forward_stacked(s, x, with_x=True)
+    z_prev = z
     t = 1.0
     beta = 0.0
     bad_streak = 0
     restarts = 0
+    gap_at = 0  # the iterate `gap` was last computed at
     # The last STALL_WINDOW + 1 objectives of the start and the accepted
     # iterates, oldest first.
-    recent = deque([misfit(v_x) ** 2], maxlen=STALL_WINDOW + 1)
+    recent = deque([misfit(z[image]) ** 2], maxlen=STALL_WINDOW + 1)
 
     for k in range(1, opts.max_iters + 1):
-        # A is linear, so the forward image of the momentum point is the
-        # same combination of the stored images (saves one transform).
-        x_new, w_new, u_new, v_new, dist = projected_step(
-            x + beta * (x - x_prev), v_x + beta * (v_x - v_prev)
-        )
+        z_new, w_new, u_new, dist = projected_step(z + beta * (z - z_prev))
         obj = dist**2
 
         if obj > recent[-1]:
@@ -245,12 +291,11 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
             t = 1.0
             if beta > 0.0:
                 restarts += 1
-                x_new, w_new, u_new, v_new, dist = projected_step(x, v_x)
+                z_new, w_new, u_new, dist = projected_step(z)
                 obj = dist**2
         bad_streak = bad_streak + 1 if obj > recent[-1] else 0
 
-        x_prev, v_prev = x, v_x
-        x, v_x = x_new, v_new
+        z_prev, z = z, z_new
         recent.append(obj)
 
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
@@ -263,22 +308,31 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
         if math.sqrt(obj) <= REL_TOL * norm_b:
             stop_reason = "converged"
             break
+        if k % GAP_EVERY == 0:
+            gap, gap_at = relative_gap(z, obj), k
+            if gap <= GAP_RTOL:
+                stop_reason = "gap"
+                break
         if k > STALL_WINDOW and recent[0] - obj <= STALL_RTOL * obj:
             stop_reason = "stalled"
             break
     else:
         stop_reason = "max_iters"
 
-    # The loop ran at least once and ends on x = x_new: w_new and u_new are
+    if stop_reason == "converged":
+        gap = math.nan
+    elif gap_at != k:
+        gap = relative_gap(z, obj)
+    # The loop ran at least once and ends on z = z_new: w_new and u_new are
     # its clipped (nonnegative) eigenvalues and eigenvectors, dist its misfit.
     lam1 = float(w_new[-1])
     if lam1 > 0.0:
-        x_est = math.sqrt(lam1) * _pin_phase(u_new[:, -1:])[:, 0]
+        x_est = math.sqrt(lam1) * _pin_phase(u_new[:, -1])
         rank1_gap = float(w_new[-2]) / lam1
     else:
         x_est, rank1_gap = np.zeros(n, dtype=complex), 0.0
     return SolverResult(
-        x_mat=x,
+        x_mat=z[:nn].reshape(n, n),
         x_est=x_est,
         iters=k,
         residual=dist / norm_b,
@@ -286,6 +340,7 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
         margin=margin,
         stop_reason=stop_reason,
         restarts=restarts,
+        gap=gap,
     )
 
 

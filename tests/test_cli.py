@@ -30,7 +30,7 @@ from corrlift.cli import (
 )
 from corrlift.poly import convolve
 from corrlift.sensing import measure
-from corrlift.solver import SolverOptions
+from corrlift.solver import GAP_RTOL, SolverOptions
 from test_solver import _doubling_psd_project
 
 
@@ -455,17 +455,28 @@ def test_main_certify_huge_coprime_pair(capsys):
 
 
 def test_main_recover_prints_stop_reason_and_restarts(capsys):
-    # noiseless data stop on the residual, noisy data on the stalled objective
-    for extra, reason in (([], "converged"), (["--snr-db", "20"], "stalled")):
+    # noiseless data stop on the residual, noisy data on the duality gap,
+    # and at 80 dB the stall rule fires first; the gap follows the residual
+    for extra, reason in (
+        ([], "converged"), (["--snr-db", "20"], "gap"), (["--snr-db", "80"], "stalled")
+    ):
         assert main(["recover", "--l1", "3", "--l2", "3", "--seed", "5", *extra]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
         keys = [line.split("=", 1)[0] for line in lines]
         at = keys.index("iters")
         assert keys[at + 1 : at + 3] == ["stop_reason", "restarts"]
+        assert keys[keys.index("residual") + 1] == "gap"
         kv = dict(line.split("=", 1) for line in lines)
         assert kv["stop_reason"] == reason
         assert int(kv["iters"]) < 2000
         assert int(kv["restarts"]) >= 0
+        gap = float(kv["gap"])
+        if reason == "converged":
+            assert math.isnan(gap)
+        elif reason == "gap":
+            assert 0.0 <= gap <= GAP_RTOL
+        else:
+            assert gap > GAP_RTOL
 
 
 def test_main_recover_prints_margin_last(capsys):
@@ -563,7 +574,7 @@ def test_main_recover_given_signals_reduced(capsys):
 
 RECOVER_KEYS = [
     "l1", "l2", "sigma", "failed", "mse", "iters", "stop_reason", "restarts",
-    "residual", "rank1_gap", "non_unique", "x1_est", "x2_est", "margin",
+    "residual", "gap", "rank1_gap", "non_unique", "x1_est", "x2_est", "margin",
 ]
 
 

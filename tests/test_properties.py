@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -28,12 +29,14 @@ from corrlift.sensing import (
     measure,
 )
 from corrlift.solver import (
+    GAP_RTOL,
     SolverOptions,
     _spectral_start,
     aligned_mse,
     solve,
 )
 from corrlift.sylvester import certificate_multipliers
+from test_solver import duality_gap_terms
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -255,6 +258,42 @@ def test_solve_estimate_matches_a_fresh_decomposition(x1, x2, sigma):
     _, phi = aligned_mse(fresh, result.x_est)
     err = float(np.linalg.norm(np.exp(1j * phi) * result.x_est - fresh))
     assert err <= 10.0 * eps * n * math.sqrt(lam1) * lam1 / (lam1 - lam2)
+
+
+def psd_matrices(n: int):
+    """G G^H for a complex n x r draw G, r = 1..n."""
+    return st.integers(min_value=1, max_value=n).flatmap(
+        lambda r: arrays(complex, (n, r), elements=entries).map(lambda g: g @ g.conj().T)
+    )
+
+
+@PROPERTY_SETTINGS
+@given(
+    l1=st.integers(min_value=1, max_value=5),
+    l2=st.integers(min_value=1, max_value=5),
+    reduced=st.booleans(),
+    data=st.data(),
+)
+def test_dual_point_bounds_every_fit_from_below(l1, l2, reduced, data):
+    # The dual point mu(X) = r + t e that `solve`'s gap check builds is dual
+    # feasible for any PSD X, so g(mu(X)) is a lower bound on ||A(Y) - b||^2
+    # for every PSD Y, and so on the optimum, which a long solve bounds
+    # from above.  The gap's cancellation-free form is f(X) - g(mu(X)).
+    n = l1 + l2
+    sizes = (2 * l1 - 1, 2 * l2 - 1, n - 1, n - 1)
+    b = Measurements(*(data.draw(arrays(complex, m, elements=entries)) for m in sizes), reduced=reduced)
+    b_vec = b.stacked
+    s = build_sensing(l1, l2)
+    f, g, gap = duality_gap_terms(b, data.draw(psd_matrices(n)))
+    scale = f + np.vdot(b_vec, b_vec).real
+    y = data.draw(psd_matrices(n))
+    assert g <= np.linalg.norm(forward_stacked(s, y)[: b_vec.size] - b_vec) ** 2 + 1e-12 * scale
+    result = solve(b, SolverOptions(max_iters=20000))
+    assert result.stop_reason in ("converged", "gap", "stalled")
+    if result.stop_reason == "gap":
+        assert result.gap <= GAP_RTOL
+    assert g <= (result.residual * np.linalg.norm(b_vec)) ** 2 + 1e-12 * scale
+    assert gap == pytest.approx(f - g, rel=1e-9)
 
 
 @st.composite

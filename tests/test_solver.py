@@ -22,7 +22,10 @@ from corrlift.sensing import (
     forward_stacked,
     measure,
 )
+from corrlift.cli import _sigma_for, gen_signal
 from corrlift.solver import (
+    GAP_EVERY,
+    GAP_RTOL,
     STALL_RTOL,
     STALL_WINDOW,
     SolverOptions,
@@ -105,12 +108,21 @@ def test_homogeneity_under_measurement_scaling():
     assert r4.iters == r1.iters
     scale = np.abs(4.0 * r1.x_mat).max()
     assert np.abs(r4.x_mat - 4.0 * r1.x_mat).max() <= 1e-12 * scale
-    # the stall rule is relative, so a noisy solve stops at the same place
-    _, noisy = noisy_pair(rng, 2, 3, 20.0)
-    r1 = solve(noisy)
-    r4 = solve(Measurements(*(4.0 * seg for seg in (noisy.a11, noisy.a22, noisy.a12, noisy.a21))))
-    assert r1.stop_reason == r4.stop_reason == "stalled"
-    assert abs(r4.iters - r1.iters) <= 1
+    # The gap and stall rules are relative, so a noisy solve stops at the
+    # same iterate for the same reason under power-of-two scalings of b that
+    # neither overflow nor underflow: on the gap at 20 dB, on the stall at
+    # 80 dB.
+    for snr_db, reason in ((20.0, "gap"), (80.0, "stalled")):
+        _, noisy = noisy_pair(rng, 2, 3, snr_db)
+        r1 = solve(noisy)
+        assert r1.stop_reason == reason
+        segments = (noisy.a11, noisy.a22, noisy.a12, noisy.a21)
+        for k in (-60, -20, 20, 60):
+            rk = solve(Measurements(*(2.0**k * seg for seg in segments)))
+            assert (rk.stop_reason, rk.iters) == (reason, r1.iters)
+            assert rk.gap == pytest.approx(r1.gap, rel=1e-12)
+            scale = np.abs(2.0**k * r1.x_mat).max()
+            assert np.abs(rk.x_mat - 2.0**k * r1.x_mat).max() <= 1e-12 * scale
 
 
 def test_objective_monotone_along_iteration_ladder():
@@ -253,23 +265,102 @@ def test_noiseless_coprime_recovery_needs_one_iteration():
         assert mse <= 1e-14
 
 
-def test_noisy_solve_stops_when_the_objective_stalls():
+def duality_gap_terms(b: Measurements, x_mat: np.ndarray) -> tuple[float, float, float]:
+    """f(X), g(mu) and the cancellation-free gap at the dual point mu = r + t e.
+
+    r = A(X) - b, e is 1/2 at the centre lags a11[l1-1] and a22[l2-1] and
+    t = max(0, -lam_min(adjoint(conj r))); f and g are evaluated as
+    defined, f = ||r||^2 and g = -||mu||^2 - 2 Re<mu, b>, and the gap as
+    2 Re<r, A(X)> + t tr X + t^2 / 2.
+    """
+    s = build_sensing(b.l1, b.l2)
+    b_vec = b.stacked
+    v = forward_stacked(s, x_mat)[: b_vec.size]
+    r = v - b_vec
+    lam = np.zeros(4 * s.n - 4, dtype=complex)
+    lam[: b_vec.size] = r.conj()
+    t = max(0.0, -np.linalg.eigvalsh(adjoint(s, lam))[0])
+    mu = r.copy()
+    mu[[b.l1 - 1, 2 * b.l1 + b.l2 - 2]] += 0.5 * t
+    f = np.vdot(r, r).real
+    g = -np.vdot(mu, mu).real - 2.0 * np.vdot(mu, b_vec).real
+    gap = 2.0 * np.vdot(r, v).real + t * np.trace(x_mat).real + 0.5 * t * t
+    return float(f), float(g), float(gap)
+
+
+def _relative_gap_from_the_definition(b: Measurements, x_mat: np.ndarray) -> float:
+    f, g, _ = duality_gap_terms(b, x_mat)
+    return (f - g) / f
+
+
+def test_noisy_solve_stops_on_a_certified_gap():
     rng = np.random.default_rng(98)
     for snr_db in (10.0, 40.0):
-        clean, noisy = noisy_pair(rng, 3, 3, snr_db)
-        result = solve(noisy)
-        assert result.stop_reason == "stalled"
-        assert result.iters < 2000
-        # the planted lift is feasible, so the fit cannot be worse than its misfit
-        norm_b = np.linalg.norm(noisy.stacked)
-        assert result.residual * norm_b <= np.linalg.norm(noisy.stacked - clean.stacked)
+        for reduced in (False, True):
+            clean, noisy = noisy_pair(rng, 3, 3, snr_db)
+            clean.reduced = noisy.reduced = reduced
+            result = solve(noisy)
+            assert result.stop_reason == "gap"
+            assert result.iters % GAP_EVERY == 0
+            assert result.iters < 2000
+            assert 0.0 <= result.gap <= GAP_RTOL
+            assert result.gap == pytest.approx(
+                _relative_gap_from_the_definition(noisy, result.x_mat), rel=1e-6
+            )
+            # the planted lift is feasible, so the fit cannot be worse than its misfit
+            norm_b = np.linalg.norm(noisy.stacked)
+            assert result.residual * norm_b <= np.linalg.norm(noisy.stacked - clean.stacked)
+
+
+def test_gap_stop_fires_at_the_first_check_that_passes():
+    # Capped solves replay the same iterates, and a capped solve checks the
+    # gap at its last iterate, so a solve capped one check earlier reads a
+    # gap above the tolerance.
+    rng = np.random.default_rng(99)
+    _, noisy = noisy_pair(rng, 3, 3, 30.0)
+    result = solve(noisy)
+    assert result.stop_reason == "gap"
+    earlier = solve(noisy, SolverOptions(max_iters=result.iters - GAP_EVERY))
+    assert earlier.stop_reason == "max_iters"
+    assert earlier.gap > GAP_RTOL
+    capped = solve(noisy, SolverOptions(max_iters=result.iters))
+    assert (capped.stop_reason, capped.gap) == ("gap", result.gap)
+
+
+def _high_snr_pair(length: int, s: int, snr_db: float) -> Measurements:
+    # Pair (length, s) of ROADMAP's probes: both signals from
+    # default_rng([length, s]), noise seed s + 100, as the sweep draws noise.
+    rng = np.random.default_rng([length, s])
+    x1, x2 = gen_signal(length, rng), gen_signal(length, rng)
+    clean = measure(x1, x2)
+    sigma = _sigma_for(snr_db, float(np.linalg.norm(clean.stacked) ** 2), clean.stacked.size)
+    return add_noise(clean, NoiseModel(sigma=sigma, seed=s + 100))
+
+
+# The stall stop's iterations at 80 and 120 dB on pairs (3, 0-3) and
+# (6, 0-3), as the solve without a gap stop took them.
+HIGH_SNR_STALLS = {
+    80.0: {3: (629, 232, 133, 109), 6: (676, 460, 679, 506)},
+    120.0: {3: (711, 209, 144, 100), 6: (689, 456, 573, 468)},
+}
+
+
+def test_stall_stop_still_ends_high_snr_solves_at_the_same_iteration():
+    # Above about 60 dB the objective flattens long before the gap is
+    # certified, so the stall rule is the stop, at the iteration it fired
+    # at before the gap rule existed.
+    for snr_db, by_length in HIGH_SNR_STALLS.items():
+        for length, counts in by_length.items():
+            for s, count in enumerate(counts):
+                result = solve(_high_snr_pair(length, s, snr_db))
+                assert (result.stop_reason, result.iters) == ("stalled", count)
+                assert result.gap > GAP_RTOL
 
 
 def test_stall_stop_fires_at_the_first_iteration_the_rule_allows():
     # Capped solves replay the same iterates, so the objective after j
     # iterations is (residual * ||b||)^2 of the solve capped at j.
-    rng = np.random.default_rng(99)
-    _, noisy = noisy_pair(rng, 3, 3, 30.0)
+    noisy = _high_snr_pair(3, 3, 80.0)
     k = solve(noisy).iters
     norm_b = np.linalg.norm(noisy.stacked)
 
@@ -281,21 +372,24 @@ def test_stall_stop_fires_at_the_first_iteration_the_rule_allows():
     assert solve(noisy, SolverOptions(max_iters=k - 1)).stop_reason == "max_iters"
 
 
-def test_stalled_objective_matches_a_tightly_converged_solve(monkeypatch):
-    # The stall stop ends a noisy solve early, not at a worse fit: its
-    # objective is within 1e-8 of a solve with a 2000-iteration, 1e-14 stall
-    # look-back, and the fit stays below the planted pair's misfit.
+def test_gap_stopped_objective_is_certified_against_a_tightly_converged_solve(monkeypatch):
+    # The gap stop ends a noisy solve early, not at a worse fit: f(X) - f* is
+    # at most the gap, so f(X) exceeds the objective of a solve run with
+    # neither stop (a 2000-iteration, 1e-14 stall look-back) by at most
+    # GAP_RTOL f(X), and the fit stays below the planted pair's misfit.
     rng = np.random.default_rng(101)
     cases = [noisy_pair(rng, 3, 3, snr_db) for snr_db in (10.0, 40.0) for _ in range(3)]
-    stalled = [solve(noisy) for _, noisy in cases]
+    stopped = [solve(noisy) for _, noisy in cases]
+    monkeypatch.setattr("corrlift.solver.GAP_RTOL", -1.0)
     monkeypatch.setattr("corrlift.solver.STALL_WINDOW", 2000)
     monkeypatch.setattr("corrlift.solver.STALL_RTOL", 1e-14)
-    for (clean, noisy), result in zip(cases, stalled):
+    for (clean, noisy), result in zip(cases, stopped):
         tight = solve(noisy)
-        assert (result.stop_reason, tight.stop_reason) == ("stalled", "stalled")
+        assert (result.stop_reason, tight.stop_reason) == ("gap", "stalled")
         norm_b = np.linalg.norm(noisy.stacked)
         obj, tight_obj = ((r.residual * norm_b) ** 2 for r in (result, tight))
-        assert abs(obj - tight_obj) <= 1e-8 * tight_obj
+        assert tight_obj <= obj
+        assert obj - tight_obj <= result.gap * obj <= GAP_RTOL * obj
         assert result.residual * norm_b <= np.linalg.norm(noisy.stacked - clean.stacked)
 
 
@@ -307,9 +401,9 @@ def test_max_iters_stop_and_restart_count(monkeypatch):
     # one forward transform for the start, one per iteration, one per restart
     calls = []
 
-    def counting(s, x):
+    def counting(s, x, **kwargs):
         calls.append(1)
-        return forward_stacked(s, x)
+        return forward_stacked(s, x, **kwargs)
 
     monkeypatch.setattr("corrlift.solver.forward_stacked", counting)
     result = solve(noisy)
@@ -429,7 +523,7 @@ def _count_decompositions(monkeypatch):
 
     def counting(fn):
         def wrapper(a):
-            calls.append(1)
+            calls.append(fn.__name__)
             return fn(a)
 
         return wrapper
@@ -457,16 +551,25 @@ def test_noiseless_recover_decomposes_twice(monkeypatch):
 
 
 def test_noisy_solve_decomposes_once_per_projection(monkeypatch):
-    # The start, then one per iteration and one per restart; none follows
-    # the loop.
+    # The start, then one `_eigh` per iteration and one per restart; one
+    # `_eigvalsh` per gap check: every GAP_EVERY iterates, and at a stop on
+    # the stall rule or the cap unless the stopping iterate was checked.
     calls = _count_decompositions(monkeypatch)
     rng = np.random.default_rng(103)
-    for snr_db in (10.0, 40.0):
-        _, noisy = noisy_pair(rng, 3, 3, snr_db)
+    cases = [(noisy_pair(rng, 3, 3, snr_db)[1], None) for snr_db in (10.0, 40.0)]
+    cases += [(_high_snr_pair(3, 1, 80.0), None), (cases[0][0], SolverOptions(max_iters=25))]
+    reasons = []
+    for noisy, opts in cases:
         del calls[:]
-        result = solve(noisy)
+        result = solve(noisy, opts)
+        reasons.append(result.stop_reason)
         assert result.restarts > 0
-        assert len(calls) == 1 + result.iters + result.restarts
+        checks = result.iters // GAP_EVERY + (
+            result.stop_reason != "gap" and result.iters % GAP_EVERY != 0
+        )
+        assert calls.count("_eigh") == 1 + result.iters + result.restarts
+        assert calls.count("_eigvalsh") == checks
+    assert reasons == ["gap", "gap", "stalled", "max_iters"]
 
 
 def test_projection_inputs_after_the_first_are_hermitian(monkeypatch):

@@ -24,9 +24,11 @@ The commands are README's sweep example (all of whose options are
 ``corrlift sweep``'s defaults), the acceptance suite's criterion-10 sweep,
 README's other command-line examples, the two whose ``--signal`` or
 ``--snr-db`` value starts with a minus sign among them (every revision
-since 711e203 parses them), a noisy ``recover`` (which ends on the stall
-stop), the same ``recover`` with ``--max-iters 40`` (which ends on the
-iteration cap), a noiseless
+since 711e203 parses them), a noisy ``recover`` (which ends on the
+duality-gap stop), the same ``recover`` with ``--max-iters 40`` (which ends
+on the iteration cap), a ``recover`` of README's first pair at 80 dB (which
+ends on the stall stop), a noisy ``--reduced`` ``recover`` (which ends on the
+duality-gap stop with reduced measurements), a noiseless
 ``recover`` of README's shared-factor pair (a solution that is not rank-1),
 a noisy ``recover`` at shape (6, 6), a ``recover`` at shape (1, 1) and -20 dB
 whose fit is the zero matrix (the zero estimate), ``zeros`` and
@@ -114,6 +116,10 @@ COMMANDS = [
         "recover", "--l1", "3", "--l2", "3", "--snr-db", "20", "--seed", "1",
         "--max-iters", "40",
     ],
+    # README's first pair at 80 dB, where the stall stop fires before the
+    # duality-gap stop; then the gap stop on reduced measurements
+    ["recover", "--signal", "1,-1", "--signal", "1,0,-4", "--snr-db", "80"],
+    ["recover", "--reduced", "--snr-db", "20"],
     # noise that leaves no PSD fit but the zero matrix: x1_est=0j, x2_est=0j
     ["recover", "--l1", "1", "--l2", "1", "--snr-db", "-20", "--seed", "43"],
     # an end coefficient negligible next to the largest: the message and
