@@ -11,6 +11,12 @@ cluster's count between the factors, and an autocorrelation member picks,
 for every group of a cluster and the cluster at its reflection, how many
 of the group's zeros sit at the reflection.
 
+Both families, and the product rows of ``corrlift zeros``, read one
+clustering routine, `cluster_zeros`, with one rule: zeros merge when their
+centroids lie within DEFAULT_CLUSTER_TOL times the largest zero magnitude,
+and two clusters more than that but at most twice that apart raise a
+RuntimeWarning, since the classes then hang on the tolerance.
+
 A convolution family is a read-only `np.recarray`: row `c` is one class
 (`c.x1_rep`, `c.x2_rep`) and `family.x1_rep` the (K, l1) column of left
 factors.  An autocorrelation family is a read-only (k, n) array, one signal
@@ -65,12 +71,18 @@ _RECONVOLVE_TOL = 1e-7
 _BLOCK = 512
 
 
-def cluster_zeros(zs, threshold: float) -> list:
-    """Agglomerate zeros whose centroids fall within `threshold`.
+def cluster_zeros(zs) -> tuple[list, float]:
+    """Agglomerate zeros whose centroids fall within DEFAULT_CLUSTER_TOL * max |z|.
 
-    Returns (centroid, multiplicity) pairs sorted by (re, im) for
-    deterministic downstream enumeration.
+    Returns the (centroid, multiplicity) pairs, sorted by (re, im) for
+    deterministic downstream enumeration, and the threshold they were
+    merged at (0 for no zeros).  Warns (RuntimeWarning, at the caller of
+    the routine that called this one) when two clusters lie within a
+    factor two of merging: more than the threshold but at most twice it
+    apart, where the clustering, and every family built from it, is
+    sensitive to the tolerance.
     """
+    threshold = DEFAULT_CLUSTER_TOL * max((abs(z) for z in zs), default=0.0)
     clusters = [[complex(z)] for z in zs]
     # Centroids are always np.mean of a cluster's members (a singleton's
     # mean can differ from the zero in the sign of a zero part); only a
@@ -89,24 +101,19 @@ def cluster_zeros(zs, threshold: float) -> list:
                     break
             if merged:
                 break
+    if any(
+        threshold < abs(a - b) <= 2.0 * threshold
+        for a, b in itertools.combinations(centroids, 2)
+    ):
+        warnings.warn(
+            "two zero clusters are within a factor two of merging; "
+            "the class enumeration is sensitive to the clustering tolerance",
+            RuntimeWarning,
+            stacklevel=3,
+        )
     out = [(c, len(members)) for c, members in zip(centroids, clusters)]
     out.sort(key=lambda t: (t[0].real, t[0].imag))
-    return out
-
-
-def _warn_if_near_merge(clusters, threshold: float) -> None:
-    centroids = [c for c, _ in clusters]
-    for i in range(len(centroids)):
-        for j in range(i + 1, len(centroids)):
-            gap = abs(centroids[i] - centroids[j])
-            if threshold < gap <= 2.0 * threshold:
-                warnings.warn(
-                    "two zero clusters are within a factor two of merging; "
-                    "the class enumeration is sensitive to the clustering tolerance",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                return
+    return out, threshold
 
 
 def count_bounds(x1: Signal, x2: Signal) -> tuple[int, int]:
@@ -126,8 +133,8 @@ def count_bounds(x1: Signal, x2: Signal) -> tuple[int, int]:
 def enumerate_convolution_ambiguities(x1: Signal, x2: Signal) -> np.recarray:
     """All factorization classes of convolve(x1, x2) with the given lengths.
 
-    Zeros of the product (union of the factors' zeros) are clustered at
-    DEFAULT_CLUSTER_TOL relative to the largest magnitude, then every multiset
+    Zeros of the product (union of the factors' zeros) are clustered by
+    `cluster_zeros`, relative to the largest magnitude, then every multiset
     split whose sizes fit the factor lengths yields one representative,
     with the combined unit placed on the left factor.  Classes are ordered
     lexicographically by the assigned index subset and each is verified to
@@ -149,10 +156,7 @@ def enumerate_convolution_ambiguities(x1: Signal, x2: Signal) -> np.recarray:
     conv_norm = float(np.linalg.norm(conv))
 
     # No zeros (l1 = l2 = 1): empty tables give the one class (unit) | (1).
-    scale = max((abs(z) for z in all_zeros), default=0.0)
-    threshold = DEFAULT_CLUSTER_TOL * scale
-    clusters = cluster_zeros(all_zeros, threshold)
-    _warn_if_near_merge(clusters, threshold)
+    clusters, _ = cluster_zeros(all_zeros)
 
     # Every class gives the left factor l1-1 of the d zeros.  Within a
     # cluster of a repeated zero only the count matters, so a class is the
@@ -234,13 +238,13 @@ def enumerate_autocorr_ambiguities(x: Signal) -> np.ndarray:
     """All signals sharing correlate(x, x), one per reflection choice.
 
     Every zero zeta of x pairs with 1/conj(zeta) in the autocorrelation's
-    zero set.  The zeros are clustered at DEFAULT_CLUSTER_TOL * max(1,
-    max |zeta|), as for the convolution classes, so zeros within that
-    threshold count as one repeated zero.  Each cluster c joins the later
-    cluster at 1/conj(c), if any, in a group of t zeros.  A cluster within
-    the threshold of its reflection lies on the unit circle and has one
-    choice; any other group has t + 1: k = 0..t of its zeros at 1/conj(c),
-    the rest at c.  Each combination of choices is one member (at most
+    zero set.  The zeros are clustered by `cluster_zeros`, as for the
+    convolution classes, so zeros within its threshold (relative to the
+    largest |zeta|) count as one repeated zero.  Each cluster c joins the
+    later cluster at 1/conj(c), if any, in a group of t zeros.  A cluster
+    within the threshold of its reflection lies on the unit circle and has
+    one choice; any other group has t + 1: k = 0..t of its zeros at
+    1/conj(c), the rest at c.  Each combination of choices is one member (at most
     2^{N-1}, distinct by construction), ordered as `itertools.product`
     over the groups in their first cluster's (re, im) order, k ascending.
     Members are scaled to the autocorrelation's norm with a real positive
@@ -257,10 +261,7 @@ def enumerate_autocorr_ambiguities(x: Signal) -> np.ndarray:
     acf = correlate(x, x)
     acf_norm = float(np.linalg.norm(acf))
     # For n = 1 there are no zeros: one member, (sqrt(acf_norm)).
-    zeros = roots(x)
-    threshold = DEFAULT_CLUSTER_TOL * max([1.0, *(abs(z) for z in zeros)])
-    clusters = cluster_zeros(zeros, threshold)
-    _warn_if_near_merge(clusters, threshold)
+    clusters, threshold = cluster_zeros(roots(x))
 
     choice_sets = []
     while clusters:

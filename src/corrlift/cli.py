@@ -4,8 +4,8 @@ Subcommands
 -----------
 ``sweep``        Monte-Carlo recovery over an SNR grid, emitting one CSV row
                  per trial.
-``zeros``        Cluster and print the zeros of two signals and their
-                 convolution.
+``zeros``        Cluster and print the zeros of two signals and of their
+                 convolution, whose zeros are the two signals' together.
 ``certify``      Evaluate the Gram certificate and tangent-space rank for a
                  signal pair.
 ``ambiguities``  Enumerate the equivalence classes consistent with the
@@ -30,13 +30,8 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .ambiguity import (
-    DEFAULT_CLUSTER_TOL,
-    cluster_zeros,
-    count_bounds,
-    enumerate_convolution_ambiguities,
-)
-from .poly import Signal, as_signal, convolve, require_c00, roots
+from .ambiguity import cluster_zeros, count_bounds, enumerate_convolution_ambiguities
+from .poly import Signal, as_signal, require_c00, roots
 from .sensing import NoiseModel, add_noise, measure
 from .solver import (
     MAX_ITERS,
@@ -253,16 +248,19 @@ def write_records(records: Sequence[TrialRecord], stream: IO[str]) -> None:
 
 
 def cmd_zeros(x1: Signal, x2: Signal) -> list[dict[str, object]]:
-    """Tabulate clustered zeros of ``x1``, ``x2``, and their convolution."""
+    """Tabulate clustered zeros of ``x1``, ``x2``, and their convolution.
+
+    The convolution's zeros are x1's and x2's together, clustered as one
+    set: the clusters the convolution ambiguity classes split.
+    """
     x1 = require_c00(x1)
     x2 = require_c00(x2)
+    z1 = roots(x1, "x1").tolist()
+    z2 = roots(x2, "x2").tolist()
     rows: list[dict[str, object]] = []
-    for which, sig in (("x1", x1), ("x2", x2), ("product", convolve(x1, x2))):
-        zs = roots(sig, which)
-        if not zs.size:
-            continue
-        threshold = DEFAULT_CLUSTER_TOL * max(abs(z) for z in zs)
-        for centroid, mult in cluster_zeros(zs, threshold):
+    for which, zs in (("x1", z1), ("x2", z2), ("product", z1 + z2)):
+        clusters, _ = cluster_zeros(zs)
+        for centroid, mult in clusters:
             rows.append(
                 {
                     "which": which,
@@ -504,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(handler=_run_sweep)
 
     zeros = sub.add_parser(
-        "zeros", help="cluster and print zeros of a pair and its convolution"
+        "zeros", help="cluster and print zeros of x1, x2 and x1 * x2 (x1's and x2's together)"
     )
     _add_signal_flag(zeros)
     zeros.add_argument("--out", default=None, help="CSV output path")

@@ -19,7 +19,7 @@ from corrlift.ambiguity import (
     enumerate_autocorr_ambiguities,
     enumerate_convolution_ambiguities,
 )
-from corrlift.cli import cmd_ambiguities, gen_signal
+from corrlift.cli import cmd_ambiguities, cmd_zeros, gen_signal
 from corrlift.poly import convolve, correlate, from_roots, roots
 from corrlift.solver import aligned_mse
 
@@ -250,7 +250,7 @@ def _loop_convolution_classes(x1, x2):
     zs = roots(x1).tolist() + roots(x2).tolist()
     if not zs:
         return [(np.array([unit]), np.array([1.0 + 0.0j]))]
-    clusters = cluster_zeros(zs, DEFAULT_CLUSTER_TOL * max(abs(z) for z in zs))
+    clusters, _ = cluster_zeros(zs)
     offsets = np.concatenate([[0], np.cumsum([m for _, m in clusters])])
     candidates = []
     for counts in itertools.product(*(range(m + 1) for _, m in clusters)):
@@ -271,9 +271,7 @@ def _loop_autocorr(x):
     """One output per count of reflected zeros in each reflection group."""
     acf = correlate(x, x)
     acf_norm = float(np.linalg.norm(acf))
-    zeros = roots(x).tolist()
-    threshold = DEFAULT_CLUSTER_TOL * max([1.0, *(abs(z) for z in zeros)])
-    clusters = cluster_zeros(zeros, threshold)
+    clusters, threshold = cluster_zeros(roots(x).tolist())
     paired = set()
     choices = []
     for i, (c, t) in enumerate(clusters):
@@ -427,6 +425,20 @@ def test_autocorr_merges_zeros_within_the_clustering_threshold():
     assert len(family) == 3
 
 
+def test_autocorr_clusters_small_zeros_relative_to_their_size():
+    # 1e-3 and 1e-3(1 + 1e-4) lie 1e-7 apart, far outside the threshold
+    # 1e-6 x 1e-3 relative to the largest zero: two zeros, 2 x 2 members,
+    # as the convolution family holds their 2 splits
+    a, b = [1.0, -1e-3], [1.0, -1e-3 * (1.0 + 1e-4)]
+    x = convolve(a, b)
+    acf = correlate(x, x)
+    family = enumerate_autocorr_ambiguities(x)
+    assert len(family) == 4
+    for y in family:
+        assert np.linalg.norm(correlate(y, y) - acf) <= 1e-7 * np.linalg.norm(acf)
+    assert len(enumerate_convolution_ambiguities(a, b)) == 2
+
+
 def test_bad_merge_fails_reconvolution(monkeypatch):
     # at this tolerance the zeros 1 and 1.3 merge into one double zero
     monkeypatch.setattr(ambiguity, "DEFAULT_CLUSTER_TOL", 0.5)
@@ -458,7 +470,7 @@ def _filtered_classes(x1, x2):
     unit = complex(x1[0]) * complex(x2[0])
     zs = roots(x1).tolist() + roots(x2).tolist()
     d = len(zs)
-    clusters = cluster_zeros(zs, DEFAULT_CLUSTER_TOL * max(abs(z) for z in zs))
+    clusters, _ = cluster_zeros(zs)
     starts = np.zeros(d, dtype=bool)
     starts[np.cumsum([0] + [m for _, m in clusters[:-1]])] = True
     subsets = np.array(list(itertools.combinations(range(d), l1 - 1)), dtype=np.intp)
@@ -520,6 +532,13 @@ def test_near_merge_warning_points_at_the_caller():
         line = inspect.currentframe().f_lineno + 1
         enumerate_autocorr_ambiguities(x)
     assert [(w.filename, w.lineno) for w in record] == [(__file__, line)]
+    # `zeros` clusters the product's zeros, x1's and x2's, as the
+    # convolution family does
+    with pytest.warns(RuntimeWarning, match="within a factor two of merging") as record:
+        line = inspect.currentframe().f_lineno + 1
+        rows = cmd_zeros(x1, x2)
+    assert [(w.filename, w.lineno) for w in record] == [(__file__, line)]
+    assert [r["which"] for r in rows] == ["x1", "x2", "product", "product"]
 
 
 def test_circle_parity_warning_points_at_the_caller():

@@ -7,6 +7,7 @@ import csv
 import dataclasses
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,6 +222,44 @@ def test_cmd_zeros_multiplicity():
     assert float(rows[0]["re"]) == pytest.approx(1.0, abs=1e-6)
 
 
+def _assert_product_rows_are_the_factor_rows(rows):
+    # Every product row is one of x1's and x2's rows, to the bit, or, for a
+    # zero both hold, the centroid of their rows with the multiplicities
+    # added; the product rows come sorted by (re, im).
+    def zeros(*which):
+        return [
+            (complex(float(r["re"]), float(r["im"])), int(r["multiplicity"]))
+            for r in rows
+            if r["which"] in which
+        ]
+
+    factors, product = zeros("x1", "x2"), zeros("product")
+    assert product == sorted(product, key=lambda t: (t[0].real, t[0].imag))
+    scale = max(abs(z) for z, _ in factors)
+    matched = []
+    for z, m in product:
+        near = [(w, n) for w, n in factors if abs(w - z) <= 1e-12 * scale]
+        assert sum(n for _, n in near) == m
+        if len(near) == 1:
+            assert near[0][0] == z
+        matched += near
+    assert sorted(matched, key=repr) == sorted(factors, key=repr)
+
+
+def test_cmd_zeros_product_rows_are_the_factor_rows(monkeypatch):
+    # README's pairs, one with the shared zero 2, and the certify-ambiguity
+    # pairs of the byte-identity check, with 0, 1 and 2 shared zeros
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    from byte_identity import CERTIFY_PAIRS, README_PAIRS
+
+    shared = []
+    for x1, x2 in README_PAIRS + CERTIFY_PAIRS:
+        rows = cmd_zeros(_parse_signal(x1), _parse_signal(x2))
+        _assert_product_rows_are_the_factor_rows(rows)
+        shared.append(sum(r["multiplicity"] - 1 for r in rows if r["which"] == "product"))
+    assert shared == [0, 0, 1, 0, 1, 2]
+
+
 def test_cmd_certify_parses_back():
     x1 = np.array([1.0, 2.0j])
     x2 = np.array([1.0, -1.0, 3.0])
@@ -298,9 +337,9 @@ def test_main_zeros_and_ambiguities_stdout_pinned_on_a_complex_pair(capsys):
         "x1,-0.5429325914024077,-0.2066365466713874,1\n"
         "x1,0.7429325914024076,0.30663654667138734,1\n"
         "x2,0.2,-0.4,1\n"
-        "product,-0.5429325914024076,-0.20663654667138734,1\n"
-        "product,0.19999999999999998,-0.4,1\n"
-        "product,0.7429325914024076,0.3066365466713874,1\n"
+        "product,-0.5429325914024077,-0.2066365466713874,1\n"
+        "product,0.2,-0.4,1\n"
+        "product,0.7429325914024076,0.30663654667138734,1\n"
     )
     assert main(["ambiguities", *pair]) == 0
     assert capsys.readouterr().out == (
@@ -421,15 +460,18 @@ def test_main_ambiguities_rejects_unresolvable_zeros(capsys):
     assert "resolvable zeros" in capsys.readouterr().err
 
 
-def test_main_zeros_rejects_a_non_finite_residual(capsys):
-    # the roots of x1 * x2 overflow in the polish, which used to print NaN
-    # zeros and exit 0
+def test_main_zeros_prints_the_factors_zeros_where_the_products_polish_overflows(capsys):
+    # Rooting x1 * x2 itself overflows in the polish ("a residual is not
+    # finite"); its zeros are x1's and x2's, each rooted on its own.
     x1 = "1,0.3,-0.2,0.5,0.1,0.7,-0.4,0.2,0.9,-0.3,0.6,0.1,-0.8,0.4,0.3,"
     x1 += "-0.2,0.5,0.1,0.7,-0.4,0.2,0.9,-0.3,0.6,0.1,-0.8,0.4,0.3,-0.5,2e-12"
-    assert main(["zeros", "--signal", x1, "--signal", "1,1"]) == 2
+    assert main(["zeros", "--signal", x1, "--signal", "1,1"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: product: root finding did not converge: a residual is not finite\n"
+    assert captured.err == ""
+    rows = list(csv.DictReader(io.StringIO(captured.out)))
+    assert [r["which"] for r in rows] == ["x1"] * 29 + ["x2"] + ["product"] * 30
+    assert all(math.isfinite(float(r[k])) for r in rows for k in ("re", "im"))
+    _assert_product_rows_are_the_factor_rows(rows)
 
 
 @pytest.mark.filterwarnings("error")

@@ -7,7 +7,9 @@ draws are derandomized so the suite stays deterministic.
 
 from __future__ import annotations
 
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -334,6 +336,41 @@ def test_autocorr_family_holds_one_distinct_member_per_group_count(groups):
     gaps = np.abs(family[:, None] - family[None]).max(axis=2)
     close = gaps <= 1e-7 * np.maximum(peaks[:, None], peaks[None])
     assert np.array_equal(close, np.eye(len(family), dtype=bool))
+
+
+@st.composite
+def small_close_zeros(draw):
+    """2-3 zeros of magnitude (0.3-0.9) 2^-k, k = 6..10, each 1e-4 to 1e-3
+    of its size from the one before, in a random direction.
+
+    Every pair is drawn at least 1e-4 apart relative to its size: far
+    above the clustering threshold, which is relative to the largest zero.
+    """
+    m = draw(st.integers(min_value=2, max_value=3))
+    k = draw(st.integers(min_value=6, max_value=10))
+    r = draw(st.floats(min_value=0.3, max_value=0.9))
+    angle = st.floats(min_value=0.0, max_value=2.0 * math.pi)
+    zeros = [cmath.rect(r * 2.0**-k, draw(angle))]
+    for _ in range(m - 1):
+        step = draw(st.floats(min_value=1e-4, max_value=1e-3))
+        zeros.append(zeros[-1] + cmath.rect(abs(zeros[-1]) * step, draw(angle)))
+    assume(all(abs(a - b) >= 1e-4 * abs(a) for i, a in enumerate(zeros) for b in zeros[:i]))
+    return zeros
+
+
+@PROPERTY_SETTINGS
+@given(zeros=small_close_zeros())
+def test_autocorr_family_clusters_small_zeros_relative_to_their_size(zeros):
+    # zeros well inside the disk, closer to each other than 1e-6 but much
+    # farther apart than 1e-6 of their size, are distinct: 2^m members
+    x = from_roots(1.0, [zeros])[:, 0]
+    acf = correlate(x, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        family = enumerate_autocorr_ambiguities(x)
+    assert len(family) == 2 ** len(zeros)
+    for y in family:
+        assert np.linalg.norm(correlate(y, y) - acf) <= 1e-7 * np.linalg.norm(acf)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

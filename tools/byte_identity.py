@@ -10,8 +10,10 @@ runs as ``python -m corrlift.cli`` in both trees, each tree's ``src`` first
 on ``PYTHONPATH`` and each command in a fresh empty working directory.  The
 check compares stdout, stderr, exit status and the bytes of every file a
 command writes there (the sweep and zeros CSVs).  It prints one line per
-command and exits 1 if any of them differs, unless the change declares
-that difference as below, and 0 otherwise.
+command and, under a command that differs, a unified diff of each stream
+and file that differs, cut to its first ``DIFF_LINES`` lines.  It exits 1
+if any command differs, unless the change declares that difference as
+below, and 0 otherwise.
 
 A change that means to alter some outputs declares the corrlift
 subcommands whose runs it alters in a ``Byte-identity-differs: NAME, ...``
@@ -33,10 +35,11 @@ duality-gap stop with reduced measurements), a noiseless
 a noisy ``recover`` at shape (6, 6), a ``recover`` at shape (1, 1) and -20 dB
 whose fit is the zero matrix (the zero estimate), ``zeros`` and
 ``ambiguities`` rejecting a pair with a negligible end coefficient,
-``zeros`` rejecting a pair whose product's root polish overflows, and
-``certify``, ``ambiguities`` and ``zeros`` on README's pairs and on three
-certify-ambiguity benchmark pairs (seed 1: shape (8, 9) with no common
-zero, (7, 8) with one, (6, 6) with two), written as ``--signal`` literals.
+``zeros`` on a pair whose product's root polish would overflow (it prints
+the factors' zeros and exits 0), and ``certify``, ``ambiguities`` and
+``zeros`` on README's pairs and on three certify-ambiguity benchmark pairs
+(seed 1: shape (8, 9) with no common zero, (7, 8) with one, (6, 6) with
+two), written as ``--signal`` literals.
 
 Uses only the standard library.
 """
@@ -44,6 +47,7 @@ Uses only the standard library.
 from __future__ import annotations
 
 import argparse
+import difflib
 import os
 import subprocess
 import sys
@@ -127,6 +131,7 @@ COMMANDS = [
     ["zeros", "--signal", "1,1e-300", "--signal", "1,2"],
     ["ambiguities", "--signal", "1,1e-12", "--signal", "1,1"],
     # a product whose root polish overflows: older revisions print NaN zeros
+    # or reject it; the product rows are now the factors' zeros, exit 0
     [
         "zeros", "--signal",
         "1,0.3,-0.2,0.5,0.1,0.7,-0.4,0.2,0.9,-0.3,0.6,0.1,-0.8,0.4,0.3,"
@@ -143,6 +148,7 @@ for _x1, _x2 in README_PAIRS + CERTIFY_PAIRS:
 
 SUBCOMMANDS = sorted({command[0] for command in COMMANDS})
 TRAILER = "Byte-identity-differs"
+DIFF_LINES = 12
 
 
 def parse_args(argv):
@@ -204,6 +210,36 @@ def run(tree: Path, args, scratch: Path) -> dict:
     }
 
 
+def print_diff(name: str, base: bytes, change: bytes) -> None:
+    """A unified diff of one stream or file, indented, cut to DIFF_LINES lines."""
+    lines = list(
+        difflib.unified_diff(
+            base.decode(errors="replace").splitlines(),
+            change.decode(errors="replace").splitlines(),
+            f"base/{name}",
+            f"change/{name}",
+            lineterm="",
+        )
+    )
+    for line in lines[:DIFF_LINES]:
+        print(f"    {line}")
+    if len(lines) > DIFF_LINES:
+        print(f"    ... {len(lines) - DIFF_LINES} more diff lines")
+
+
+def print_diffs(base: dict, change: dict) -> None:
+    """The diffs of every stream and written file that differ between two runs."""
+    if base["exit"] != change["exit"]:
+        print(f"    exit: {base['exit']} -> {change['exit']}")
+    for stream in ("stdout", "stderr"):
+        if base[stream] != change[stream]:
+            print_diff(stream, base[stream], change[stream])
+    for name in sorted(base["files"].keys() | change["files"].keys()):
+        old, new = base["files"].get(name), change["files"].get(name)
+        if old != new:
+            print_diff(name, old or b"", new or b"")
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     expected = args.expected
@@ -229,6 +265,8 @@ def main(argv=None) -> int:
             if diff and command[0] in expected:
                 status += " (declared)"
             print(f"{status} (exit {out['change']['exit']}): corrlift {shown}")
+            if diff:
+                print_diffs(out["base"], out["change"])
     print(
         f"{failing} of {len(COMMANDS)} commands differ from {args.base} "
         f"({base_commit[:12]}) in an undeclared subcommand"
