@@ -28,15 +28,16 @@ member per column, and one product along that class axis
 (`_reconvolution_errors`) checks every member against the source
 convolution or autocorrelation.  The convolution classes gather their
 zeros through index tables that depend only on the shape and are built
-once per shape; the subset filter for repeated zeros runs only when a
-cluster holds more than one zero.  They are built in blocks of `_BLOCK`
-classes into a record array allocated first: each block is expanded,
-checked and copied into its rows before the next is gathered, so the
-enumeration holds one block's tables besides its output, and a failing
-check raises at the first block that holds a failing class.  The
-autocorrelation family (at most 2^12 members) is one batch: one row of
-zeros per combination of group counts, its scale from the same product
-against a zero target, and its table transposed once, to rows.
+once per shape, and kept as int8; the subset filter for repeated zeros
+runs only when a cluster holds more than one zero.  They are built in
+blocks of `_BLOCK` classes into a record array allocated first: each block
+widens its rows of the tables to intp, gathers, expands, checks and is
+copied into its rows, through the two field views fetched once, before the
+next is gathered, so the enumeration holds one block's tables besides its
+output, and a failing check raises at the first block that holds a failing
+class.  The autocorrelation family (at most 2^12 members) is one batch:
+one row of zeros per combination of group counts, its scale from the same
+product against a zero target, and its table transposed once, to rows.
 """
 
 from __future__ import annotations
@@ -170,21 +171,23 @@ def enumerate_convolution_ambiguities(x1: Signal, x2: Signal) -> np.recarray:
         left, right = left[keep], right[keep]
     zs = np.repeat([z for z, _ in clusters], [m for _, m in clusters])
     dtype = [("x1_rep", complex, (l1,)), ("x2_rep", complex, (l2,))]
-    classes = np.empty(len(left), dtype=dtype).view(np.recarray)
+    classes = np.empty(len(left), dtype=dtype)
+    x1_out, x2_out = classes["x1_rep"], classes["x2_rep"]
     for start in range(0, len(left), _BLOCK):
         rows = slice(start, start + _BLOCK)
         # Gathered class axis last, so `from_roots` reads contiguous
         # columns, and expanded to (l, K) tables: one signal per column.
-        x1_cols = from_roots(unit, zs[left[rows].T].T)
-        x2_cols = from_roots(1.0, zs[right[rows].T].T)
+        x1_cols = from_roots(unit, zs[left[rows].astype(np.intp).T].T)
+        x2_cols = from_roots(1.0, zs[right[rows].astype(np.intp).T].T)
         if np.any(_reconvolution_errors(x1_cols, x2_cols, conv) > _RECONVOLVE_TOL * conv_norm):
             raise RuntimeError(
                 "clustered zeros fail to reproduce the convolution within "
                 f"{_RECONVOLVE_TOL:g} relative; distinct zeros were merged at "
                 f"the clustering tolerance {DEFAULT_CLUSTER_TOL:g}"
             )
-        classes.x1_rep[rows].T[...] = x1_cols
-        classes.x2_rep[rows].T[...] = x2_cols
+        x1_out[rows].T[...] = x1_cols
+        x2_out[rows].T[...] = x2_cols
+    classes = classes.view(np.recarray)
     classes.flags.writeable = False
     return classes
 

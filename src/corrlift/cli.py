@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import math
 import sys
 from dataclasses import dataclass, field, fields
@@ -239,6 +238,10 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
 
 def write_records(records: Sequence[TrialRecord], stream: IO[str]) -> None:
     """Write sweep rows as CSV with a fixed header and LF line endings."""
+    # csv is imported by its two users, so that importing corrlift.cli
+    # does not load it
+    import csv
+
     writer = csv.DictWriter(
         stream, fieldnames=list(CSV_FIELDS), lineterminator="\n"
     )
@@ -383,6 +386,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
 def _run_zeros(args: argparse.Namespace) -> int:
     x1, x2 = _signal_pair(args)
     rows = cmd_zeros(x1, x2)
+    import csv
+
     with _open_out(args.out) as stream:
         writer = csv.DictWriter(
             stream, fieldnames=list(ZEROS_FIELDS), lineterminator="\n"

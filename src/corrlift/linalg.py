@@ -16,7 +16,8 @@ Contents
                                input and its eigenpairs; the solver's
                                projection, run once per iteration, whose
                                last eigenpairs give the solver's estimate
-- numeric_rank               : singular-value-threshold rank of a dense matrix
+- numeric_rank               : singular-value-threshold rank of a dense
+                               matrix, its singular values from `_svdvals`
 
 All routines operate on dense ndarrays; matrices here stay small (N of order
 tens), so no sparsity or blocking is attempted.
@@ -31,7 +32,10 @@ dispatch and result wrapping) costs about a third of the call, and `solve`
 runs one `_eigh` per projection.  The gufunc signals a failed LAPACK call by NaN
 eigenvalues and NumPy's "invalid value" RuntimeWarning; the helpers turn a
 NaN first eigenvalue into the LinAlgError "Eigenvalues did not converge"
-that NumPy raises.
+that NumPy raises.  `_svdvals` is likewise the values-only SVD gufunc of
+`np.linalg.svd(a, compute_uv=False)`, `svd` (NumPy 2) or `svd_m`/`svd_n`
+by shape (NumPy 1), looked up once at import; `numeric_rank` turns its NaN
+first value into NumPy's "SVD did not converge".
 """
 
 from __future__ import annotations
@@ -46,6 +50,17 @@ ComplexMatrix = np.ndarray
 HermitianMatrix = np.ndarray
 
 DEFAULT_RANK_TOL = 1e-8
+
+# The singular values of one matrix, descending: the gufunc that
+# `np.linalg.svd(a, compute_uv=False)` runs.  NumPy 1 has two, picked by
+# shape, where NumPy 2 has one.
+if hasattr(_umath_linalg, "svd"):
+    _svdvals = _umath_linalg.svd
+else:
+
+    def _svdvals(a: np.ndarray) -> np.ndarray:
+        gufunc = _umath_linalg.svd_m if a.shape[0] < a.shape[1] else _umath_linalg.svd_n
+        return gufunc(a)
 
 
 def _eigh(a: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -157,14 +172,23 @@ def numeric_rank(a: ComplexMatrix) -> int:
     that is the eigenvalues of A^H A exceeding DEFAULT_RANK_TOL**2 times the
     largest; the zero matrix has rank 0.  The singular values are compared
     unsquared, so neither a huge nor a tiny scale overflows or underflows
-    the test.  A real matrix, such as the tangent Jacobian, keeps its real
-    SVD.
+    the test.  They come from `_svdvals`, the values-only gufunc that
+    `np.linalg.svd(a, compute_uv=False)` runs, in float64 or complex128: a
+    real matrix, such as the tangent Jacobian, keeps its real SVD.  A NaN
+    first value, the gufunc's mark of a failed LAPACK call, raises the
+    LinAlgError "SVD did not converge" that NumPy raises; as with `_eigh`,
+    the gufunc's "invalid value" RuntimeWarning comes first, where
+    `np.linalg.svd` raised silently.
     """
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {a.shape}")
-    sing = np.linalg.svd(a, compute_uv=False)
-    top = float(sing[0]) if sing.size else 0.0
+    sing = _svdvals(a.astype(complex if a.dtype.kind == "c" else float, copy=False))
+    if not sing.size:
+        return 0
+    top = float(sing[0])
+    if math.isnan(top):
+        raise LinAlgError("SVD did not converge")
     if top <= 0.0:
         return 0
     return int(np.count_nonzero(sing > DEFAULT_RANK_TOL * top))

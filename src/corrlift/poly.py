@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .linalg import _eigvals
 
@@ -193,7 +192,11 @@ def from_roots(unit: complex, zeros) -> np.ndarray:
 
 def _polydiv(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Ascending-order long division; den's last entry is its true leading
-    # coefficient (callers trim first).
+    # coefficient (callers trim first).  Imported here, by its only user:
+    # `poly_gcd` and `gsd` have no library caller, so importing corrlift
+    # need not load numpy.polynomial.
+    from numpy.polynomial import polynomial as npoly
+
     q, r = npoly.polydiv(num, den)
     return np.atleast_1d(q.astype(complex)), np.atleast_1d(r.astype(complex))
 

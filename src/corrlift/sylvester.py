@@ -18,11 +18,19 @@ plain-reversed (zero-extended) correlation window,
 
 which `certificate_multipliers` builds from the data alone and
 `certificate_report` checks entrywise against S^H S.
+
+Everything that depends only on the shape (l1, l2) is an index table,
+built once per shape and cached for the 32 most recent, read-only as
+`build_sensing`'s: the multipliers' gather, the positions of S's entries,
+and the gather and scatter that build the tangent Jacobian.  S is one
+scatter of (x2, -x1) and the Jacobian one gather and one scatter, so a
+call pays no per-shape index work.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,26 +44,37 @@ from .sensing import Measurements, adjoint, build_sensing, measure
 MULTIPLIER_TOL = 1e-10
 
 
+@functools.lru_cache(maxsize=32)
+def _padded_scatter(l1: int, l2: int) -> tuple[np.ndarray, np.ndarray]:
+    # Flat positions in the n x n S of its l1*l2 + l2*l1 structural entries
+    # and, for each, its entry of (x2, -x1): column j < l1 holds x2 from row
+    # j down, column l1 + j holds -x1 from row j down.
+    n = l1 + l2
+    i2, j2 = np.indices((l2, l1))
+    i1, j1 = np.indices((l1, l2))
+    flat = np.concatenate([((i2 + j2) * n + j2).ravel(), ((i1 + j1) * n + l1 + j1).ravel()])
+    src = np.concatenate([i2.ravel(), l2 + i1.ravel()])
+    flat.flags.writeable = src.flags.writeable = False
+    return flat, src
+
+
 def build_padded(x1: Signal, x2: Signal) -> np.ndarray:
     """Square N x N Sylvester matrix of the zero-padded pair.
 
     Columns are down-shifts of (x2; 0) and of (-x1; 0); the product with the
     stacked pair (v1; v2) is the convolution difference x2*v1 - x1*v2 on the
-    first N-1 rows and zero on the last.  Requires both signals to have
+    first N-1 rows and zero on the last.  The entries are one scatter of
+    (x2, -x1) through position tables that depend only on the shape and are
+    cached for the 32 most recent shapes.  Requires both signals to have
     nonzero first and last coefficients.
     """
     x1 = require_c00(x1)
     x2 = require_c00(x2)
-    l1, l2 = x1.size, x2.size
-    n = l1 + l2
-    a = np.concatenate([-x1, np.zeros(l2, dtype=complex)])
-    b = np.concatenate([x2, np.zeros(l1, dtype=complex)])
-    s = np.zeros((n, n), dtype=complex)
-    for j in range(l1):
-        s[j:, j] = b[: n - j]
-    for j in range(l2):
-        s[j:, l1 + j] = a[: n - j]
-    return s
+    n = x1.size + x2.size
+    flat, src = _padded_scatter(x1.size, x2.size)
+    s = np.zeros(n * n, dtype=complex)
+    s[flat] = np.concatenate([x2, -x1])[src]
+    return s.reshape(n, n)
 
 
 def gcd_degree(x1: Signal, x2: Signal) -> int:
@@ -125,8 +144,8 @@ def _pow2_scale(a: np.ndarray) -> float:
     # [0.5, 1) (or as near as 2**1023, the largest finite power, gets a
     # subnormal `a`); multiplying by it is exact unless an entry falls
     # subnormal.
-    _, exponent = np.frexp(np.abs(a).max())
-    return float(np.ldexp(1.0, min(-int(exponent), 1023)))
+    _, exponent = math.frexp(np.abs(a).max())
+    return math.ldexp(1.0, min(-exponent, 1023))
 
 
 def _balanced_rank(s: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> int:
@@ -137,9 +156,7 @@ def _balanced_rank(s: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> int:
     # tolerance relative to the largest singular value then no longer
     # tracks the ratio of the two scales.  An entry that underflows only
     # becomes a zero of S.
-    scales = np.concatenate(
-        [np.full(x1.size, _pow2_scale(x2)), np.full(x2.size, _pow2_scale(x1))]
-    )
+    scales = np.repeat([_pow2_scale(x2), _pow2_scale(x1)], [x1.size, x2.size])
     return numeric_rank(s * scales)
 
 
@@ -179,40 +196,61 @@ def certificate_report(x1: Signal, x2: Signal) -> CertificateReport:
     )
 
 
+@functools.lru_cache(maxsize=32)
+def _tangent_scatter(l1: int, l2: int) -> tuple[np.ndarray, np.ndarray]:
+    # Tables of `_tangent_jacobian` for one shape.  The trace against A_m
+    # reads x h* at its band entries (r, c) as x[c] conj(h[r]) and h x* as
+    # h[c] conj(x[r]), so the image of h = e_j is p[:, j] + q[:, j] and that
+    # of i e_j is i (q[:, j] - p[:, j]), with p[m, r] = x[c] and
+    # q[m, c] = conj(x[r]) over the band entries (r, c) of A_m, zero
+    # elsewhere.  `pick` indexes (x, conj x, 0) for the p and then the q
+    # values of every entry (m, j) where either is structurally nonzero;
+    # `dest` places the (re, im) pairs of p + q and then of i (q - p) in the
+    # flat real (8n-8) x 2n matrix: re in row m, im in row 4n-4+m, column 2j
+    # for e_j and 2j+1 for i e_j.
+    n = l1 + l2
+    m = 4 * n - 4
+    lab = build_sensing(l1, l2).label.reshape(n, n)
+    r, c = np.indices((n, n))
+    p = np.full((m, n), 2 * n)
+    q = np.full((m, n), 2 * n)
+    p[lab, r] = c
+    q[lab, c] = n + r
+    row, col = np.divmod(np.flatnonzero((p < 2 * n) | (q < 2 * n)), n)
+    pick = np.concatenate([p[row, col], q[row, col]])
+    re = row * 2 * n + 2 * col
+    dest = np.stack([re, re + 2 * n * m, re + 1, re + 1 + 2 * n * m]).reshape(2, 2, -1)
+    dest = dest.transpose(0, 2, 1).ravel()
+    pick.flags.writeable = dest.flags.writeable = False
+    return pick, dest
+
+
 def _tangent_jacobian(x1: Signal, x2: Signal) -> np.ndarray:
     # Real matrix of h -> A(x h* + h x*): columns 2j and 2j+1 are the real
     # and imaginary parts, stacked, of the images of h = e_j and h = i e_j.
-    # The trace against A_m reads x h* at its band entries (r, c) as
-    # x[c] conj(h[r]) and h x* as h[c] conj(x[r]), so with p and q below
-    # the image of e_j is p[:, j] + q[:, j] and that of i e_j is
-    # i (q[:, j] - p[:, j]).
+    # One gather and one scatter through `_tangent_scatter`'s tables.
     x = np.concatenate([x1, x2])
     n = x.size
-    lab = build_sensing(x1.size, x2.size).label.reshape(n, n)
-    r, c = np.indices((n, n))
-    p = np.zeros((4 * n - 4, n), dtype=complex)
-    q = np.zeros_like(p)
-    p[lab, r] = x[c]
-    q[lab, c] = np.conj(x[r])
-    jac = np.empty((4 * n - 4, 2 * n), dtype=complex)
-    jac[:, 0::2] = p + q
-    jac[:, 1::2] = 1j * (q - p)
-    return np.concatenate([jac.real, jac.imag])
+    pick, dest = _tangent_scatter(x1.size, x2.size)
+    p, q = np.concatenate([x, x.conj(), [0j]])[pick].reshape(2, -1)
+    jac = np.zeros(16 * (n - 1) * n)
+    jac[dest] = np.concatenate([p + q, 1j * (q - p)]).view(float)
+    return jac.reshape(8 * n - 8, 2 * n)
 
 
 def tangent_injectivity(x1: Signal, x2: Signal) -> tuple[int, bool]:
     """Real rank of h -> A(x h* + h x*) on the lifted tangent space at x.
 
-    Builds the real-linear map's matrix on the 2N directions e_j and i e_j
-    in one pass from the band label, stacking real and imaginary parts of
-    the measurements.  The kernel always contains the phase direction i x,
-    so the rank is at most 2N-1; the pair is flagged injective exactly when
-    that bound is met.  Coprime pairs are always injective.  The rank drops
-    below 2N-1 when the shared factor's zero set is closed under
-    zeta -> 1/conj(zeta) (a self-inversive common factor, e.g. a common
-    zero on the unit circle); a generic common factor leaves the map
-    injective even though global uniqueness still fails through discrete
-    zero-flip alternatives.
+    Builds the real-linear map's matrix on the 2N directions e_j and i e_j,
+    stacking real and imaginary parts of the measurements, by one gather and
+    one scatter through per-shape tables derived from the band label.  The
+    kernel always contains the phase direction i x, so the rank is at most
+    2N-1; the pair is flagged injective exactly when that bound is met.
+    Coprime pairs are always injective.  The rank drops below 2N-1 when the
+    shared factor's zero set is closed under zeta -> 1/conj(zeta) (a
+    self-inversive common factor, e.g. a common zero on the unit circle); a
+    generic common factor leaves the map injective even though global
+    uniqueness still fails through discrete zero-flip alternatives.
     """
     x1 = as_signal(x1)
     x2 = as_signal(x2)

@@ -7,11 +7,15 @@ import csv
 import dataclasses
 import io
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import corrlift.cli
 from corrlift.cli import (
     CSV_FIELDS,
     ExperimentConfig,
@@ -743,3 +747,22 @@ def test_main_unwritable_out_exits_2(tmp_path, monkeypatch, capsys, target):
     assert capsys.readouterr().err.startswith("error: ")
     assert main(["zeros", "--signal", "1,-1", "--signal", "1,2", "--out", out]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_import_of_the_cli_loads_neither_csv_nor_numpy_polynomial():
+    # Only the functions that write CSV or divide polynomials import them, so
+    # every subcommand's start-up skips both.  NumPy 1's own `import numpy`
+    # loads numpy.polynomial, so that half only holds from NumPy 2 on.
+    src = Path(corrlift.cli.__file__).parents[1]
+    probe = (
+        "import sys, corrlift.cli; "
+        "print('csv' in sys.modules, 'numpy.polynomial' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout.split()
+    assert out[0] == "False"
+    if int(np.__version__.split(".")[0]) >= 2:
+        assert out[1] == "False"

@@ -174,6 +174,16 @@ def test_numeric_rank_planted():
         assert numeric_rank(a) == r
 
 
+def test_numeric_rank_of_a_nan_matrix_raises_linalg_error():
+    # The SVD gufunc marks a failed LAPACK call as the eigen gufuncs do; the
+    # rank turns it into NumPy's LinAlgError instead of counting NaNs.
+    for dtype in (float, complex):
+        a = np.full((5, 4), np.nan, dtype=dtype)
+        with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+            with pytest.warns(RuntimeWarning, match="invalid value"):
+                numeric_rank(a)
+
+
 def test_numeric_rank_matches_gram_rank():
     rng = np.random.default_rng(32)
     for _ in range(15):

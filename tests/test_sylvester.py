@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import corrlift.linalg as la
 from corrlift.poly import convolve, gsd, poly_gcd
 from corrlift.sensing import (
     NoiseModel,
@@ -85,8 +86,6 @@ def test_build_padded_rejects_non_c00():
 
 
 def test_gcd_degree_examples():
-    import corrlift.linalg as la
-
     assert gcd_degree([1, -1], [1, -2]) == 1
     assert la.numeric_rank(build_padded([1, -1], [1, -2])) == 3
     assert gcd_degree([1, -1], [1, -1]) == 2
@@ -318,13 +317,13 @@ def test_tangent_injectivity_coprime_vs_common():
 def test_tangent_injectivity_takes_a_real_svd(monkeypatch):
     # The Jacobian is real: its rank comes from a float64 SVD, not a complex one.
     dtypes = []
-    svd = np.linalg.svd
+    svd = la._svdvals
 
     def spy(a, *args, **kwargs):
         dtypes.append(a.dtype)
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setattr(la, "_svdvals", spy)
     assert tangent_injectivity([1, 2j], [1, -1, 3]) == (9, True)
     assert dtypes == [np.float64]
 
@@ -400,6 +399,74 @@ def test_tangent_jacobian_matches_probe_oracle():
                 want = probe_tangent_jacobian(*pair)
                 assert got.shape == want.shape
                 assert np.all(got == want)
+
+
+# --- the builders before their per-shape tables, kept as oracles -------------
+
+
+def loop_build_padded(x1, x2):
+    # S column by column: down-shifts of (x2; 0), then of (-x1; 0).
+    l1, l2 = x1.size, x2.size
+    n = l1 + l2
+    a = np.concatenate([-x1, np.zeros(l2, dtype=complex)])
+    b = np.concatenate([x2, np.zeros(l1, dtype=complex)])
+    s = np.zeros((n, n), dtype=complex)
+    for j in range(l1):
+        s[j:, j] = b[: n - j]
+    for j in range(l2):
+        s[j:, l1 + j] = a[: n - j]
+    return s
+
+
+def label_tangent_jacobian(x1, x2):
+    # J from dense (4n-4) x n tables p and q, written entry by entry of the
+    # band label: p[m, r] = x[c] and q[m, c] = conj(x[r]) for each band
+    # entry (r, c) of A_m; the image of e_j is p + q, that of i e_j i (q - p).
+    x = np.concatenate([x1, x2])
+    n = x.size
+    lab = build_sensing(x1.size, x2.size).label.reshape(n, n)
+    r, c = np.indices((n, n))
+    p = np.zeros((4 * n - 4, n), dtype=complex)
+    q = np.zeros_like(p)
+    p[lab, r] = x[c]
+    q[lab, c] = np.conj(x[r])
+    jac = np.empty((4 * n - 4, 2 * n), dtype=complex)
+    jac[:, 0::2] = p + q
+    jac[:, 1::2] = 1j * (q - p)
+    return np.concatenate([jac.real, jac.imag])
+
+
+def oracle_pairs():
+    # Every shape up to (9, 9), two pairs each: complex entries, some of
+    # whose real or imaginary parts are zeros of either sign (nonzero end
+    # coefficients), so the tables must copy signed zeros as the oracles do.
+    rng = np.random.default_rng(74)
+    for l1 in range(1, 10):
+        for l2 in range(1, 10):
+            for _ in range(2):
+                x1, x2 = random_coprime_pair(rng, l1, l2)
+                for x in (x1, x2):
+                    inner = x[1:-1]
+                    inner.real[rng.random(inner.size) < 0.3] = -0.0
+                    inner.imag[rng.random(inner.size) < 0.3] = 0.0
+                    x.imag[rng.random(x.size) < 0.2] = -0.0
+                yield x1, x2
+
+
+def test_build_padded_is_byte_identical_to_the_loop_oracle():
+    for x1, x2 in oracle_pairs():
+        got = build_padded(x1, x2)
+        want = loop_build_padded(x1, x2)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_tangent_jacobian_is_byte_identical_to_the_label_oracle():
+    for x1, x2 in oracle_pairs():
+        got = _tangent_jacobian(x1, x2)
+        want = label_tangent_jacobian(x1, x2)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_tangent_deficiency_is_self_reciprocal_gcd_degree():
