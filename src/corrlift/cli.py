@@ -186,10 +186,6 @@ def _trial(
     """
     clean = measure(x1, x2, reduced=reduced)
     stacked = clean.stacked
-    # The correlations of finite signals can overflow, and so can the sum of
-    # their squares: reject both before the power is used.
-    if not np.all(np.isfinite(stacked)):
-        raise ValueError("measurements must be finite")
     sigma = _sigma_for(snr_db, measurement_norm(stacked) ** 2, stacked.size)
     noisy = add_noise(clean, NoiseModel(sigma=sigma, seed=noise_seed))
     _, _, result = recover(len(x1), len(x2), noisy, opts)

@@ -162,15 +162,22 @@ class SolverResult:
 
 
 def measurement_norm(b_vec: np.ndarray) -> float:
-    """||b_vec|| as `np.linalg.norm` computes it; ValueError when ||b_vec||^2 overflows.
+    """||b_vec||, bit for bit as `np.linalg.norm` computes it; the one check of b.
 
-    The objective and the sweep's noise level are computed from the energy
-    ||b||^2, so finite data whose energy is not a finite float are rejected
-    here, before NumPy warns about the overflow.
+    It rejects b with a ValueError in this order: "measurements must be
+    finite" when an entry is NaN or infinite, then the energy message when
+    every entry is finite but ||b||^2 overflows.  The objective and the
+    sweep's noise level are computed from that energy, so it must be a
+    finite float.  The norm is sqrt(re.re + im.im), from the two dots
+    `np.linalg.norm` takes; a non-finite entry makes it NaN or infinite too,
+    so the entries are read only when the norm is not at most _MAX_NORM.
     """
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(b_vec))
+    re, im = b_vec.real, b_vec.imag
+    with np.errstate(over="ignore"):  # the dots warn on an overflowing energy
+        norm = math.sqrt(re.dot(re) + im.dot(im))
     if not norm <= _MAX_NORM:
+        if not np.all(np.isfinite(b_vec)):
+            raise ValueError("measurements must be finite")
         raise ValueError("measurement energy ||b||^2 overflows the floating-point range")
     return norm
 
@@ -185,7 +192,8 @@ def _spectral_start(s: SensingSet, b: Measurements) -> tuple[np.ndarray, float]:
     w, v = _eigh(adjoint(s, certificate_multipliers(b)))
     margin = float(w[1] / w[-1]) if w[-1] > 0.0 else 0.0
     energy = max(float(b.a11[s.l1 - 1].real + b.a22[s.l2 - 1].real), 0.0)
-    return energy * np.outer(v[:, 0], v[:, 0].conj()), margin
+    v0 = v[:, 0]
+    return energy * (v0[:, None] * v0.conj()), margin
 
 
 def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
@@ -203,8 +211,6 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
     s = build_sensing(b.l1, b.l2)
     b_vec = b.stacked
     m_count = b_vec.size
-    if not np.all(np.isfinite(b_vec)):
-        raise ValueError("measurements must be finite")
     n = s.n
     norm_b = measurement_norm(b_vec)
     if norm_b == 0.0:
@@ -281,7 +287,9 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
     recent = deque([misfit(z[image]) ** 2], maxlen=STALL_WINDOW + 1)
 
     for k in range(1, opts.max_iters + 1):
-        z_new, w_new, u_new, dist = projected_step(z + beta * (z - z_prev))
+        # beta is 0 at k = 1 and after a restart, where the momentum point is z.
+        y = z + beta * (z - z_prev) if beta > 0.0 else z
+        z_new, w_new, u_new, dist = projected_step(y)
         obj = dist**2
 
         if obj > recent[-1]:

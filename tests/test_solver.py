@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corrlift.linalg import herm_eig, psd_project
+from corrlift.linalg import herm_eig, hermitian_part, psd_project
 from corrlift.poly import convolve
 from corrlift.sensing import (
     Measurements,
@@ -28,8 +28,11 @@ from corrlift.solver import (
     GAP_RTOL,
     STALL_RTOL,
     STALL_WINDOW,
+    STEP_SAFETY,
     SolverOptions,
     SolverResult,
+    _MAX_NORM,
+    _spectral_start,
     aligned_mse,
     measurement_norm,
     recover,
@@ -598,6 +601,71 @@ def test_solve_rejects_overflowing_measurement_energy():
         solve(b)
     big = measure(np.array([1e76, 1.0]), np.array([1.0, 1.0])).stacked
     assert measurement_norm(big) == float(np.linalg.norm(big))
+
+
+def _boundary_stacks():
+    # seeded full and reduced measurement stacks at a few shapes
+    rng = np.random.default_rng(113)
+    for reduced in (False, True):
+        for l1, l2 in [(1, 1), (3, 4), (6, 2)]:
+            yield measure(random_signal(rng, l1), random_signal(rng, l2), reduced=reduced).stacked
+
+
+def test_measurement_norm_is_numpy_norm_bitwise_across_scales():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for stacked in _boundary_stacks():
+            for k in range(-500, 501):
+                scaled = stacked * 2.0**k
+                with np.errstate(over="ignore"):
+                    want = float(np.linalg.norm(scaled))
+                if want <= _MAX_NORM:
+                    assert measurement_norm(scaled).hex() == want.hex()
+                else:
+                    with pytest.raises(ValueError, match=r"energy \|\|b\|\|\^2 overflows"):
+                        measurement_norm(scaled)
+    assert caught == []
+
+
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(1.0, -math.inf)]
+)
+def test_measurement_norm_rejects_non_finite_entries_before_the_energy(bad):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for stacked in _boundary_stacks():
+            b_vec = stacked.copy()
+            b_vec[-1] = bad
+            with pytest.raises(ValueError, match="^measurements must be finite$"):
+                measurement_norm(b_vec)
+            # an entry whose energy alone overflows does not change the message
+            b_vec[0] = 1e200
+            with pytest.raises(ValueError, match="^measurements must be finite$"):
+                measurement_norm(b_vec)
+            # finite entries whose energy overflows raise the energy message
+            b_vec[-1] = 1.0
+            with pytest.raises(ValueError, match=r"^measurement energy \|\|b\|\|\^2 overflows"):
+                measurement_norm(b_vec)
+    assert caught == []
+
+
+def test_first_iterate_is_the_plain_projected_gradient_step():
+    # At k = 1 beta is 0, so the first step is taken from the spectral start
+    # X0 itself: psd_project(hermitian_part(X0 - step * adjoint(conj r0))).
+    rng = np.random.default_rng(127)
+    cases = [measure(random_signal(rng, 3), random_signal(rng, 4))]
+    cases.append(measure(random_signal(rng, 2), random_signal(rng, 5), reduced=True))
+    cases += [noisy_pair(rng, 3, 3, snr_db)[1] for snr_db in (10.0, 20.0, 30.0, 40.0)]
+    for b in cases:
+        s = build_sensing(b.l1, b.l2)
+        x0, _ = _spectral_start(s, b)
+        r0 = forward_stacked(s, x0)[: b.stacked.size] - b.stacked
+        lam = np.zeros(4 * s.n - 4, dtype=complex)
+        lam[: r0.size] = np.conj(r0)
+        step = STEP_SAFETY / (2.0 * max(b.l1, b.l2))
+        want, _, _ = psd_project(hermitian_part(x0 - step * adjoint(s, lam)))
+        got = solve(b, SolverOptions(max_iters=1))
+        assert got.x_mat.tobytes() == want.tobytes()
 
 
 def test_margin_separates_coprime_from_common_factor():

@@ -33,7 +33,9 @@ ends on the stall stop), a noisy ``--reduced`` ``recover`` (which ends on the
 duality-gap stop with reduced measurements), a noiseless
 ``recover`` of README's shared-factor pair (a solution that is not rank-1),
 a noisy ``recover`` at shape (6, 6), a ``recover`` at shape (1, 1) and -20 dB
-whose fit is the zero matrix (the zero estimate), ``zeros`` and
+whose fit is the zero matrix (the zero estimate), two ``recover``s whose
+measurements are rejected (correlations that overflow to infinity, then
+finite correlations whose energy overflows), ``zeros`` and
 ``ambiguities`` rejecting a pair with a negligible end coefficient,
 ``zeros`` on a pair whose product's root polish would overflow (it prints
 the factors' zeros and exits 0), and ``certify``, ``ambiguities`` and
@@ -126,6 +128,10 @@ COMMANDS = [
     ["recover", "--reduced", "--snr-db", "20"],
     # noise that leaves no PSD fit but the zero matrix: x1_est=0j, x2_est=0j
     ["recover", "--l1", "1", "--l2", "1", "--snr-db", "-20", "--seed", "43"],
+    # measurements rejected at the boundary, exit status 2: correlations
+    # that overflow to inf, then finite ones whose energy ||b||^2 overflows
+    ["recover", "--signal", "1e160,1", "--signal", "1,1"],
+    ["recover", "--signal", "1e150,1", "--signal", "1,1"],
     # an end coefficient negligible next to the largest: the message and
     # exit status 2 of the rejection
     ["zeros", "--signal", "1,1e-300", "--signal", "1,2"],
