@@ -18,8 +18,6 @@ per entry: entry (r, c) of the sensing matrices belongs to A_m with m an
 affine function of c - r in each block (`build_sensing`).  The forward map is
 a gather of the n^2 entries of X in label order plus segmented sums, and
 the adjoint is lam[label] plus its conjugate transpose; both are O(n^2).
-The gather starts with every entry of X as a group of its own, so the same
-sum also returns (vec X, A(X)), the vector the solver iterates on.
 """
 
 from __future__ import annotations
@@ -94,10 +92,8 @@ class SensingSet:
 
     `label` holds, for each entry of an n x n sensing matrix in row-major
     order, the stacked index m of the one A_m covering it (a11 bands, a22
-    bands, a12 bands, a21 bands).  `_tr_flat` lists the n^2 entries of X in
-    row-major order, then the entries that tr(A_m X) sums, grouped by m, and
-    `_tr_bounds` where each group starts: the first n^2 groups are single
-    entries, so one segmented sum gives (vec X, A(X)).
+    bands, a12 bands, a21 bands).  `_tr_flat` lists the entries of X that
+    tr(A_m X) sums, grouped by m, and `_tr_bounds` where each group starts.
     """
 
     l1: int
@@ -133,26 +129,19 @@ def build_sensing(l1: int, l2: int) -> SensingSet:
     ).ravel()
     order = np.argsort(label, kind="stable")
     counts = np.bincount(label)
-    # tr(A X) sums X[col, row]; each entry of X leads as a group of its own
-    tr_flat = np.concatenate([np.arange(n * n), (order % n) * n + order // n])
-    tr_bounds = np.concatenate([np.arange(n * n + 1), n * n + np.cumsum(counts[:-1])])
+    tr_flat = (order % n) * n + order // n  # tr(A X) sums X[col, row]
+    tr_bounds = np.concatenate([[0], np.cumsum(counts[:-1])])
     for table in (label, tr_flat, tr_bounds):
         table.flags.writeable = False
     return SensingSet(l1=l1, l2=l2, n=n, label=label, _tr_flat=tr_flat, _tr_bounds=tr_bounds)
 
 
-def forward_stacked(s: SensingSet, x_mat: ComplexMatrix, with_x: bool = False) -> np.ndarray:
-    """All 4n-4 traces tr(A_m X) as one vector (banded gather fast path).
-
-    With `with_x`, the vector starts with the n^2 entries of X in row-major
-    order, copied exactly: the solver carries a point and its image as one
-    vector.
-    """
+def forward_stacked(s: SensingSet, x_mat: ComplexMatrix) -> np.ndarray:
+    """All 4n-4 traces tr(A_m X) as one vector (banded gather fast path)."""
     x_mat = np.asarray(x_mat, dtype=complex)
     if x_mat.shape != (s.n, s.n):
         raise ValueError(f"expected a {s.n} x {s.n} matrix, got {x_mat.shape}")
-    out = np.add.reduceat(x_mat.ravel()[s._tr_flat], s._tr_bounds)
-    return out if with_x else out[s.n * s.n :]
+    return np.add.reduceat(x_mat.ravel()[s._tr_flat], s._tr_bounds)
 
 
 def adjoint(s: SensingSet, lam) -> HermitianMatrix:

@@ -13,7 +13,10 @@ certificate W = S^H S is a linear function of the correlations
 for a coprime pair has exactly span(x) as its null space.  Its bottom
 eigenvector, scaled to the energy a11[l1-1] + a22[l2-1] = ||x||^2, is the
 pair itself (up to phase) on noiseless coprime data, so the iteration only
-refines it under noise or a shared factor.
+refines it under noise or a shared factor.  When ||x1||^2 and ||x2||^2 lie
+more than BALANCE_RATIO apart, the start decomposes W balanced by powers of
+two instead (`_spectral_start`), so that rounding does not bury the null
+vector.
 
 Each iteration projects onto the PSD cone with `linalg.psd_project`, which
 takes a Hermitian matrix as is.  The adjoint returns m + m^H, real-scalar
@@ -72,10 +75,9 @@ stop it describes the last accepted iterate: `recover` returns the result
 `solve` built, and the command line's output and sweep CSV read their
 diagnostics from it.  Its `gap` is the relative gap of that iterate: a
 "gap" stop reports its own check, the "stalled", "max_iters" and
-"diverged" stops run one more check at the stop unless the stopping iterate
-was just checked, and "converged" reports NaN, its residual being the
-certificate.  A noiseless coprime solve converges at iteration 1, so it runs
-no check.
+"diverged" stops run one more check at the stop, and "converged" reports
+NaN, its residual being the certificate.  A noiseless coprime solve
+converges at iteration 1, so it runs no check.
 """
 
 from __future__ import annotations
@@ -110,6 +112,11 @@ GAP_RTOL = 1e-4
 STALL_WINDOW = 20
 STALL_RTOL = 1e-10
 
+# The ratio of the two signals' energies past which `_spectral_start`
+# balances the certificate.  Wrong starts begin near 2**36; the default sweep
+# and the benchmark inputs stay below 2**5.
+BALANCE_RATIO = 2.0**20
+
 # The largest norm whose square is a finite float.
 _MAX_NORM = math.sqrt(sys.float_info.max)
 
@@ -137,7 +144,9 @@ class SolverResult:
     solution is numerically rank-1.  `non_unique` reads the gap, and is the
     one report that the estimate is not unique; the solve raises no warning.
     `margin` is the identifiability margin lam2(W) / lam_max(W) of the
-    data-only certificate W: about 0 when the pair shares a factor.
+    data-only certificate W, balanced as `_spectral_start` says when the
+    two energies lie more than BALANCE_RATIO apart: about 0 when the pair
+    shares a factor.
     `stop_reason` is "diverged", "converged", "gap", "stalled" or
     "max_iters", the stop rules in the order the module docstring tests
     them; `restarts` counts the momentum restarts.  `gap` is the relative
@@ -187,12 +196,42 @@ def _spectral_start(s: SensingSet, b: Measurements) -> tuple[np.ndarray, float]:
 
     W = adjoint(certificate_multipliers(b)) is the dual certificate built
     from the data, v its eigenvector for the smallest eigenvalue and
-    c = a11[l1-1] + a22[l2-1] (clipped at 0) the energy ||x||^2.
+    c = e1 + e2 (clipped at 0) the energy ||x||^2, from the centre lags
+    e1 = a11[l1-1] = ||x1||^2 and e2 = a22[l2-1] = ||x2||^2.
+
+    When e1 and e2 are positive and e1 / e2 lies outside
+    [1 / BALANCE_RATIO, BALANCE_RATIO], W's spectrum is dominated by the
+    larger signal and its null vector is lost in rounding.  The start then
+    decomposes the balanced certificate E W E instead, with
+    E = diag(beta I_l1, alpha I_l2) and alpha, beta the powers of two
+    nearest 1 / sqrt(e1) and 1 / sqrt(e2), 2^-floor(p / 2) for e = m 2^p
+    with m in [0.5, 1) (Parlett & Reinsch, Numer. Math. 1969): the
+    certificate of the pair (alpha x1, beta x2), whose energies lie in
+    [0.5, 2).  E holds powers of two, so E W E is exact, and the same
+    matrix for x1 and 2^u x1.  The margin is read from E W E.  Its bottom
+    eigenvector is that pair up to phase and norm, so it is mapped back by
+    diag(I_l1 / alpha, I_l2 / beta) and c is the balanced energy
+    alpha^2 e1 + beta^2 e2: no norm is taken, so nothing overflows.
     """
-    w, v = _eigh(adjoint(s, certificate_multipliers(b)))
+    w_mat = adjoint(s, certificate_multipliers(b))
+    e1, e2 = float(b.a11[s.l1 - 1].real), float(b.a22[s.l2 - 1].real)
+    energy = max(e1 + e2, 0.0)
+    unscale = None
+    if e1 > 0.0 and e2 > 0.0 and not 1.0 / BALANCE_RATIO <= e1 / e2 <= BALANCE_RATIO:
+        alpha, beta = (math.ldexp(1.0, -(math.frexp(e)[1] // 2)) for e in (e1, e2))
+        scale = np.repeat([beta, alpha], [s.l1, s.l2])
+        with np.errstate(over="ignore", invalid="ignore"):
+            w_bal = w_mat * (scale[:, None] * scale)
+            # A pair's correlations keep every entry below 2 (Cauchy-Schwarz),
+            # and noise far below BALANCE_RATIO; data that take an entry past
+            # it are no pair's, and keep W.
+            bounded = np.abs(w_bal).max() <= BALANCE_RATIO
+        if bounded:
+            w_mat, energy = w_bal, alpha * alpha * e1 + beta * beta * e2
+            unscale = np.repeat([1.0 / alpha, 1.0 / beta], [s.l1, s.l2])
+    w, v = _eigh(w_mat)
     margin = float(w[1] / w[-1]) if w[-1] > 0.0 else 0.0
-    energy = max(float(b.a11[s.l1 - 1].real + b.a22[s.l2 - 1].real), 0.0)
-    v0 = v[:, 0]
+    v0 = v[:, 0] if unscale is None else unscale * v[:, 0]
     return energy * (v0[:, None] * v0.conj()), margin
 
 
@@ -246,50 +285,46 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
     # of the larger autocorrelation block).
     step = STEP_SAFETY / (2.0 * max(s.l1, s.l2))
 
-    # A point and its forward image travel as one array z = (vec X, A(X)),
-    # which `forward_stacked` builds in one segmented sum: A is linear, so
-    # the momentum point's image is the same combination of the stored
-    # images, and the combination is one expression.  z[image] is the part
-    # of A(X) that b measures.
-    nn = n * n
-    image = slice(nn, nn + m_count)
-
-    def projected_step(y: np.ndarray) -> tuple:
-        # The projected-gradient step from the point that y carries: the
-        # new z, its point's clipped eigenpairs and its misfit.  Only the
-        # first input carries the start's rounding asymmetry: a restart
+    def projected_step(y: np.ndarray, ay: np.ndarray) -> tuple:
+        # The projected-gradient step from y, whose image is ay: the new
+        # iterate, its clipped eigenpairs, its image and its misfit.  Only
+        # the first input carries the start's rounding asymmetry: a restart
         # needs beta > 0, and beta is still 0 at k = 2.
-        a = y[:nn].reshape(n, n) - step * gradient(y[image] - b_vec)
+        a = y - step * gradient(ay - b_vec)
         x_new, w, u = psd_project(hermitian_part(a) if k == 1 else a)
-        z_new = forward_stacked(s, x_new, with_x=True)
-        return z_new, w, u, misfit(z_new[image])
+        ax_new = forward_stacked(s, x_new)[:m_count]
+        return x_new, w, u, ax_new, misfit(ax_new)
 
-    def relative_gap(z: np.ndarray, obj: float) -> float:
+    def relative_gap(ax: np.ndarray, obj: float) -> float:
         # (f(X) - g(mu)) / f(X) at the dual point mu = r + t e of the module
         # docstring, in its cancellation-free form.
-        v = z[image]
-        r = v - b_vec
+        r = ax - b_vec
         shift = max(0.0, -float(_eigvalsh(gradient(r))[0]))  # t
-        trace = float(v[s.l1 - 1].real + v[2 * s.l1 + s.l2 - 2].real)  # a11 + a22 centres
-        fit = float(r.real.dot(v.real) + r.imag.dot(v.imag))  # Re<r, A(X)>
+        trace = float(ax[s.l1 - 1].real + ax[2 * s.l1 + s.l2 - 2].real)  # a11 + a22 centres
+        fit = float(r.real.dot(ax.real) + r.imag.dot(ax.imag))  # Re<r, A(X)>
         return (2.0 * fit + shift * trace + 0.5 * shift * shift) / obj
 
+    # The iterate x travels with its image ax, the part of A(x) that b
+    # measures.  A is linear, so the momentum point's image is the same
+    # combination of the stored images (one transform fewer per step).
     x, margin = _spectral_start(s, b)
-    z = forward_stacked(s, x, with_x=True)
-    z_prev = z
+    ax = forward_stacked(s, x)[:m_count]
+    x_prev, ax_prev = x, ax
     t = 1.0
     beta = 0.0
     bad_streak = 0
     restarts = 0
-    gap_at = 0  # the iterate `gap` was last computed at
     # The last STALL_WINDOW + 1 objectives of the start and the accepted
     # iterates, oldest first.
-    recent = deque([misfit(z[image]) ** 2], maxlen=STALL_WINDOW + 1)
+    recent = deque([misfit(ax) ** 2], maxlen=STALL_WINDOW + 1)
 
     for k in range(1, opts.max_iters + 1):
-        # beta is 0 at k = 1 and after a restart, where the momentum point is z.
-        y = z + beta * (z - z_prev) if beta > 0.0 else z
-        z_new, w_new, u_new, dist = projected_step(y)
+        # beta is 0 at k = 1 and after a restart, where the momentum point is x.
+        if beta > 0.0:
+            y, ay = x + beta * (x - x_prev), ax + beta * (ax - ax_prev)
+        else:
+            y, ay = x, ax
+        x_new, w_new, u_new, ax_new, dist = projected_step(y, ay)
         obj = dist**2
 
         if obj > recent[-1]:
@@ -299,11 +334,12 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
             t = 1.0
             if beta > 0.0:
                 restarts += 1
-                z_new, w_new, u_new, dist = projected_step(z)
+                x_new, w_new, u_new, ax_new, dist = projected_step(x, ax)
                 obj = dist**2
         bad_streak = bad_streak + 1 if obj > recent[-1] else 0
 
-        z_prev, z = z, z_new
+        x_prev, ax_prev = x, ax
+        x, ax = x_new, ax_new
         recent.append(obj)
 
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
@@ -317,7 +353,7 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
             stop_reason = "converged"
             break
         if k % GAP_EVERY == 0:
-            gap, gap_at = relative_gap(z, obj), k
+            gap = relative_gap(ax, obj)
             if gap <= GAP_RTOL:
                 stop_reason = "gap"
                 break
@@ -329,9 +365,9 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
 
     if stop_reason == "converged":
         gap = math.nan
-    elif gap_at != k:
-        gap = relative_gap(z, obj)
-    # The loop ran at least once and ends on z = z_new: w_new and u_new are
+    elif stop_reason != "gap":
+        gap = relative_gap(ax, obj)
+    # The loop ran at least once and ends on x = x_new: w_new and u_new are
     # its clipped (nonnegative) eigenvalues and eigenvectors, dist its misfit.
     lam1 = float(w_new[-1])
     if lam1 > 0.0:
@@ -340,7 +376,7 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
     else:
         x_est, rank1_gap = np.zeros(n, dtype=complex), 0.0
     return SolverResult(
-        x_mat=z[:nn].reshape(n, n),
+        x_mat=x,
         x_est=x_est,
         iters=k,
         residual=dist / norm_b,

@@ -186,18 +186,6 @@ def test_forward_fast_path_matches_dense_reference():
             assert np.allclose(forward_stacked(s, x), forward_dense(mats, x), atol=1e-12)
 
 
-def test_forward_with_x_leads_with_the_entries_of_x():
-    # One segmented sum gives (vec X, A(X)): the entries of X exactly, then
-    # the traces bit for bit as the plain forward map sums them.
-    rng = np.random.default_rng(54)
-    for l1, l2 in [(1, 1), (2, 3), (3, 3), (5, 2)]:
-        s = build_sensing(l1, l2)
-        n = l1 + l2
-        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        got = forward_stacked(s, x, with_x=True)
-        assert got.tobytes() == np.concatenate([x.ravel(), forward_stacked(s, x)]).tobytes()
-
-
 def test_forward_dimension_mismatch():
     with pytest.raises(ValueError):
         forward_stacked(build_sensing(2, 2), np.zeros((3, 3)))

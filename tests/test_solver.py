@@ -404,9 +404,9 @@ def test_max_iters_stop_and_restart_count(monkeypatch):
     # one forward transform for the start, one per iteration, one per restart
     calls = []
 
-    def counting(s, x, **kwargs):
+    def counting(s, x):
         calls.append(1)
-        return forward_stacked(s, x, **kwargs)
+        return forward_stacked(s, x)
 
     monkeypatch.setattr("corrlift.solver.forward_stacked", counting)
     result = solve(noisy)
@@ -679,6 +679,46 @@ def test_margin_separates_coprime_from_common_factor():
     zeros3 = np.zeros(3)
     b0 = Measurements(a11=zeros3, a22=zeros3, a12=zeros3, a21=zeros3)
     assert solve(b0).margin == 0.0
+
+
+def test_noiseless_recovery_holds_at_any_scale_ratio():
+    # x1 scaled by 2^u against a unit-scale x2: the unbalanced certificate
+    # loses the pair's null vector to rounding from about |log2(e1/e2)| = 36
+    # on, and the solve then reported a wrong pair as converged.
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        l1, l2 = (int(v) for v in rng.integers(1, 6, 2))
+        u = int(rng.integers(-120, 121))
+        x1 = np.ldexp(1.0, u) * gen_signal(l1, rng)
+        x2 = gen_signal(l2, rng)
+        e1, e2, diag = recover(l1, l2, measure(x1, x2))
+        mse, _ = aligned_mse(np.concatenate([x1, x2]), np.concatenate([e1, e2]))
+        assert mse <= 1e-10, (l1, l2, u)
+        assert diag.stop_reason == "converged", (l1, l2, u)
+
+
+@pytest.mark.parametrize("x1", [[1e10, 1.0], [1e8, 1.0], [5e76, 1.0]])
+def test_skewed_pairs_recover_exactly(x1):
+    x1 = np.array(x1, dtype=complex)
+    x2 = np.ones(2, dtype=complex)
+    e1, e2, diag = recover(2, 2, measure(x1, x2))
+    mse, _ = aligned_mse(np.concatenate([x1, x2]), np.concatenate([e1, e2]))
+    assert mse <= 1e-15
+    assert diag.stop_reason == "converged"
+    assert not diag.non_unique
+    assert diag.margin > 1e-2
+
+
+def test_balanced_margin_is_invariant_under_scaling_x1():
+    # Past BALANCE_RATIO the margin is read from E W E, which is the same
+    # matrix for x1 and 2^u x1: the margin keeps its bits.
+    rng = np.random.default_rng(14)
+    for l1, l2 in [(1, 1), (2, 3), (4, 4), (5, 2)]:
+        x1 = gen_signal(l1, rng)
+        x2 = gen_signal(l2, rng)
+        margins = {solve(measure(np.ldexp(1.0, u) * x1, x2)).margin for u in (-90, -40, 40, 90)}
+        assert len(margins) == 1
+        assert margins.pop() > 1e-6
 
 
 def test_recover_reduced_matches_full():

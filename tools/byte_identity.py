@@ -35,7 +35,9 @@ duality-gap stop with reduced measurements), a noiseless
 a noisy ``recover`` at shape (6, 6), a ``recover`` at shape (1, 1) and -20 dB
 whose fit is the zero matrix (the zero estimate), two ``recover``s whose
 measurements are rejected (correlations that overflow to infinity, then
-finite correlations whose energy overflows), ``zeros`` and
+finite correlations whose energy overflows), two noiseless ``recover``s
+of coprime pairs whose energies are far apart (where the spectral start
+balances the certificate), ``zeros`` and
 ``ambiguities`` rejecting a pair with a negligible end coefficient,
 ``zeros`` on a pair whose product's root polish would overflow (it prints
 the factors' zeros and exits 0), and ``certify``, ``ambiguities`` and
@@ -132,6 +134,10 @@ COMMANDS = [
     # that overflow to inf, then finite ones whose energy ||b||^2 overflows
     ["recover", "--signal", "1e160,1", "--signal", "1,1"],
     ["recover", "--signal", "1e150,1", "--signal", "1,1"],
+    # coprime pairs whose energies are about 2^65 and 2^509 apart: the start
+    # decomposes the balanced certificate and recovers them exactly
+    ["recover", "--signal", "1e10,1", "--signal", "1,1"],
+    ["recover", "--signal", "5e76,1", "--signal", "1,1"],
     # an end coefficient negligible next to the largest: the message and
     # exit status 2 of the rejection
     ["zeros", "--signal", "1,1e-300", "--signal", "1,2"],
