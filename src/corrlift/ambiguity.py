@@ -117,20 +117,6 @@ def cluster_zeros(zs) -> tuple[list, float]:
     return out, threshold
 
 
-def count_bounds(x1: Signal, x2: Signal) -> tuple[int, int]:
-    """Lower and upper bounds on the number of factorization classes.
-
-    For a product of degree D the bounds are (min{D+1, L1, L2}, 2^D).  The
-    lower bound counts per-zero assignment choices without the subset-size
-    constraint, so constrained enumeration may legitimately emit fewer
-    classes for repeated zeros; the bounds are reported as-is.
-    """
-    x1 = require_c00(x1)
-    x2 = require_c00(x2)
-    d = (x1.size - 1) + (x2.size - 1)
-    return min(d + 1, x1.size, x2.size), 2**d
-
-
 def enumerate_convolution_ambiguities(x1: Signal, x2: Signal) -> np.recarray:
     """All factorization classes of convolve(x1, x2) with the given lengths.
 

@@ -29,7 +29,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .ambiguity import cluster_zeros, count_bounds, enumerate_convolution_ambiguities
+from .ambiguity import cluster_zeros, enumerate_convolution_ambiguities
 from .poly import Signal, as_signal, require_c00, roots
 from .sensing import NoiseModel, add_noise, measure
 from .solver import (
@@ -37,7 +37,7 @@ from .solver import (
     SolverOptions,
     SolverResult,
     aligned_mse,
-    measurement_norm,
+    measurement_frame,
     recover,
 )
 from .sylvester import certificate_report, tangent_injectivity
@@ -185,8 +185,9 @@ def _trial(
     ValueError; nothing is printed here, so they leave no partial output.
     """
     clean = measure(x1, x2, reduced=reduced)
-    stacked = clean.stacked
-    sigma = _sigma_for(snr_db, measurement_norm(stacked) ** 2, stacked.size)
+    # sigma scales like b: it is set in the solve's frame and mapped back
+    scale, stacked, norm = measurement_frame(clean.stacked)
+    sigma = _sigma_for(snr_db, norm**2, stacked.size) / scale
     noisy = add_noise(clean, NoiseModel(sigma=sigma, seed=noise_seed))
     _, _, result = recover(len(x1), len(x2), noisy, opts)
     mse, _ = aligned_mse(np.concatenate([x1, x2]), result.x_est)
@@ -303,16 +304,9 @@ def cmd_certify(x1: Signal, x2: Signal) -> list[str]:
 
 
 def cmd_ambiguities(x1: Signal, x2: Signal) -> list[str]:
-    """Count bounds and verified ambiguity classes as ``key=value`` lines."""
-    x1 = as_signal(x1)
-    x2 = as_signal(x2)
-    lower, upper = count_bounds(x1, x2)
+    """The count and representatives of the ambiguity classes as ``key=value`` lines."""
     classes = enumerate_convolution_ambiguities(x1, x2)
-    lines = [
-        f"lower_bound={lower}",
-        f"upper_bound={upper}",
-        f"classes={len(classes)}",
-    ]
+    lines = [f"classes={len(classes)}"]
     for index, (x1_rep, x2_rep) in enumerate(zip(classes.x1_rep, classes.x2_rep)):
         lines.append(f"class{index}_x1={_fmt_complex_vec(x1_rep)}")
         lines.append(f"class{index}_x2={_fmt_complex_vec(x2_rep)}")

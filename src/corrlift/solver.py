@@ -7,6 +7,16 @@ product ``x x*`` exactly when the planted pair has coprime z-transforms, so
 the top eigenpair of the solution yields the signal estimate up to a global
 phase.
 
+The solve runs in the power-of-four frame of b (`measurement_frame`): b
+times 4^-q, q = floor(p / 2) clamped to [-511, 511] for the largest real or
+imaginary magnitude m 2^p of b, which brings that magnitude into [0.5, 2)
+(short of the clamp).  Scaling by a power of two is exact (Higham, Accuracy
+and Stability of Numerical Algorithms, 2002, section 2), so b and 4^k b are
+solved in the same bits.  In the frame the energy ||b||^2 is finite and the
+matrices stay inside the norm range in which LAPACK's eigensolvers do not
+rescale (LAPACK Users' Guide, 1999, section 4.1), so finite data are never
+rejected.  On return X is mapped back by 4^q and the estimate x by 2^q.
+
 The solve starts at the spectral estimate of the dual certificate: the
 certificate W = S^H S is a linear function of the correlations
 (`sylvester.certificate_multipliers`), annihilates the stacked pair, and
@@ -83,7 +93,6 @@ converges at iteration 1, so it runs no check.
 from __future__ import annotations
 
 import math
-import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -117,9 +126,6 @@ STALL_RTOL = 1e-10
 # and the benchmark inputs stay below 2**5.
 BALANCE_RATIO = 2.0**20
 
-# The largest norm whose square is a finite float.
-_MAX_NORM = math.sqrt(sys.float_info.max)
-
 
 @dataclass
 class SolverOptions:
@@ -152,6 +158,10 @@ class SolverResult:
     them; `restarts` counts the momentum restarts.  `gap` is the relative
     duality gap (f(X) - g(mu)) / f(X) of the solution matrix, NaN for a
     "converged" solve (see the module docstring).
+
+    `x_mat` and `x_est` are in the scale of the data; every other field is
+    read in the solve's power-of-four frame, so it keeps its bits when b is
+    scaled by a power of four.
     """
 
     x_mat: np.ndarray
@@ -170,34 +180,38 @@ class SolverResult:
         return self.rank1_gap > NONUNIQUE_GAP_TOL
 
 
-def measurement_norm(b_vec: np.ndarray) -> float:
-    """||b_vec||, bit for bit as `np.linalg.norm` computes it; the one check of b.
+def measurement_frame(b_vec: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """The power-of-four frame of b_vec and its norm there; the one check of b.
 
-    It rejects b with a ValueError in this order: "measurements must be
-    finite" when an entry is NaN or infinite, then the energy message when
-    every entry is finite but ||b||^2 overflows.  The objective and the
-    sweep's noise level are computed from that energy, so it must be a
-    finite float.  The norm is sqrt(re.re + im.im), from the two dots
-    `np.linalg.norm` takes; a non-finite entry makes it NaN or infinite too,
-    so the entries are read only when the norm is not at most _MAX_NORM.
+    With m 2^p (m in [0.5, 1)) the largest real or imaginary magnitude of
+    b_vec, it returns ``(scale, scale * b_vec, ||scale * b_vec||)`` for the
+    scale 4^-q, q = floor(p / 2) clamped to [-511, 511].  The largest scaled
+    magnitude lies in [0.5, 2) short of the clamp and below 4 at it, so the
+    energy is finite, and 4^q and 2^q, which map a solution back, are finite
+    and normal too.  A
+    power of two scales exactly, so ``norm / scale`` is ||b_vec|| bit for
+    bit as `np.linalg.norm` computes it wherever that is finite.  The norm
+    is sqrt(re.re + im.im), from the two dots `np.linalg.norm` takes.
+    Raises ValueError("measurements must be finite") for a NaN or infinite
+    entry; finite data are never rejected.
     """
-    re, im = b_vec.real, b_vec.imag
-    with np.errstate(over="ignore"):  # the dots warn on an overflowing energy
-        norm = math.sqrt(re.dot(re) + im.dot(im))
-    if not norm <= _MAX_NORM:
-        if not np.all(np.isfinite(b_vec)):
-            raise ValueError("measurements must be finite")
-        raise ValueError("measurement energy ||b||^2 overflows the floating-point range")
-    return norm
+    peak = float(np.abs(b_vec.view(np.float64)).max())  # re and im interleaved
+    if not math.isfinite(peak):
+        raise ValueError("measurements must be finite")
+    scale = math.ldexp(1.0, -2 * min(max(math.frexp(peak)[1] // 2, -511), 511))
+    scaled = scale * b_vec
+    re, im = scaled.real, scaled.imag
+    return scale, scaled, math.sqrt(re.dot(re) + im.dot(im))
 
 
-def _spectral_start(s: SensingSet, b: Measurements) -> tuple[np.ndarray, float]:
-    """The start c v v* and the identifiability margin lam2(W) / lam_max(W).
+def _spectral_start(s: SensingSet, b: Measurements, scale: float) -> tuple[np.ndarray, float]:
+    """The start c v v* in the frame `scale` and the margin lam2(W) / lam_max(W).
 
-    W = adjoint(certificate_multipliers(b)) is the dual certificate built
-    from the data, v its eigenvector for the smallest eigenvalue and
-    c = e1 + e2 (clipped at 0) the energy ||x||^2, from the centre lags
-    e1 = a11[l1-1] = ||x1||^2 and e2 = a22[l2-1] = ||x2||^2.
+    W = adjoint(scale * certificate_multipliers(b)) is the dual certificate
+    built from the data of `solve`'s frame (`measurement_frame`), v its
+    eigenvector for the smallest eigenvalue and c = e1 + e2 (clipped at 0)
+    the energy ||x||^2, from the scaled centre lags e1 = scale a11[l1-1] and
+    e2 = scale a22[l2-1], the frame's ||x1||^2 and ||x2||^2.
 
     When e1 and e2 are positive and e1 / e2 lies outside
     [1 / BALANCE_RATIO, BALANCE_RATIO], W's spectrum is dominated by the
@@ -213,15 +227,15 @@ def _spectral_start(s: SensingSet, b: Measurements) -> tuple[np.ndarray, float]:
     diag(I_l1 / alpha, I_l2 / beta) and c is the balanced energy
     alpha^2 e1 + beta^2 e2: no norm is taken, so nothing overflows.
     """
-    w_mat = adjoint(s, certificate_multipliers(b))
-    e1, e2 = float(b.a11[s.l1 - 1].real), float(b.a22[s.l2 - 1].real)
+    w_mat = adjoint(s, scale * certificate_multipliers(b))
+    e1, e2 = scale * float(b.a11[s.l1 - 1].real), scale * float(b.a22[s.l2 - 1].real)
     energy = max(e1 + e2, 0.0)
     unscale = None
     if e1 > 0.0 and e2 > 0.0 and not 1.0 / BALANCE_RATIO <= e1 / e2 <= BALANCE_RATIO:
         alpha, beta = (math.ldexp(1.0, -(math.frexp(e)[1] // 2)) for e in (e1, e2))
-        scale = np.repeat([beta, alpha], [s.l1, s.l2])
+        balance = np.repeat([beta, alpha], [s.l1, s.l2])
         with np.errstate(over="ignore", invalid="ignore"):
-            w_bal = w_mat * (scale[:, None] * scale)
+            w_bal = w_mat * (balance[:, None] * balance)
             # A pair's correlations keep every entry below 2 (Cauchy-Schwarz),
             # and noise far below BALANCE_RATIO; data that take an entry past
             # it are no pair's, and keep W.
@@ -248,10 +262,9 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
     """
     opts = SolverOptions() if opts is None else opts
     s = build_sensing(b.l1, b.l2)
-    b_vec = b.stacked
+    scale, b_vec, norm_b = measurement_frame(b.stacked)
     m_count = b_vec.size
     n = s.n
-    norm_b = measurement_norm(b_vec)
     if norm_b == 0.0:
         return SolverResult(
             x_mat=np.zeros((n, n), dtype=complex),
@@ -307,7 +320,7 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
     # The iterate x travels with its image ax, the part of A(x) that b
     # measures.  A is linear, so the momentum point's image is the same
     # combination of the stored images (one transform fewer per step).
-    x, margin = _spectral_start(s, b)
+    x, margin = _spectral_start(s, b, scale)
     ax = forward_stacked(s, x)[:m_count]
     x_prev, ax_prev = x, ax
     t = 1.0
@@ -375,9 +388,12 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
         rank1_gap = float(w_new[-2]) / lam1
     else:
         x_est, rank1_gap = np.zeros(n, dtype=complex), 0.0
+    # Back from the frame: X scales like b, by 4^q, and x by 2^q, both finite
+    # and exact.
+    unscale = 1.0 / scale
     return SolverResult(
-        x_mat=x,
-        x_est=x_est,
+        x_mat=unscale * x,
+        x_est=math.sqrt(unscale) * x_est,
         iters=k,
         residual=dist / norm_b,
         rank1_gap=rank1_gap,

@@ -187,7 +187,7 @@ def test_closed_form_step_is_exact_lipschitz_constant(l1, l2, reduced):
 def test_spectral_start_alone_recovers_noiseless_coprime_pair(x1, x2, reduced):
     l1, l2 = x1.size, x2.size
     b = measure(x1, x2, reduced=reduced)
-    x_start, margin = _spectral_start(build_sensing(l1, l2), b)
+    x_start, margin = _spectral_start(build_sensing(l1, l2), b, 1.0)
     # a (near-)shared factor leaves the null space more than one-dimensional
     assume(margin > 1e-4)
     est = rank1_oracle(x_start)
@@ -211,16 +211,16 @@ def test_spectral_start_equivariance(x1, x2, sigma, phase, theta, scale):
     noise = NoiseModel(sigma=sigma, seed=5)
     b = add_noise(measure(x1, x2), noise)
     assume(simple_bottom(s, b))
-    x_start, margin = _spectral_start(s, b)
+    x_start, margin = _spectral_start(s, b, 1.0)
     tol = 1e-8 * np.linalg.norm(x_start)
 
     # global phase: the data do not change, nor does the start
     rotated = add_noise(measure(np.exp(1j * phase) * x1, np.exp(1j * phase) * x2), noise)
-    assert np.linalg.norm(_spectral_start(s, rotated)[0] - x_start) <= tol
+    assert np.linalg.norm(_spectral_start(s, rotated, 1.0)[0] - x_start) <= tol
 
     # scaling x -> a x scales the data and the start by |a|^2
     scaled = scale_segments(b, np.full(4 * s.n - 4, scale**2))
-    scaled_start, scaled_margin = _spectral_start(s, scaled)
+    scaled_start, scaled_margin = _spectral_start(s, scaled, 1.0)
     assert np.linalg.norm(scaled_start - scale**2 * x_start) <= scale**2 * tol
     assert abs(scaled_margin - margin) <= 1e-9
 
@@ -232,7 +232,7 @@ def test_spectral_start_equivariance(x1, x2, sigma, phase, theta, scale):
     modulated_clean = measure(d[:l1] * x1, d[l1:] * x2).stacked
     err = np.abs(modulated_clean - u * measure(x1, x2).stacked).max()
     assert err <= 1e-12 * np.abs(modulated_clean).max()
-    modulated_start, _ = _spectral_start(s, scale_segments(b, u))
+    modulated_start, _ = _spectral_start(s, scale_segments(b, u), 1.0)
     assert np.linalg.norm(modulated_start - lift_d * x_start) <= tol
 
 
@@ -260,6 +260,35 @@ def test_solve_estimate_matches_a_fresh_decomposition(x1, x2, sigma):
     _, phi = aligned_mse(fresh, result.x_est)
     err = float(np.linalg.norm(np.exp(1j * phi) * result.x_est - fresh))
     assert err <= 10.0 * eps * n * math.sqrt(lam1) * lam1 / (lam1 - lam2)
+
+
+@PROPERTY_SETTINGS
+@given(
+    x1=signals(4),
+    x2=signals(4),
+    sigma=st.one_of(st.just(0.0), st.floats(min_value=1e-4, max_value=0.3)),
+    k=st.integers(min_value=-250, max_value=250),
+    reduced=st.booleans(),
+)
+def test_solve_is_invariant_under_powers_of_four(x1, x2, sigma, k, reduced):
+    # `solve` runs in the power-of-four frame of b, which 4^k b shares, so
+    # every diagnostic is the same bits and the solution scales exactly:
+    # X by 4^k, x by 2^k.  A solve in the data's own scale moves last bits
+    # near either end of the range, where LAPACK rescales its input, and
+    # cannot take data whose ||b||^2 overflows.
+    b = add_noise(measure(x1, x2, reduced=reduced), NoiseModel(sigma=sigma, seed=11))
+    b_k = scale_segments(b, np.full(4 * b.l1 + 4 * b.l2 - 4, 4.0**k))
+    # the property is about exact scalings: no entry of 4^k b rounds
+    assume(np.array_equal(4.0**-k * b_k.stacked, b.stacked))
+    opts = SolverOptions(max_iters=300)
+    base = solve(b, opts)
+    scaled = solve(b_k, opts)
+    for name in ("iters", "stop_reason", "restarts"):
+        assert getattr(scaled, name) == getattr(base, name)
+    for name in ("residual", "rank1_gap", "margin", "gap"):
+        assert getattr(scaled, name).hex() == getattr(base, name).hex()
+    assert scaled.x_mat.tobytes() == (4.0**k * base.x_mat).tobytes()
+    assert scaled.x_est.tobytes() == (2.0**k * base.x_est).tobytes()
 
 
 def psd_matrices(n: int):

@@ -31,10 +31,9 @@ from corrlift.solver import (
     STEP_SAFETY,
     SolverOptions,
     SolverResult,
-    _MAX_NORM,
     _spectral_start,
     aligned_mse,
-    measurement_norm,
+    measurement_frame,
     recover,
     solve,
 )
@@ -515,7 +514,9 @@ def test_estimate_is_the_top_herm_eig_column_of_the_last_projection_input(monkey
         lam1 = float(eig.eigenvalues[-1])
         assert lam1 > 0.0
         want = math.sqrt(lam1) * eig.eigenvectors[:, -1]
-        assert result.x_est.tobytes() == want.tobytes()
+        # the projections run in the frame 4^-q, and x_est is mapped back by 2^q
+        scale, _, _ = measurement_frame(b.stacked)
+        assert result.x_est.tobytes() == (math.sqrt(1.0 / scale) * want).tobytes()
 
 
 def _count_decompositions(monkeypatch):
@@ -591,18 +592,6 @@ def test_projection_inputs_after_the_first_are_hermitian(monkeypatch):
         assert all(np.array_equal(a, a.conj().T) for a in inputs[start:])
 
 
-def test_solve_rejects_overflowing_measurement_energy():
-    # every correlation is finite, but ||b||^2 is not
-    b = measure(np.array([1e154, 1.0]), np.array([1.0, 1.0]))
-    assert np.all(np.isfinite(b.stacked))
-    with pytest.raises(ValueError, match=r"energy \|\|b\|\|\^2 overflows"):
-        measurement_norm(b.stacked)
-    with pytest.raises(ValueError, match="overflows"):
-        solve(b)
-    big = measure(np.array([1e76, 1.0]), np.array([1.0, 1.0])).stacked
-    assert measurement_norm(big) == float(np.linalg.norm(big))
-
-
 def _boundary_stacks():
     # seeded full and reduced measurement stacks at a few shapes
     rng = np.random.default_rng(113)
@@ -612,6 +601,9 @@ def _boundary_stacks():
 
 
 def test_measurement_norm_is_numpy_norm_bitwise_across_scales():
+    # The frame's norm, mapped back by 4^q, is np.linalg.norm's wherever
+    # that is finite; past that the frame still holds the data, and no scale
+    # warns.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for stacked in _boundary_stacks():
@@ -619,11 +611,16 @@ def test_measurement_norm_is_numpy_norm_bitwise_across_scales():
                 scaled = stacked * 2.0**k
                 with np.errstate(over="ignore"):
                     want = float(np.linalg.norm(scaled))
-                if want <= _MAX_NORM:
-                    assert measurement_norm(scaled).hex() == want.hex()
-                else:
-                    with pytest.raises(ValueError, match=r"energy \|\|b\|\|\^2 overflows"):
-                        measurement_norm(scaled)
+                scale, framed, norm = measurement_frame(scaled)
+                assert framed.tobytes() == (scale * scaled).tobytes()
+                assert 0.5 <= np.abs(framed.view(np.float64)).max() < 2.0
+                if math.isfinite(want):
+                    assert (norm * (1.0 / scale)).hex() == want.hex()
+        # q is clamped to [-511, 511], so 4^q stays finite at either end
+        for peak, q in [(1.5e308, 511), (5e-324, -511), (0.0, 0)]:
+            scale, _, norm = measurement_frame(np.array([peak, 1j * peak]))
+            assert scale == 4.0**-q
+            assert math.isclose(norm, math.sqrt(2.0) * (peak * scale), rel_tol=1e-15)
     assert caught == []
 
 
@@ -637,15 +634,16 @@ def test_measurement_norm_rejects_non_finite_entries_before_the_energy(bad):
             b_vec = stacked.copy()
             b_vec[-1] = bad
             with pytest.raises(ValueError, match="^measurements must be finite$"):
-                measurement_norm(b_vec)
+                measurement_frame(b_vec)
             # an entry whose energy alone overflows does not change the message
             b_vec[0] = 1e200
             with pytest.raises(ValueError, match="^measurements must be finite$"):
-                measurement_norm(b_vec)
-            # finite entries whose energy overflows raise the energy message
+                measurement_frame(b_vec)
+            # finite entries are framed, however large their energy
             b_vec[-1] = 1.0
-            with pytest.raises(ValueError, match=r"^measurement energy \|\|b\|\|\^2 overflows"):
-                measurement_norm(b_vec)
+            scale, _, norm = measurement_frame(b_vec)
+            assert scale == 2.0**-664  # 1e200 = m 2^665
+            assert math.isfinite(norm)
     assert caught == []
 
 
@@ -658,14 +656,16 @@ def test_first_iterate_is_the_plain_projected_gradient_step():
     cases += [noisy_pair(rng, 3, 3, snr_db)[1] for snr_db in (10.0, 20.0, 30.0, 40.0)]
     for b in cases:
         s = build_sensing(b.l1, b.l2)
-        x0, _ = _spectral_start(s, b)
-        r0 = forward_stacked(s, x0)[: b.stacked.size] - b.stacked
+        scale, b_vec, _ = measurement_frame(b.stacked)
+        x0, _ = _spectral_start(s, b, scale)
+        r0 = forward_stacked(s, x0)[: b_vec.size] - b_vec
         lam = np.zeros(4 * s.n - 4, dtype=complex)
         lam[: r0.size] = np.conj(r0)
         step = STEP_SAFETY / (2.0 * max(b.l1, b.l2))
         want, _, _ = psd_project(hermitian_part(x0 - step * adjoint(s, lam)))
         got = solve(b, SolverOptions(max_iters=1))
-        assert got.x_mat.tobytes() == want.tobytes()
+        # the step is taken in the frame and mapped back by 4^q
+        assert got.x_mat.tobytes() == ((1.0 / scale) * want).tobytes()
 
 
 def test_margin_separates_coprime_from_common_factor():
@@ -707,6 +707,29 @@ def test_skewed_pairs_recover_exactly(x1):
     assert diag.stop_reason == "converged"
     assert not diag.non_unique
     assert diag.margin > 1e-2
+
+
+def test_solve_takes_measurements_spanning_the_whole_range():
+    # A (5, 1) draw of a fuzz whose every real and imaginary part is
+    # +-[1, 10) 10^e, e in [-300, 150], rounded to two digits.  Solved in its
+    # own scale, W and the iterates held entries near 1e147 whose squares
+    # overflow inside LAPACK, and `eigh` raised "Eigenvalues did not
+    # converge"; in the frame every entry is at most 2.
+    b = Measurements(
+        a11=[-4.3e27 + 6.5e146j, 3.8e139 - 1.0e65j, 6.5e-258 - 4.3e-206j, 2.6e-152 + 6.2e92j,
+             -7.8e-188 - 1.5e-140j, -3.8e-46 + 1.8e-297j, 9.0e31 - 6.3e11j, 1.4e123 - 5.6e-94j,
+             4.5e-79 - 3.5e-53j],
+        a22=[4.1e-264 - 8.6e17j],
+        a12=[7.8e-229 - 6.1e110j, -2.1e10 + 9.6e20j, 1.6e-103 - 5.2e-193j, 7.2e18 + 3.7e-216j,
+             -7.0e-265 - 4.8e-150j],
+        a21=[9.8e-281 + 9.7e47j, 4.5e-73 - 1.7e-253j, -4.6e-279 - 2.4e-39j, 9.0e15 + 8.5e-298j,
+             -9.7e-33 + 8.2e92j],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = solve(b, SolverOptions(max_iters=200))
+    assert np.all(np.isfinite(result.x_mat)) and np.all(np.isfinite(result.x_est))
+    assert 0.0 <= result.residual <= 1.0
 
 
 def test_balanced_margin_is_invariant_under_scaling_x1():

@@ -33,9 +33,11 @@ ends on the stall stop), a noisy ``--reduced`` ``recover`` (which ends on the
 duality-gap stop with reduced measurements), a noiseless
 ``recover`` of README's shared-factor pair (a solution that is not rank-1),
 a noisy ``recover`` at shape (6, 6), a ``recover`` at shape (1, 1) and -20 dB
-whose fit is the zero matrix (the zero estimate), two ``recover``s whose
-measurements are rejected (correlations that overflow to infinity, then
-finite correlations whose energy overflows), two noiseless ``recover``s
+whose fit is the zero matrix (the zero estimate), a ``recover`` whose
+measurements are rejected (correlations that overflow to infinity), three
+``recover``s of finite correlations whose energy ||b||^2 overflows (solved
+in the power-of-four frame, two noiseless and one at 20 dB, whose noise
+level is mapped back from the frame), two noiseless ``recover``s
 of coprime pairs whose energies are far apart (where the spectral start
 balances the certificate), ``zeros`` and
 ``ambiguities`` rejecting a pair with a negligible end coefficient,
@@ -131,9 +133,14 @@ COMMANDS = [
     # noise that leaves no PSD fit but the zero matrix: x1_est=0j, x2_est=0j
     ["recover", "--l1", "1", "--l2", "1", "--snr-db", "-20", "--seed", "43"],
     # measurements rejected at the boundary, exit status 2: correlations
-    # that overflow to inf, then finite ones whose energy ||b||^2 overflows
+    # that overflow to inf
     ["recover", "--signal", "1e160,1", "--signal", "1,1"],
+    # finite correlations whose energy ||b||^2 overflows, solved in the
+    # power-of-four frame: two exact recoveries, then the noise level of
+    # such data, which scales like b
     ["recover", "--signal", "1e150,1", "--signal", "1,1"],
+    ["recover", "--signal", "3e100,1,2", "--signal", "2e100,-1"],
+    ["recover", "--signal", "1e150,1", "--signal", "1,1", "--snr-db", "20"],
     # coprime pairs whose energies are about 2^65 and 2^509 apart: the start
     # decomposes the balanced certificate and recovers them exactly
     ["recover", "--signal", "1e10,1", "--signal", "1,1"],
