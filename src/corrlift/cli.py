@@ -185,9 +185,10 @@ def _trial(
     ValueError; nothing is printed here, so they leave no partial output.
     """
     clean = measure(x1, x2, reduced=reduced)
-    # sigma scales like b: it is set in the solve's frame and mapped back
+    # sigma scales like b: it is set in the solve's frame and mapped back;
+    # norm * norm, not pow's norm**2, so that it is the same in every frame
     scale, stacked, norm = measurement_frame(clean.stacked)
-    sigma = _sigma_for(snr_db, norm**2, stacked.size) / scale
+    sigma = _sigma_for(snr_db, norm * norm, stacked.size) / scale
     noisy = add_noise(clean, NoiseModel(sigma=sigma, seed=noise_seed))
     _, _, result = recover(len(x1), len(x2), noisy, opts)
     mse, _ = aligned_mse(np.concatenate([x1, x2]), result.x_est)

@@ -7,15 +7,22 @@ product ``x x*`` exactly when the planted pair has coprime z-transforms, so
 the top eigenpair of the solution yields the signal estimate up to a global
 phase.
 
-The solve runs in the power-of-four frame of b (`measurement_frame`): b
-times 4^-q, q = floor(p / 2) clamped to [-511, 511] for the largest real or
-imaginary magnitude m 2^p of b, which brings that magnitude into [0.5, 2)
-(short of the clamp).  Scaling by a power of two is exact (Higham, Accuracy
-and Stability of Numerical Algorithms, 2002, section 2), so b and 4^k b are
-solved in the same bits.  In the frame the energy ||b||^2 is finite and the
-matrices stay inside the norm range in which LAPACK's eigensolvers do not
-rescale (LAPACK Users' Guide, 1999, section 4.1), so finite data are never
-rejected.  On return X is mapped back by 4^q and the estimate x by 2^q.
+The solve runs in a power-of-four frame of b (`measurement_frame`).  Where
+||b|| lies in _FRAME_WINDOW, [2^-32, 2^32], the frame is the identity: b is
+solved in its own scale.  Elsewhere it is b times 4^-q, q = floor(p / 2)
+clamped to [-511, 511] for the largest real or imaginary magnitude m 2^p of
+b, which brings that magnitude into [0.5, 2) (short of the clamp).  There
+the energy ||b||^2 is finite and the matrices stay inside the norm range in
+which LAPACK's eigensolvers do not rescale (LAPACK Users' Guide, 1999,
+section 4.1), so finite data are never rejected; on return X is mapped back
+by 4^q and the estimate x by 2^q.  Scaling by a power of two is exact
+(Higham, Accuracy and Stability of Numerical Algorithms, 2002, section 2),
+so b and 4^k b are solved in the same bits, in either frame.  Only rounding
+noise far below eps ||X|| (entries of X some 1e-80 of its largest, the last
+bits of `rank1_gap` or `gap`) depends on the absolute scale inside LAPACK,
+on pairs whose energies lie some 1e80 apart.  The window is no wider so that
+such pairs keep the bits of the scaled frame: at [2^-200, 2^200], 25 of
+3000 such solves moved.
 
 The solve starts at the spectral estimate of the dual certificate: the
 certificate W = S^H S is a linear function of the correlations
@@ -92,6 +99,7 @@ converges at iteration 1, so it runs no check.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -101,7 +109,7 @@ import numpy as np
 from .linalg import _eigh, _eigvalsh, _pin_phase, hermitian_part, psd_project
 from .poly import Signal, as_signal
 from .sensing import Measurements, SensingSet, adjoint, build_sensing, forward_stacked
-from .sylvester import _pow2_scale, certificate_multipliers
+from .sylvester import _multiplier_gather, _pow2_scale
 
 # A solution whose second eigenvalue exceeds this fraction of the first is
 # not meaningfully rank-1; recovery then reflects a non-unique program.
@@ -125,6 +133,13 @@ STALL_RTOL = 1e-10
 # balances the certificate.  Wrong starts begin near 2**36; the default sweep
 # and the benchmark inputs stay below 2**5.
 BALANCE_RATIO = 2.0**20
+
+# The norms ||b|| at which `measurement_frame` is the identity; the module
+# docstring says why the window is no wider.
+_FRAME_WINDOW = (2.0**-32, 2.0**32)
+
+# The zero that pads the data for `_certificate_gather`.
+_PAD = np.zeros(1, dtype=complex)
 
 
 @dataclass
@@ -160,8 +175,9 @@ class SolverResult:
     "converged" solve (see the module docstring).
 
     `x_mat` and `x_est` are in the scale of the data; every other field is
-    read in the solve's power-of-four frame, so it keeps its bits when b is
-    scaled by a power of four.
+    read in the solve's power-of-four frame, the identity where ||b|| lies
+    in _FRAME_WINDOW, so it keeps its bits when b is scaled by a power of
+    four (up to the rounding noise the module docstring names).
     """
 
     x_mat: np.ndarray
@@ -183,35 +199,59 @@ class SolverResult:
 def measurement_frame(b_vec: np.ndarray) -> tuple[float, np.ndarray, float]:
     """The power-of-four frame of b_vec and its norm there; the one check of b.
 
-    With m 2^p (m in [0.5, 1)) the largest real or imaginary magnitude of
-    b_vec, it returns ``(scale, scale * b_vec, ||scale * b_vec||)`` for the
-    scale 4^-q, q = floor(p / 2) clamped to [-511, 511].  The largest scaled
+    Returns ``(scale, scale * b_vec, ||scale * b_vec||)`` for the frame of
+    the module docstring: scale 1.0 and b_vec itself, no copy, where
+    ||b_vec||, taken by `math.hypot` (which neither overflows nor warns),
+    lies in _FRAME_WINDOW, and 4^-q elsewhere.  There the largest scaled
     magnitude lies in [0.5, 2) short of the clamp and below 4 at it, so the
-    energy is finite, and 4^q and 2^q, which map a solution back, are finite
-    and normal too.  A
-    power of two scales exactly, so ``norm / scale`` is ||b_vec|| bit for
-    bit as `np.linalg.norm` computes it wherever that is finite.  The norm
-    is sqrt(re.re + im.im), from the two dots `np.linalg.norm` takes.
-    Raises ValueError("measurements must be finite") for a NaN or infinite
-    entry; finite data are never rejected.
+    energy is finite, and 4^q and 2^q, which map a solution back, are
+    finite and normal too.  ``norm / scale`` is ||b_vec|| bit for bit as
+    `np.linalg.norm` computes it wherever that is finite: the norm is
+    sqrt(re.re + im.im), from the two dots `np.linalg.norm` takes.  Raises
+    ValueError("measurements must be finite") for a NaN or infinite entry;
+    finite data are never rejected.
     """
-    peak = float(np.abs(b_vec.view(np.float64)).max())  # re and im interleaved
-    if not math.isfinite(peak):
-        raise ValueError("measurements must be finite")
-    scale = math.ldexp(1.0, -2 * min(max(math.frexp(peak)[1] // 2, -511), 511))
-    scaled = scale * b_vec
+    parts = b_vec.view(np.float64)  # re and im interleaved
+    if _FRAME_WINDOW[0] <= math.hypot(*parts.tolist()) <= _FRAME_WINDOW[1]:
+        scale, scaled = 1.0, b_vec
+    else:
+        peak = float(np.abs(parts).max())
+        if not math.isfinite(peak):
+            raise ValueError("measurements must be finite")
+        scale = math.ldexp(1.0, -2 * min(max(math.frexp(peak)[1] // 2, -511), 511))
+        scaled = scale * b_vec
     re, im = scaled.real, scaled.imag
     return scale, scaled, math.sqrt(re.dot(re) + im.dot(im))
 
 
-def _spectral_start(s: SensingSet, b: Measurements, scale: float) -> tuple[np.ndarray, float]:
+@functools.lru_cache(maxsize=32)
+def _certificate_gather(l1: int, l2: int) -> tuple[np.ndarray, np.ndarray]:
+    # `certificate_multipliers`' gather and signs composed with the band
+    # label: W = m + m^H for m = sign * padded[index], padded the data
+    # stacked as (a11, a22, a12, a21, 0).  Read-only, as its parts are.
+    index, sign = _multiplier_gather(l1, l2)
+    label = build_sensing(l1, l2).label.reshape(l1 + l2, l1 + l2)
+    index, sign = index[label], sign[label]
+    index.flags.writeable = sign.flags.writeable = False
+    return index, sign
+
+
+def _spectral_start(
+    s: SensingSet, b: Measurements, scale: float, b_vec: np.ndarray
+) -> tuple[np.ndarray, float]:
     """The start c v v* in the frame `scale` and the margin lam2(W) / lam_max(W).
 
     W = adjoint(scale * certificate_multipliers(b)) is the dual certificate
-    built from the data of `solve`'s frame (`measurement_frame`), v its
-    eigenvector for the smallest eigenvalue and c = e1 + e2 (clipped at 0)
-    the energy ||x||^2, from the scaled centre lags e1 = scale a11[l1-1] and
-    e2 = scale a22[l2-1], the frame's ||x1||^2 and ||x2||^2.
+    of the data in `solve`'s frame (`measurement_frame`), whose stacked
+    vector is b_vec = scale * b.stacked; v is W's eigenvector for the
+    smallest eigenvalue and c = e1 + e2 (clipped at 0) the energy ||x||^2,
+    from the scaled centre lags e1 = scale a11[l1-1] and
+    e2 = scale a22[l2-1], the frame's ||x1||^2 and ||x2||^2.  W = m + m^H is
+    built in one gather: a per-shape table (`_certificate_gather`) gives
+    each entry of m its multiplier's datum and sign, and m is the sign times
+    that datum of b_vec padded with one zero (reduced b_vec holds no a21, so
+    reduced data are padded from the segments).  The signs +-1/2 and the
+    scale are powers of two, so this is adjoint's W bit for bit.
 
     When e1 and e2 are positive and e1 / e2 lies outside
     [1 / BALANCE_RATIO, BALANCE_RATIO], W's spectrum is dominated by the
@@ -227,7 +267,15 @@ def _spectral_start(s: SensingSet, b: Measurements, scale: float) -> tuple[np.nd
     diag(I_l1 / alpha, I_l2 / beta) and c is the balanced energy
     alpha^2 e1 + beta^2 e2: no norm is taken, so nothing overflows.
     """
-    w_mat = adjoint(s, scale * certificate_multipliers(b))
+    if b.reduced:  # b_vec holds no a21
+        padded = np.concatenate((b.a11, b.a22, b.a12, b.a21, _PAD))
+        if scale != 1.0:
+            padded = scale * padded
+    else:
+        padded = np.concatenate((b_vec, _PAD))
+    index, sign = _certificate_gather(s.l1, s.l2)
+    m = sign * padded[index]
+    w_mat = m + m.conj().T
     e1, e2 = scale * float(b.a11[s.l1 - 1].real), scale * float(b.a22[s.l2 - 1].real)
     energy = max(e1 + e2, 0.0)
     unscale = None
@@ -320,7 +368,7 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
     # The iterate x travels with its image ax, the part of A(x) that b
     # measures.  A is linear, so the momentum point's image is the same
     # combination of the stored images (one transform fewer per step).
-    x, margin = _spectral_start(s, b, scale)
+    x, margin = _spectral_start(s, b, scale, b_vec)
     ax = forward_stacked(s, x)[:m_count]
     x_prev, ax_prev = x, ax
     t = 1.0
@@ -328,8 +376,12 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
     bad_streak = 0
     restarts = 0
     # The last STALL_WINDOW + 1 objectives of the start and the accepted
-    # iterates, oldest first.
-    recent = deque([misfit(ax) ** 2], maxlen=STALL_WINDOW + 1)
+    # iterates, oldest first.  Every objective is dist * dist, which is
+    # correctly rounded and so scales exactly with b; dist**2 calls libm's
+    # pow, which misrounds about one square in 1100 and not alike in every
+    # frame.
+    dist = misfit(ax)
+    recent = deque([dist * dist], maxlen=STALL_WINDOW + 1)
 
     for k in range(1, opts.max_iters + 1):
         # beta is 0 at k = 1 and after a restart, where the momentum point is x.
@@ -338,7 +390,7 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
         else:
             y, ay = x, ax
         x_new, w_new, u_new, ax_new, dist = projected_step(y, ay)
-        obj = dist**2
+        obj = dist * dist
 
         if obj > recent[-1]:
             # Adaptive restart: drop momentum and redo as a plain projected
@@ -348,7 +400,7 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
             if beta > 0.0:
                 restarts += 1
                 x_new, w_new, u_new, ax_new, dist = projected_step(x, ax)
-                obj = dist**2
+                obj = dist * dist
         bad_streak = bad_streak + 1 if obj > recent[-1] else 0
 
         x_prev, ax_prev = x, ax
@@ -390,10 +442,12 @@ def solve(b: Measurements, opts: SolverOptions | None = None) -> SolverResult:
         x_est, rank1_gap = np.zeros(n, dtype=complex), 0.0
     # Back from the frame: X scales like b, by 4^q, and x by 2^q, both finite
     # and exact.
-    unscale = 1.0 / scale
+    if scale != 1.0:
+        unscale = 1.0 / scale
+        x, x_est = unscale * x, math.sqrt(unscale) * x_est
     return SolverResult(
-        x_mat=unscale * x,
-        x_est=math.sqrt(unscale) * x_est,
+        x_mat=x,
+        x_est=x_est,
         iters=k,
         residual=dist / norm_b,
         rank1_gap=rank1_gap,

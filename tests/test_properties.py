@@ -187,7 +187,7 @@ def test_closed_form_step_is_exact_lipschitz_constant(l1, l2, reduced):
 def test_spectral_start_alone_recovers_noiseless_coprime_pair(x1, x2, reduced):
     l1, l2 = x1.size, x2.size
     b = measure(x1, x2, reduced=reduced)
-    x_start, margin = _spectral_start(build_sensing(l1, l2), b, 1.0)
+    x_start, margin = _spectral_start(build_sensing(l1, l2), b, 1.0, b.stacked)
     # a (near-)shared factor leaves the null space more than one-dimensional
     assume(margin > 1e-4)
     est = rank1_oracle(x_start)
@@ -211,16 +211,17 @@ def test_spectral_start_equivariance(x1, x2, sigma, phase, theta, scale):
     noise = NoiseModel(sigma=sigma, seed=5)
     b = add_noise(measure(x1, x2), noise)
     assume(simple_bottom(s, b))
-    x_start, margin = _spectral_start(s, b, 1.0)
+    x_start, margin = _spectral_start(s, b, 1.0, b.stacked)
     tol = 1e-8 * np.linalg.norm(x_start)
 
     # global phase: the data do not change, nor does the start
     rotated = add_noise(measure(np.exp(1j * phase) * x1, np.exp(1j * phase) * x2), noise)
-    assert np.linalg.norm(_spectral_start(s, rotated, 1.0)[0] - x_start) <= tol
+    rotated_start, _ = _spectral_start(s, rotated, 1.0, rotated.stacked)
+    assert np.linalg.norm(rotated_start - x_start) <= tol
 
     # scaling x -> a x scales the data and the start by |a|^2
     scaled = scale_segments(b, np.full(4 * s.n - 4, scale**2))
-    scaled_start, scaled_margin = _spectral_start(s, scaled, 1.0)
+    scaled_start, scaled_margin = _spectral_start(s, scaled, 1.0, scaled.stacked)
     assert np.linalg.norm(scaled_start - scale**2 * x_start) <= scale**2 * tol
     assert abs(scaled_margin - margin) <= 1e-9
 
@@ -232,7 +233,8 @@ def test_spectral_start_equivariance(x1, x2, sigma, phase, theta, scale):
     modulated_clean = measure(d[:l1] * x1, d[l1:] * x2).stacked
     err = np.abs(modulated_clean - u * measure(x1, x2).stacked).max()
     assert err <= 1e-12 * np.abs(modulated_clean).max()
-    modulated_start, _ = _spectral_start(s, scale_segments(b, u), 1.0)
+    modulated = scale_segments(b, u)
+    modulated_start, _ = _spectral_start(s, modulated, 1.0, modulated.stacked)
     assert np.linalg.norm(modulated_start - lift_d * x_start) <= tol
 
 

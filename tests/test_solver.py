@@ -31,6 +31,7 @@ from corrlift.solver import (
     STEP_SAFETY,
     SolverOptions,
     SolverResult,
+    _FRAME_WINDOW,
     _spectral_start,
     aligned_mse,
     measurement_frame,
@@ -601,9 +602,12 @@ def _boundary_stacks():
 
 
 def test_measurement_norm_is_numpy_norm_bitwise_across_scales():
-    # The frame's norm, mapped back by 4^q, is np.linalg.norm's wherever
-    # that is finite; past that the frame still holds the data, and no scale
-    # warns.
+    # Inside the window the frame is the identity: b_vec itself, no copy,
+    # and np.linalg.norm's norm.  Outside it the frame's norm, mapped back by
+    # 4^q, is np.linalg.norm's wherever that is finite, and the frame still
+    # holds the data past that.  No scale warns.
+    lo, hi = _FRAME_WINDOW
+    sides = set()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for stacked in _boundary_stacks():
@@ -612,6 +616,12 @@ def test_measurement_norm_is_numpy_norm_bitwise_across_scales():
                 with np.errstate(over="ignore"):
                     want = float(np.linalg.norm(scaled))
                 scale, framed, norm = measurement_frame(scaled)
+                if lo <= want <= hi:
+                    sides.add("inside")
+                    assert scale == 1.0 and framed is scaled
+                    assert norm.hex() == want.hex()
+                    continue
+                sides.add("below" if want < lo else "above")
                 assert framed.tobytes() == (scale * scaled).tobytes()
                 assert 0.5 <= np.abs(framed.view(np.float64)).max() < 2.0
                 if math.isfinite(want):
@@ -621,6 +631,54 @@ def test_measurement_norm_is_numpy_norm_bitwise_across_scales():
             scale, _, norm = measurement_frame(np.array([peak, 1j * peak]))
             assert scale == 4.0**-q
             assert math.isclose(norm, math.sqrt(2.0) * (peak * scale), rel_tol=1e-15)
+    assert caught == []
+    assert sides == {"below", "inside", "above"}
+
+
+def _scaled(b: Measurements, k: int) -> Measurements:
+    # b times 4^k, segment by segment; exact where no entry leaves the normal range
+    f = 4.0**k
+    return Measurements(f * b.a11, f * b.a22, f * b.a12, f * b.a21, reduced=b.reduced)
+
+
+def test_solve_keeps_its_bits_across_the_frame_window_edges():
+    # ||4^k b|| just inside and just outside each edge of the window, and far
+    # past the top, where ||4^k b||^2 overflows: the identity frame and the
+    # peak frame give every field the same bits, X scaled by 4^k and x by
+    # 2^k, and deciding the frame warns nowhere.
+    rng = np.random.default_rng(131)
+    shapes = ((2, 2), (2, 3), (3, 3), (2, 4), (3, 4))  # criterion 01's
+    cases = [measure(random_signal(rng, l1), random_signal(rng, l2)) for l1, l2 in shapes]
+    cases += [noisy_pair(rng, 3, 3, snr_db)[1] for snr_db in (10.0, 20.0, 30.0, 40.0)]
+    # A 20 dB pair whose last objective libm's pow(dist, 2), which misrounds
+    # about one square in 1100, rounds differently in the two frames: its
+    # gap moved a bit while `solve` squared by pow.  The product dist * dist
+    # is correctly rounded, so it scales exactly.
+    cases.append(noisy_pair(np.random.default_rng(1350), 3, 3, 20.0)[1])
+    lo, hi = _FRAME_WINDOW
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for b in cases:
+            base = solve(b)
+            norm = float(np.linalg.norm(b.stacked))
+            assert lo <= norm <= hi
+            top = bottom = 0  # the largest and smallest k with 4^k ||b|| inside
+            while 4.0 ** (top + 1) * norm <= hi:
+                top += 1
+            while 4.0 ** (bottom - 1) * norm >= lo:
+                bottom -= 1
+            edges = [(top, True), (top + 1, False), (bottom, True), (bottom - 1, False)]
+            for k, inside in edges + [(top + 260, False)]:
+                b_k = _scaled(b, k)
+                assert np.array_equal(4.0**-k * b_k.stacked, b.stacked)
+                assert (measurement_frame(b_k.stacked)[0] == 1.0) == inside
+                got = solve(b_k)
+                for name in ("iters", "stop_reason", "restarts"):
+                    assert getattr(got, name) == getattr(base, name)
+                for name in ("residual", "rank1_gap", "margin", "gap"):
+                    assert getattr(got, name).hex() == getattr(base, name).hex()
+                assert got.x_mat.tobytes() == (4.0**k * base.x_mat).tobytes()
+                assert got.x_est.tobytes() == (2.0**k * base.x_est).tobytes()
     assert caught == []
 
 
@@ -657,7 +715,7 @@ def test_first_iterate_is_the_plain_projected_gradient_step():
     for b in cases:
         s = build_sensing(b.l1, b.l2)
         scale, b_vec, _ = measurement_frame(b.stacked)
-        x0, _ = _spectral_start(s, b, scale)
+        x0, _ = _spectral_start(s, b, scale, b_vec)
         r0 = forward_stacked(s, x0)[: b_vec.size] - b_vec
         lam = np.zeros(4 * s.n - 4, dtype=complex)
         lam[: r0.size] = np.conj(r0)

@@ -39,7 +39,9 @@ measurements are rejected (correlations that overflow to infinity), three
 in the power-of-four frame, two noiseless and one at 20 dB, whose noise
 level is mapped back from the frame), two noiseless ``recover``s
 of coprime pairs whose energies are far apart (where the spectral start
-balances the certificate), ``zeros`` and
+balances the certificate), two noiseless ``recover``s whose ||b|| lies
+just inside and just outside the top of the window in which the solve's
+frame is the identity, ``zeros`` and
 ``ambiguities`` rejecting a pair with a negligible end coefficient,
 ``zeros`` on a pair whose product's root polish would overflow (it prints
 the factors' zeros and exits 0), and ``certify``, ``ambiguities`` and
@@ -145,6 +147,11 @@ COMMANDS = [
     # decomposes the balanced certificate and recovers them exactly
     ["recover", "--signal", "1e10,1", "--signal", "1,1"],
     ["recover", "--signal", "5e76,1", "--signal", "1,1"],
+    # ||b|| about 0.998 and 1.002 times 2^32, the top of the window in which
+    # the frame is the identity: solved in its own scale, then in the peak
+    # frame
+    ["recover", "--signal", "24500,49000", "--signal", "24500,-24500"],
+    ["recover", "--signal", "24550,49100", "--signal", "24550,-24550"],
     # an end coefficient negligible next to the largest: the message and
     # exit status 2 of the rejection
     ["zeros", "--signal", "1,1e-300", "--signal", "1,2"],
